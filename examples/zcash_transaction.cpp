@@ -55,8 +55,9 @@ main()
     auto expect = a;
     ntt::nttInPlace(dom, expect);
     ntt::GzkpNtt<Fr>().run(dom, a);
+    bool nttOk = a == expect;
     std::printf("GZKP NTT (2^%zu): %s\n", logn,
-                a == expect ? "matches reference" : "MISMATCH");
+                nttOk ? "matches reference" : "MISMATCH");
 
     // MSM-stage kernel: GZKP cross-window merging vs serial oracle.
     std::vector<ec::AffinePoint<Cfg>> pts;
@@ -65,8 +66,9 @@ main()
         pts.push_back(g.mul(Fr::random(rng)).toAffine());
     auto ref = msm::PippengerSerial<Cfg>().run(pts, u);
     auto got = msm::GzkpMsm<Cfg>().run(pts, u);
+    bool msmOk = got == ref;
     std::printf("GZKP MSM (2^%zu, sparse): %s\n", logn,
-                got == ref ? "matches serial Pippenger" : "MISMATCH");
+                msmOk ? "matches serial Pippenger" : "MISMATCH");
 
     std::printf("\n== modeled full-scale shielded transaction "
                 "latency (V100) ==\n");
@@ -103,5 +105,5 @@ main()
     std::printf("(paper: GZKP cuts this latency 37.1x vs bellman and "
                 "9.2x vs bellperson; see bench_table3/4 for the "
                 "side-by-side reproduction)\n");
-    return 0;
+    return nttOk && msmOk ? 0 : 1;
 }

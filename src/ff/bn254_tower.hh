@@ -23,6 +23,7 @@ struct Bn254Fp2Cfg {
         static const Fq b = -Fq::one();
         return b;
     }
+    static Fq mulByBeta(const Fq &a) { return -a; }
 };
 using Bn254Fp2 = Fp2T<Bn254Fp2Cfg>;
 
@@ -33,6 +34,14 @@ struct Bn254Fp6Cfg {
     {
         static const Fp2 x(Bn254Fq::fromUint64(9), Bn254Fq::one());
         return x;
+    }
+    /** (9 + u)(a0 + a1 u) = (9 a0 - a1) + (9 a1 + a0) u, as adds. */
+    static Fp2
+    mulByXi(const Fp2 &a)
+    {
+        Bn254Fq nine0 = a.c0.dbl().dbl().dbl() + a.c0;
+        Bn254Fq nine1 = a.c1.dbl().dbl().dbl() + a.c1;
+        return Fp2(nine0 - a.c1, nine1 + a.c0);
     }
 };
 using Bn254Fp6 = Fp6T<Bn254Fp6Cfg>;

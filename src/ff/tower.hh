@@ -10,8 +10,10 @@
  *   Fp6  = Fp2[v] / (v^3 - xi)        (xi = 9 + u for BN254)
  *   Fp12 = Fp6[w] / (w^2 - v)
  *
- * The tower is parameterised by a config type so tests can also
- * instantiate small sanity towers.
+ * The tower is parameterised by a config type. Each config supplies
+ * its non-residue both as a value and as a multiply-by routine, so a
+ * non-residue with a cheap shape (beta = -1, xi = 9 + u) costs
+ * additions instead of a full multiply.
  */
 
 #ifndef GZKP_FF_TOWER_HH
@@ -27,8 +29,8 @@ namespace gzkp::ff {
 /**
  * Quadratic extension Fp2 = Fp[u]/(u^2 - beta).
  *
- * @tparam Cfg provides `using Fq = ...;` and
- *         `static Fq beta()` (the quadratic non-residue).
+ * @tparam Cfg provides `using Fq = ...;`, `static Fq beta()` (the
+ *         quadratic non-residue) and `static Fq mulByBeta(const Fq &)`.
  */
 template <typename Cfg>
 class Fp2T
@@ -71,7 +73,7 @@ class Fp2T
         Fq a = c0 * o.c0;
         Fq b = c1 * o.c1;
         Fq sum = (c0 + c1) * (o.c0 + o.c1);
-        return Fp2T(a + Cfg::beta() * b, sum - a - b);
+        return Fp2T(a + Cfg::mulByBeta(b), sum - a - b);
     }
 
     Fp2T &operator+=(const Fp2T &o) { return *this = *this + o; }
@@ -83,8 +85,8 @@ class Fp2T
     {
         // Complex squaring: 2 base multiplies.
         Fq ab = c0 * c1;
-        Fq t = (c0 + c1) * (c0 + Cfg::beta() * c1);
-        return Fp2T(t - ab - Cfg::beta() * ab, ab.dbl());
+        Fq t = (c0 + c1) * (c0 + Cfg::mulByBeta(c1));
+        return Fp2T(t - ab - Cfg::mulByBeta(ab), ab.dbl());
     }
 
     Fp2T dbl() const { return *this + *this; }
@@ -103,8 +105,7 @@ class Fp2T
     inverse() const
     {
         // 1/(c0 + c1 u) = (c0 - c1 u) / (c0^2 - beta c1^2)
-        Fq norm = c0.squared() - Cfg::beta() * c1.squared();
-        Fq ninv = norm.inverse();
+        Fq ninv = norm().inverse();
         return Fp2T(c0 * ninv, -(c1 * ninv));
     }
 
@@ -125,7 +126,7 @@ class Fp2T
     Fq
     norm() const
     {
-        return c0.squared() - Cfg::beta() * c1.squared();
+        return c0.squared() - Cfg::mulByBeta(c1.squared());
     }
 
     /**
@@ -199,7 +200,8 @@ class Fp2T
 /**
  * Cubic extension Fp6 = Fp2[v]/(v^3 - xi).
  *
- * @tparam Cfg provides `using Fp2 = ...;` and `static Fp2 xi()`.
+ * @tparam Cfg provides `using Fp2 = ...;`, `static Fp2 xi()` and
+ *         `static Fp2 mulByXi(const Fp2 &)`.
  */
 template <typename Cfg>
 class Fp6T
@@ -248,9 +250,7 @@ class Fp6T
         Fp2 t0 = (c1 + c2) * (o.c1 + o.c2) - a1 - a2; // c1 o2 + c2 o1
         Fp2 t1 = (c0 + c1) * (o.c0 + o.c1) - a0 - a1; // c0 o1 + c1 o0
         Fp2 t2 = (c0 + c2) * (o.c0 + o.c2) - a0 - a2; // c0 o2 + c2 o0
-        return Fp6T(a0 + Cfg::xi() * t0,
-                    t1 + Cfg::xi() * a2,
-                    t2 + a1);
+        return Fp6T(a0 + Cfg::mulByXi(t0), t1 + Cfg::mulByXi(a2), t2 + a1);
     }
 
     Fp6T &operator+=(const Fp6T &o) { return *this = *this + o; }
@@ -263,7 +263,7 @@ class Fp6T
     Fp6T
     mulByV() const
     {
-        return Fp6T(Cfg::xi() * c2, c0, c1);
+        return Fp6T(Cfg::mulByXi(c2), c0, c1);
     }
 
     Fp6T
@@ -272,14 +272,28 @@ class Fp6T
         return Fp6T(c0 * s, c1 * s, c2 * s);
     }
 
+    /** Multiply by the sparse element b0 + b1 v: 5 Fp2 multiplies. */
+    Fp6T
+    mulBy01(const Fp2 &b0, const Fp2 &b1) const
+    {
+        Fp2 a0 = c0 * b0;
+        Fp2 a1 = c1 * b1;
+        return Fp6T(Cfg::mulByXi((c1 + c2) * b1 - a1) + a0,
+                    (c0 + c1) * (b0 + b1) - a0 - a1,
+                    (c0 + c2) * b0 - a0 + a1);
+    }
+
+    /** Multiply an Fp2 element by the cubic non-residue xi. */
+    static Fp2 mulByXi(const Fp2 &a) { return Cfg::mulByXi(a); }
+
     Fp6T
     inverse() const
     {
         // Standard cubic-extension inversion (see Devegili et al.).
-        Fp2 t0 = c0.squared() - Cfg::xi() * (c1 * c2);
-        Fp2 t1 = Cfg::xi() * c2.squared() - c0 * c1;
+        Fp2 t0 = c0.squared() - Cfg::mulByXi(c1 * c2);
+        Fp2 t1 = Cfg::mulByXi(c2.squared()) - c0 * c1;
         Fp2 t2 = c1.squared() - c0 * c2;
-        Fp2 denom = c0 * t0 + Cfg::xi() * (c2 * t1) + Cfg::xi() * (c1 * t2);
+        Fp2 denom = c0 * t0 + Cfg::mulByXi(c2 * t1 + c1 * t2);
         Fp2 dinv = denom.inverse();
         return Fp6T(t0 * dinv, t1 * dinv, t2 * dinv);
     }
@@ -345,6 +359,56 @@ class Fp12T
         Fp6 ab = c0 * c1;
         Fp6 t = (c0 + c1) * (c0 + c1.mulByV());
         return Fp12T(t - ab - ab.mulByV(), ab + ab);
+    }
+
+    /**
+     * Multiply by the sparse element d0 + (d3 + d4 v) w, the shape of
+     * a Miller line on a D-type sextic twist: 13 Fp2 multiplies
+     * instead of 18.
+     */
+    Fp12T
+    mulBy034(const Fp2 &d0, const Fp2 &d3, const Fp2 &d4) const
+    {
+        Fp6 a = c0.scale(d0);
+        Fp6 b = c1.mulBy01(d3, d4);
+        Fp6 e = (c0 + c1).mulBy01(d0 + d3, d4);
+        return Fp12T(a + b.mulByV(), e - a - b);
+    }
+
+    /**
+     * Square an element of the cyclotomic subgroup, the order
+     * p^4 - p^2 + 1 subgroup every final-exponentiation easy part
+     * lands in (Granger-Scott 2010): 6 Fp2 multiplies instead of 12.
+     * Wrong for any other element.
+     */
+    Fp12T
+    cyclotomicSquared() const
+    {
+        // Read Fp12 as Fp4^3 with Fp4 = Fp2[y] / (y^2 - xi), y = w^3;
+        // the Fp4 elements are (c0.c0, c1.c1), (c1.c0, c0.c2) and
+        // (c0.c1, c1.c2). Each squaring is (a + b y)^2 =
+        // (a^2 + xi b^2) + 2ab y.
+        auto sq = [](const Fp2 &a, const Fp2 &b, Fp2 &s0, Fp2 &s1) {
+            Fp2 ab = a * b;
+            s0 = (a + b) * (a + Fp6::mulByXi(b)) - ab - Fp6::mulByXi(ab);
+            s1 = ab.dbl();
+        };
+        Fp2 t0, t1, t2, t3, t4, t5;
+        sq(c0.c0, c1.c1, t0, t1);
+        sq(c1.c0, c0.c2, t2, t3);
+        sq(c0.c1, c1.c2, t4, t5);
+        // z -> 3t - 2z or 3t + 2z per coordinate.
+        auto minus = [](const Fp2 &t, const Fp2 &z) {
+            return (t - z).dbl() + t;
+        };
+        auto plus = [](const Fp2 &t, const Fp2 &z) {
+            return (t + z).dbl() + t;
+        };
+        Fp2 xt5 = Fp6::mulByXi(t5);
+        return Fp12T(Fp6(minus(t0, c0.c0), minus(t2, c0.c1),
+                         minus(t4, c0.c2)),
+                     Fp6(plus(xt5, c1.c0), plus(t1, c1.c1),
+                         plus(t3, c1.c2)));
     }
 
     /** Conjugate over Fp6 (the "easy" unitary inverse). */

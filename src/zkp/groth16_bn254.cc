@@ -30,11 +30,15 @@ verifyBn254(const Groth16<Bn254Family>::VerifyingKey &vk,
                    .mul(public_inputs[i].toBigInt());
     }
 
-    auto lhs = pairing::pairing(proof.a, proof.b);
-    auto rhs = pairing::pairing(vk.alphaG1, vk.betaG2) *
-        pairing::pairing(acc.toAffine(), vk.gammaG2) *
-        pairing::pairing(proof.c, vk.deltaG2);
-    return lhs == rhs;
+    // e(A, B) == e(alpha, beta) e(IC, gamma) e(C, delta), as one
+    // product of pairings that must be one.
+    const pairing::PairingInput terms[] = {
+        {proof.a, proof.b},
+        {vk.alphaG1.negate(), vk.betaG2},
+        {acc.toAffine().negate(), vk.gammaG2},
+        {proof.c.negate(), vk.deltaG2},
+    };
+    return pairing::multiPairing(terms) == pairing::GT::one();
 }
 
 } // namespace gzkp::zkp

@@ -3,7 +3,9 @@
  * Real (pairing-based) Groth16 verification on ALT-BN128.
  *
  * Checks e(A, B) == e(alpha, beta) * e(IC(x), gamma) * e(C, delta),
- * with IC(x) = sum_i x_i * ic_i over the public inputs (x_0 = 1).
+ * with IC(x) = sum_i x_i * ic_i over the public inputs (x_0 = 1), as
+ * the single pairing product e(A, B) e(-alpha, beta) e(-IC(x), gamma)
+ * e(-C, delta) == 1.
  * This is the verifier a downstream user runs; it needs neither the
  * witness nor the trapdoor.
  */

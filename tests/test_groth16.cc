@@ -1,14 +1,17 @@
 /**
  * @file
  * Groth16 protocol tests: setup/prove/verify roundtrips on BN254
- * (real pairing verifier) and BLS12-381 (trapdoor self-check), MSM
- * engine interchangeability, and soundness (tamper rejection).
+ * (real pairing verifier, checked against the four-pairing oracle
+ * verifier) and BLS12-381 (trapdoor self-check), MSM engine
+ * interchangeability, and soundness (tamper rejection).
  */
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <utility>
 
+#include "pairing_oracle.hh"
 #include "workload/workloads.hh"
 #include "zkp/groth16.hh"
 #include "zkp/groth16_bn254.hh"
@@ -20,10 +23,11 @@ namespace {
 
 template <typename Fr>
 workload::Builder<Fr>
-factorCircuit(std::uint64_t p, std::uint64_t q)
+factorCircuit(std::uint64_t p, std::uint64_t q, int chain = 30)
 {
     // Prove knowledge of factors p*q = public product, with some
-    // extra structure so the domain is nontrivial.
+    // extra structure (`chain` multiplications) so the domain is
+    // nontrivial.
     workload::Builder<Fr> b(1);
     auto pv = b.alloc(Fr::fromUint64(p));
     auto qv = b.alloc(Fr::fromUint64(q));
@@ -31,7 +35,7 @@ factorCircuit(std::uint64_t p, std::uint64_t q)
     b.constrain(LinComb<Fr>(pv, Fr::one()), LinComb<Fr>(qv, Fr::one()),
                 LinComb<Fr>(1, Fr::one()));
     auto cur = pv;
-    for (int i = 0; i < 30; ++i)
+    for (int i = 0; i < chain; ++i)
         cur = b.mul(cur, qv);
     b.decompose(pv, 32);
     return b;
@@ -134,48 +138,106 @@ class Groth16Bn254 : public ::testing::Test
     using G16 = Groth16<Bn254Family>;
     using Fr = ff::Bn254Fr;
     std::mt19937_64 rng{99};
+
+    /** A circuit size with its keys, one valid proof and its input. */
+    struct Instance {
+        G16::Keys keys;
+        G16::Proof proof;
+        std::vector<Fr> pub;
+    };
+
+    /** Three circuit sizes, set up and proved once for the suite. */
+    static const std::vector<Instance> &
+    instances()
+    {
+        static const std::vector<Instance> v = [] {
+            std::mt19937_64 r(2024);
+            std::vector<Instance> out;
+            for (int chain : {2, 30, 250}) {
+                auto b = factorCircuit<Fr>(101, 103, chain);
+                auto keys = G16::setup(b.cs(), r);
+                auto proof = G16::prove(keys.pk, b.cs(), b.assignment(), r);
+                out.push_back({keys, proof, {b.assignment()[1]}});
+            }
+            return out;
+        }();
+        return v;
+    }
+
+    /**
+     * verifyBn254 and the four-pairing oracle verifier must both
+     * return `expected`.
+     */
+    static void
+    expectVerdict(const G16::VerifyingKey &vk, const G16::Proof &proof,
+                  const std::vector<Fr> &pub, bool expected)
+    {
+        EXPECT_EQ(verifyBn254(vk, proof, pub), expected);
+        EXPECT_EQ(pairing::oracle::verifyGroth16(vk, proof, pub), expected);
+    }
 };
 
 TEST_F(Groth16Bn254, PairingVerifierAcceptsValidProof)
 {
-    auto b = factorCircuit<Fr>(101, 103);
-    auto keys = G16::setup(b.cs(), rng);
-    auto proof = G16::prove(keys.pk, b.cs(), b.assignment(), rng);
-    std::vector<Fr> pub = {b.assignment()[1]};
-    EXPECT_TRUE(verifyBn254(keys.vk, proof, pub));
+    for (const Instance &in : instances())
+        expectVerdict(in.keys.vk, in.proof, in.pub, true);
 }
 
 TEST_F(Groth16Bn254, PairingVerifierRejectsWrongPublicInput)
 {
-    auto b = factorCircuit<Fr>(101, 103);
-    auto keys = G16::setup(b.cs(), rng);
-    auto proof = G16::prove(keys.pk, b.cs(), b.assignment(), rng);
-    std::vector<Fr> pub = {b.assignment()[1] + Fr::one()};
-    EXPECT_FALSE(verifyBn254(keys.vk, proof, pub));
+    for (const Instance &in : instances())
+        expectVerdict(in.keys.vk, in.proof, {in.pub[0] + Fr::one()}, false);
 }
 
 TEST_F(Groth16Bn254, PairingVerifierRejectsTamperedProof)
 {
-    auto b = factorCircuit<Fr>(5, 11);
-    auto keys = G16::setup(b.cs(), rng);
-    auto proof = G16::prove(keys.pk, b.cs(), b.assignment(), rng);
-    std::vector<Fr> pub = {b.assignment()[1]};
+    auto g1 = G16::G1::generator();
+    auto g2 = G16::G2::generator();
+    for (const Instance &in : instances()) {
+        const G16::VerifyingKey &vk = in.keys.vk;
+        auto bad = in.proof;
+        bad.c = g1.mul(std::uint64_t(3)).toAffine();
+        expectVerdict(vk, bad, in.pub, false);
 
-    auto bad = proof;
-    bad.c = G16::G1::generator().mul(std::uint64_t(3)).toAffine();
-    EXPECT_FALSE(verifyBn254(keys.vk, bad, pub));
+        bad = in.proof;
+        std::swap(bad.a, bad.c);
+        expectVerdict(vk, bad, in.pub, false);
 
-    bad = proof;
-    bad.b = G16::G2::generator().toAffine();
-    EXPECT_FALSE(verifyBn254(keys.vk, bad, pub));
+        bad = in.proof;
+        bad.a = bad.a.negate();
+        expectVerdict(vk, bad, in.pub, false);
+
+        bad = in.proof;
+        bad.b = g2.toAffine(); // in the subgroup, but not B
+        expectVerdict(vk, bad, in.pub, false);
+
+        // Identity points pass the subgroup check and reach the pairing.
+        bad = in.proof;
+        bad.a = G16::G1Affine::identity();
+        expectVerdict(vk, bad, in.pub, false);
+        bad = in.proof;
+        bad.b = G16::G2Affine::identity();
+        expectVerdict(vk, bad, in.pub, false);
+        bad = in.proof;
+        bad.c = G16::G1Affine::identity();
+        expectVerdict(vk, bad, in.pub, false);
+    }
+}
+
+TEST_F(Groth16Bn254, PairingVerifierRejectsProofUnderAnotherKey)
+{
+    const auto &all = instances();
+    for (std::size_t i = 0; i < all.size(); ++i) {
+        const Instance &other = all[(i + 1) % all.size()];
+        expectVerdict(other.keys.vk, all[i].proof, all[i].pub, false);
+    }
 }
 
 TEST_F(Groth16Bn254, PairingVerifierRejectsWrongInputCount)
 {
-    auto b = factorCircuit<Fr>(5, 11);
-    auto keys = G16::setup(b.cs(), rng);
-    auto proof = G16::prove(keys.pk, b.cs(), b.assignment(), rng);
-    EXPECT_FALSE(verifyBn254(keys.vk, proof, {}));
+    const Instance &in = instances().front();
+    expectVerdict(in.keys.vk, in.proof, {}, false);
+    expectVerdict(in.keys.vk, in.proof, {in.pub[0], in.pub[0]}, false);
 }
 
 TEST_F(Groth16Bn254, ProofsAreRerandomized)
@@ -254,14 +316,14 @@ TEST_F(Groth16Bn254, VerifierRejectsOffCurveProofPoints)
     bad.a = ec::AffinePoint<Bn254Family::G1Cfg>(FqG1::one(),
                                                 FqG1::one());
     ASSERT_FALSE(bad.a.onCurve());
-    EXPECT_FALSE(verifyBn254(keys.vk, bad, pub));
+    expectVerdict(keys.vk, bad, pub, false);
 
     using FqG2 = Bn254Family::G2Cfg::Field;
     bad = proof;
     bad.b = ec::AffinePoint<Bn254Family::G2Cfg>(FqG2::one(),
                                                 FqG2::one());
     ASSERT_FALSE(bad.b.onCurve());
-    EXPECT_FALSE(verifyBn254(keys.vk, bad, pub));
+    expectVerdict(keys.vk, bad, pub, false);
 }
 
 TEST_F(Groth16Bn254, VerifierRejectsOutOfSubgroupG2)
@@ -279,7 +341,7 @@ TEST_F(Groth16Bn254, VerifierRejectsOutOfSubgroupG2)
     // r-subgroup must be rejected *before* any pairing is computed.
     auto bad = proof;
     bad.b = rogue;
-    EXPECT_FALSE(verifyBn254(keys.vk, bad, pub));
+    expectVerdict(keys.vk, bad, pub, false);
 }
 
 TEST_F(Groth16Bn254, G1SubgroupCheckMatchesOnCurve)

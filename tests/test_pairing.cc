@@ -1,14 +1,17 @@
 /**
  * @file
  * BN254 optimal ate pairing tests: non-degeneracy, order,
- * bilinearity, and behaviour on identity inputs.
+ * bilinearity, behaviour on identity inputs, and differential checks
+ * of the fast pairing against the textbook oracle in pairing_oracle.hh.
  */
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "pairing/bn254_pairing.hh"
+#include "pairing_oracle.hh"
 
 using namespace gzkp;
 using namespace gzkp::ff;
@@ -105,7 +108,94 @@ TEST_F(PairingTest, FinalExponentiationKillsRthPowers)
 
 TEST_F(PairingTest, MillerLoopNonTrivial)
 {
-    auto f = pairing::millerLoop(Bn254G1::generator().toAffine(),
-                                 Bn254G2::generator().toAffine());
-    EXPECT_NE(f, GT::one());
+    const pairing::PairingInput in{Bn254G1::generator().toAffine(),
+                                   Bn254G2::generator().toAffine()};
+    EXPECT_NE(pairing::millerLoop({&in, 1}), GT::one());
+}
+
+// --- Differential checks against the textbook oracle ---
+
+TEST_F(PairingTest, MatchesOracleOnSeededPairs)
+{
+    auto g1 = Bn254G1::generator();
+    auto g2 = Bn254G2::generator();
+    std::vector<pairing::PairingInput> cases = {
+        {g1.toAffine(), g2.toAffine()},
+        {Bn254G1Affine::identity(), g2.toAffine()},
+        {g1.toAffine(), Bn254G2Affine::identity()},
+        {Bn254G1Affine::identity(), Bn254G2Affine::identity()},
+        {g1.toAffine().negate(), g2.toAffine()},
+        {g1.toAffine(), g2.toAffine().negate()},
+        {g1.toAffine().negate(), g2.toAffine().negate()},
+    };
+    while (cases.size() < 26) {
+        auto a = Bn254Fr::random(rng);
+        auto b = Bn254Fr::random(rng);
+        auto pa = g1.mul(a).toAffine();
+        auto qb = g2.mul(b).toAffine();
+        cases.push_back({pa, qb});
+        if (cases.size() % 4 == 0)
+            cases.push_back({pa.negate(), qb});
+    }
+    for (std::size_t i = 0; i < cases.size(); ++i) {
+        const auto &c = cases[i];
+        EXPECT_EQ(pairing::pairing(c.p, c.q),
+                  pairing::oracle::pairing(c.p, c.q))
+            << "case " << i;
+    }
+}
+
+TEST_F(PairingTest, MultiPairingMatchesOracleProduct)
+{
+    auto g1 = Bn254G1::generator();
+    auto g2 = Bn254G2::generator();
+    auto a = Bn254Fr::random(rng);
+    auto b = Bn254Fr::random(rng);
+    auto c = Bn254Fr::random(rng);
+
+    // e(aP, bQ) e(-(ab)P, Q) e(cP, Q) e(P, -cQ) == 1.
+    std::vector<pairing::PairingInput> one = {
+        {g1.mul(a).toAffine(), g2.mul(b).toAffine()},
+        {g1.mul(a * b).toAffine().negate(), g2.toAffine()},
+        {g1.mul(c).toAffine(), g2.toAffine()},
+        {g1.toAffine(), g2.mul(c).toAffine().negate()},
+    };
+    // Three random pairs plus an identity pair: not one.
+    std::vector<pairing::PairingInput> other = {
+        {g1.mul(a).toAffine(), g2.mul(c).toAffine()},
+        {Bn254G1Affine::identity(), g2.mul(b).toAffine()},
+        {g1.mul(b).toAffine(), g2.toAffine()},
+        {g1.toAffine().negate(), g2.mul(a).toAffine()},
+    };
+    for (const auto *pairs : {&one, &other}) {
+        GT expect = GT::one();
+        for (const auto &in : *pairs)
+            expect *= pairing::oracle::pairing(in.p, in.q);
+        EXPECT_EQ(pairing::multiPairing(*pairs), expect);
+    }
+    EXPECT_EQ(pairing::multiPairing(one), GT::one());
+    EXPECT_NE(pairing::multiPairing(other), GT::one());
+    EXPECT_EQ(pairing::multiPairing({}), GT::one());
+}
+
+TEST_F(PairingTest, FrobeniusIsTheQPower)
+{
+    for (int i = 0; i < 4; ++i) {
+        auto a = GT::random(rng);
+        EXPECT_EQ(pairing::frobenius(a), a.pow(Bn254Fq::modulus()));
+        GT x = a;
+        for (int k = 0; k < 12; ++k)
+            x = pairing::frobenius(x);
+        EXPECT_EQ(x, a);
+    }
+}
+
+TEST_F(PairingTest, FinalExponentiationMatchesOracle)
+{
+    for (int i = 0; i < 4; ++i) {
+        auto f = GT::random(rng);
+        ASSERT_NE(f.conjugate() * f, GT::one()); // not unitary
+        EXPECT_EQ(pairing::finalExponentiation(f),
+                  pairing::oracle::finalExponentiation(f));
+    }
 }

@@ -429,6 +429,23 @@ TEST(ServiceOverload, PerTenantDepthBoundShedsOnlyTheHog)
     svc->shutdownNow();
 }
 
+/** Seconds one warm prove of the fixture circuit takes, as measured. */
+double
+measuredProveSeconds()
+{
+    auto svc = service::makeBn254ProofService(baseOptions());
+    auto id = svc->registerCircuit(fx().keys.pk, fx().keys.vk,
+                                   fx().builder.cs());
+    // The first request also builds the artifacts; time the second.
+    auto first = svc->submit(makeRequest(id, 1));
+    auto second = svc->submit(makeRequest(id, 2));
+    EXPECT_TRUE(first.isOk() && second.isOk());
+    svc->drain();
+    Service::Result res = second->get();
+    EXPECT_TRUE(res.status.isOk());
+    return res.proveSeconds;
+}
+
 /**
  * Saturation: more deadline work than capacity. The service may shed
  * at admission, at dequeue, or late-drop -- but an OK result is
@@ -436,11 +453,14 @@ TEST(ServiceOverload, PerTenantDepthBoundShedsOnlyTheHog)
  */
 TEST(ServiceOverload, SaturationCompletesZeroProofsPastDeadline)
 {
+    // Eight requests, each with a budget of two proves: saturated
+    // however fast one prove runs.
+    const double budget_s = 2 * measuredProveSeconds();
+    const auto budget = std::chrono::duration_cast<
+        std::chrono::milliseconds>(std::chrono::duration<double>(budget_s));
     auto svc = service::makeBn254ProofService(baseOptions());
     auto id = svc->registerCircuit(fx().keys.pk, fx().keys.vk,
                                    fx().builder.cs());
-    const auto budget = std::chrono::milliseconds(300);
-    const double budget_s = 0.3;
 
     std::vector<std::future<Service::Result>> futures;
     std::size_t shedAtDoor = 0;
@@ -475,7 +495,7 @@ TEST(ServiceOverload, SaturationCompletesZeroProofsPastDeadline)
             ++lateTyped;
         }
     }
-    // ~0.1s/prove against 0.3s budgets: the tail must get shed.
+    // Eight proves against two-prove budgets: the tail must get shed.
     EXPECT_GE(lateTyped + shedAtDoor, 1u);
     Service::Stats st = svc->stats();
     EXPECT_EQ(st.completed, onTime);

@@ -9,6 +9,7 @@
 #include <random>
 
 #include "ff/bn254_tower.hh"
+#include "ff/natnum.hh"
 
 using namespace gzkp::ff;
 
@@ -109,6 +110,49 @@ TEST_F(TowerTest, Fp12ConjugateOnUnitCircle)
     auto a = Bn254Fp12::random(rng);
     auto g = a.conjugate() * a.inverse(); // g = f^(p^6 - 1) shape
     EXPECT_EQ(g.conjugate(), g.inverse());
+}
+
+TEST_F(TowerTest, NonResidueMultipliesMatchFullMultiplies)
+{
+    for (int i = 0; i < 16; ++i) {
+        auto a = Bn254Fq::random(rng);
+        EXPECT_EQ(Bn254Fp2Cfg::mulByBeta(a), Bn254Fp2Cfg::beta() * a);
+        auto b = Bn254Fp2::random(rng);
+        EXPECT_EQ(Bn254Fp6Cfg::mulByXi(b), Bn254Fp6Cfg::xi() * b);
+    }
+}
+
+TEST_F(TowerTest, SparseMultipliesMatchFullMultiplies)
+{
+    auto z = Bn254Fp2::zero();
+    for (int i = 0; i < 8; ++i) {
+        auto a6 = Bn254Fp6::random(rng);
+        auto b0 = Bn254Fp2::random(rng);
+        auto b1 = Bn254Fp2::random(rng);
+        EXPECT_EQ(a6.mulBy01(b0, b1), a6 * Bn254Fp6(b0, b1, z));
+
+        auto f = Bn254Fp12::random(rng);
+        auto d0 = Bn254Fp2::random(rng);
+        auto d3 = Bn254Fp2::random(rng);
+        auto d4 = Bn254Fp2::random(rng);
+        Bn254Fp12 line(Bn254Fp6(d0, z, z), Bn254Fp6(d3, d4, z));
+        EXPECT_EQ(f.mulBy034(d0, d3, d4), f * line);
+    }
+}
+
+TEST_F(TowerTest, CyclotomicSquaringMatchesSquaring)
+{
+    // g^((p^6 - 1)(p^2 + 1)) lies in the cyclotomic subgroup.
+    NatNum p = NatNum::fromBigInt(Bn254Fq::modulus());
+    BigInt<8> p2 = (p * p).toBigInt<8>();
+    for (int i = 0; i < 3; ++i) {
+        auto a = Bn254Fp12::random(rng);
+        auto g = a.conjugate() * a.inverse();
+        g = g.pow(p2) * g;
+        EXPECT_EQ(g.cyclotomicSquared(), g.squared());
+        EXPECT_EQ(g.cyclotomicSquared().cyclotomicSquared(),
+                  g.squared().squared());
+    }
 }
 
 TEST_F(TowerTest, TowerLimbAccounting)
