@@ -1,7 +1,7 @@
 /**
  * @file
  * Overload soak bench: open-loop mixed-tenant traffic against the
- * hardened ProofService (PR 8).
+ * hardened ProofService.
  *
  *     bench_service_soak [--seconds=6] [--constraints=10] [--smoke]
  *                        [--out=BENCH_service_soak.json]
@@ -11,22 +11,23 @@
  * completions, so queue pressure is real):
  *
  *   baseline          healthy backends, deadlines ~8x the calibrated
- *                     prove cost, hedging armed.
+ *                     prove cost.
  *   brownout_health   the gzkp backend persistently fails (faultsim
  *                     launch@msm.gzkp); health tracking ON -- the
  *                     breaker opens and later requests skip the dead
- *                     tier.
+ *                     tier and prove on serial directly.
  *   brownout_nohealth same brown-out, health tracking OFF -- every
- *                     request re-pays the failed gzkp attempts. The
- *                     p99 gap between these two scenarios is the
- *                     graceful-degradation acceptance number.
+ *                     request re-pays the failed gzkp attempts before
+ *                     demoting to serial. The p99 gap between these
+ *                     two scenarios is the graceful-degradation
+ *                     acceptance number.
  *   fairness          2x-capacity saturation from two tenants with
  *                     10:1 weights and no deadlines; the completed-
  *                     proof ratio must land within 2x of the weight
  *                     ratio (in [5, 20]).
  *
  * Per scenario: p50/p99/p999 end-to-end latency, goodput, shed rate,
- * per-tenant goodput, breaker opens, hedge counts -- one JSON file
+ * per-tenant goodput, breaker opens, skipped backends -- one JSON file
  * for EXPERIMENTS.md. Every scenario also self-checks the hard
  * invariant that no proof is delivered past its deadline.
  *
@@ -90,8 +91,6 @@ struct ScenarioResult {
     std::map<std::uint64_t, std::size_t> perTenant;
     std::uint64_t breakerOpens = 0;
     std::uint64_t backendsSkipped = 0;
-    std::uint64_t hedges = 0;
-    std::uint64_t hedgeWins = 0;
 };
 
 struct ScenarioSpec {
@@ -229,8 +228,6 @@ runScenario(const Workload &w, const ScenarioSpec &spec,
     Service::Stats st = svc->stats();
     out.breakerOpens = st.healthTracking ? st.health.totalOpens : 0;
     out.backendsSkipped = st.backendsSkipped;
-    out.hedges = st.hedgesLaunched;
-    out.hedgeWins = st.hedgeWins;
     svc->stop();
     return out;
 }
@@ -246,15 +243,12 @@ printScenario(std::FILE *f, const ScenarioResult &r, bool last)
                  "\"p999_s\": %.4f, \"goodput_per_s\": %.2f, "
                  "\"shed_rate\": %.3f,\n"
                  "     \"breaker_opens\": %llu, "
-                 "\"backends_skipped\": %llu, \"hedges\": %llu, "
-                 "\"hedge_wins\": %llu, \"per_tenant\": {",
+                 "\"backends_skipped\": %llu, \"per_tenant\": {",
                  r.name.c_str(), r.arrivals, r.completed,
                  r.failedTyped, r.shedSubmit, r.latePastDeadline,
                  r.p50, r.p99, r.p999, r.goodputPerSec, r.shedRate,
                  (unsigned long long)r.breakerOpens,
-                 (unsigned long long)r.backendsSkipped,
-                 (unsigned long long)r.hedges,
-                 (unsigned long long)r.hedgeWins);
+                 (unsigned long long)r.backendsSkipped);
     bool first = true;
     for (const auto &[tenant, n] : r.perTenant) {
         std::fprintf(f, "%s\"%llu\": %zu", first ? "" : ", ",
@@ -343,11 +337,10 @@ main(int argc, char **argv)
         opt.threads = kThreads;
         opt.maxQueueDepth = 64;
         opt.cacheBytes = 256ull << 20;
-        opt.maxAttemptsPerBackend = 2;
         return opt;
     };
 
-    { // baseline: healthy, below capacity, deadlines + hedging
+    { // baseline: healthy, below capacity, with deadlines
         ScenarioSpec s;
         s.name = "baseline";
         s.seconds = seconds;
@@ -369,7 +362,6 @@ main(int argc, char **argv)
         s.ratePerSec = 0.7 * capacity;
         s.deadlineSeconds = deadline;
         s.opt = common();
-        s.opt.hedging = false; // isolate the breaker's contribution
         s.trainSeconds = mu;
         results.push_back(runScenario(w, s, 0xB1));
     }
@@ -385,7 +377,6 @@ main(int argc, char **argv)
         s.ratePerSec = 0.7 * capacity;
         s.deadlineSeconds = deadline;
         s.opt = common();
-        s.opt.hedging = false;
         s.opt.healthTracking = false;
         s.trainSeconds = mu;
         results.push_back(runScenario(w, s, 0xB1));
@@ -397,7 +388,6 @@ main(int argc, char **argv)
         s.ratePerSec = 2.0 * capacity;
         s.deadlineSeconds = 0;
         s.opt = common();
-        s.opt.hedging = false;
         s.opt.maxQueueDepth = 64;
         s.opt.maxQueuePerTenant = 8;
         s.windowStats = true;

@@ -31,11 +31,8 @@ namespace gzkp::device {
 class DeviceHealth
 {
   public:
-    using Options = service::BreakerOptions;
-
-    explicit DeviceHealth(std::size_t devices,
-                          Options opt = Options())
-        : b_(devices, service::SlidingBreaker(opt))
+    explicit DeviceHealth(std::size_t devices)
+        : b_(devices, service::SlidingBreaker(service::BreakerOptions()))
     {}
 
     /** Gate one stage placement onto device `d` (consumes a denial

@@ -34,7 +34,7 @@
  * earliest-placed pending task is runnable, so the fleet cannot
  * deadlock. Stage failures (device.fail / device.mem, or a real
  * fault) are retried inline on a re-placed device with a fresh fault
- * epoch, bounded by maxStageAttempts; each device is a failure
+ * epoch, bounded by kMaxStageAttempts; each device is a failure
  * domain with its own SlidingBreaker (health.hh), so a persistently
  * failing card is quarantined while the rest keep serving.
  */
@@ -73,6 +73,12 @@ namespace gzkp::device {
 /** Modeled-time inflation of a stage hit by `device.slow`. */
 inline constexpr double kSlowFactor = 8.0;
 
+/** Per-device bound on queued stages; submit() blocks at it. */
+inline constexpr std::size_t kStageQueueDepth = 8;
+
+/** Total placements of one stage (first try + retries). */
+inline constexpr std::size_t kMaxStageAttempts = 3;
+
 /**
  * One device's observable state (ProofService::stats() re-exports
  * these as the per-device gauges). Deliberately not a template.
@@ -107,13 +113,6 @@ class StageScheduler
 
     struct Options {
         std::vector<DeviceSpec> devices;
-        /** Per-device bound on queued stages; submit() blocks at it. */
-        std::size_t maxQueueDepth = 8;
-        /** Total placements of one stage (first try + retries). */
-        std::size_t maxStageAttempts = 3;
-        /** Structural + verifier self-check of assembled proofs. */
-        bool selfCheck = true;
-        service::BreakerOptions healthOptions;
     };
 
     /**
@@ -154,7 +153,7 @@ class StageScheduler
     explicit StageScheduler(Options opt,
                             Verifier verifier = Verifier())
         : opt_(std::move(opt)), verifier_(std::move(verifier)),
-          health_(opt_.devices.size(), opt_.healthOptions),
+          health_(opt_.devices.size()),
           dev_(opt_.devices.size())
     {
         if (opt_.devices.empty())
@@ -176,7 +175,8 @@ class StageScheduler
 
     /**
      * Place both stages and enqueue them. Blocks while either chosen
-     * device's queue is at maxQueueDepth (bounded pipelining depth).
+     * device's queue is at kStageQueueDepth (bounded pipelining
+     * depth).
      */
     StatusOr<std::future<Result>>
     submit(Job job)
@@ -211,8 +211,8 @@ class StageScheduler
                                     poly.finish, /*avoid=*/-1);
         cv_.wait(lk, [&] {
             return stopping_ ||
-                (dev_[poly.device].queue.size() < opt_.maxQueueDepth &&
-                 dev_[msm.device].queue.size() < opt_.maxQueueDepth);
+                (dev_[poly.device].queue.size() < kStageQueueDepth &&
+                 dev_[msm.device].queue.size() < kStageQueueDepth);
         });
         if (stopping_)
             return unavailableError("device.submit: scheduler stopped");
@@ -487,11 +487,9 @@ class StageScheduler
                         *js.job.pk, js.job.witness, js.h, spec.threads);
                 }
                 Proof p = G16::assembleProof(*js.job.pk, m, js.r, js.s);
-                if (opt_.selfCheck) {
-                    Status chk = selfCheck(js, p);
-                    if (!chk.isOk())
-                        throw StatusError(chk);
-                }
+                Status chk = selfCheck(js, p);
+                if (!chk.isOk())
+                    throw StatusError(chk);
                 js.result.proof = std::move(p);
             }
         });
@@ -534,7 +532,7 @@ class StageScheduler
             st = attemptStage(dev, task);
             health_.record(dev, st, task.estimate);
             if (st.isOk() || !zkp::retryableStatus(st.code()) ||
-                attempt + 1 >= opt_.maxStageAttempts) {
+                attempt + 1 >= kMaxStageAttempts) {
                 *devUsed = int(dev);
                 *estUsed = task.estimate;
                 recordSample(dev, task);

@@ -43,15 +43,15 @@
  * run without faultsim (asserted by tests/test_chaos.cc).
  *
  * Probe-site vocabulary (substring-matchable): the prover sites
- * (msm.gzkp[.bucket|.preprocess|.kernel], msm.bellperson, msm.serial,
- * ntt.cpu, groth16.poly.h) plus the serving layer's --
+ * (msm.gzkp[.bucket|.preprocess|.kernel], msm.serial, ntt.cpu,
+ * groth16.poly.h; msm.bellperson fires only in the bellperson-like
+ * paper baseline, which the prover ladder does not run) plus the
+ * serving layer's --
  *  - service.queue:       admission enqueue/dispatch failures;
  *  - service.cache.build: artifact build allocation failures;
  *  - service.cache.table: post-build corruption of a cached table;
  *  - service.shed:        spurious admission shed (overload control
  *                         rejecting work it did not have to);
- *  - service.hedge:       hedge launch failure (downgrades the
- *                         request to the unhedged path);
  *  - service.breaker:     lying health signal (a healthy backend is
  *                         spuriously denied by the circuit breaker).
  * The service.* sites perturb routing and admission only; they can

@@ -211,8 +211,7 @@ class CancelToken
     /**
      * The effective absolute deadline: the earliest of this token's
      * own deadline and every ancestor's, or nullopt when none in the
-     * chain has one. The service uses this to compute the remaining
-     * budget that drives queue-time shedding and hedge triggers.
+     * chain has one.
      */
     std::optional<Clock::time_point>
     deadline() const

@@ -6,14 +6,10 @@
  * moment to reject work is *before* it is enqueued: a request whose
  * deadline cannot be met at the current queue depth costs a full
  * prove and still returns an error. The service therefore keeps an
- * online model of per-circuit prove cost:
- *
- *  - an EWMA of observed prove seconds (the admission estimate:
- *    cheap, smooth, recovers quickly when circuit cost drifts);
- *  - a sliding window of the most recent samples from which exact
- *    p50/p99 are computed (the hedge trigger wants a tail estimate,
- *    not a mean — hedging on the mean would hedge half of all
- *    requests).
+ * online model of per-circuit prove cost: an EWMA of observed prove
+ * seconds (cheap, smooth, recovers quickly when circuit cost
+ * drifts). The device scheduler reuses the same estimator for its
+ * per-(device, stage) cost ratios.
  *
  * With no samples yet the estimator is deliberately *optimistic*
  * (estimate 0): a cold service admits everything and learns from the
@@ -25,7 +21,6 @@
 #ifndef GZKP_SERVICE_ADMISSION_HH
 #define GZKP_SERVICE_ADMISSION_HH
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <vector>
@@ -35,18 +30,8 @@ namespace gzkp::service {
 class CostEstimator
 {
   public:
-    struct Options {
-        /** EWMA smoothing: est += alpha * (sample - est). */
-        double alpha = 0.3;
-        /** Sliding-window size for the quantile estimates. */
-        std::size_t window = 64;
-    };
-
-    // Two constructors instead of one defaulted argument: a nested
-    // class's default member initializers are not usable in a default
-    // argument before the enclosing class is complete.
-    CostEstimator() = default;
-    explicit CostEstimator(Options opt) : opt_(opt) {}
+    /** EWMA smoothing: est += kAlpha * (sample - est). */
+    static constexpr double kAlpha = 0.3;
 
     /** Record one observed prove duration for `circuit`. */
     void
@@ -58,14 +43,8 @@ class CostEstimator
         if (e.samples == 0)
             e.ewma = seconds;
         else
-            e.ewma += opt_.alpha * (seconds - e.ewma);
+            e.ewma += kAlpha * (seconds - e.ewma);
         ++e.samples;
-        if (e.window.size() < opt_.window) {
-            e.window.push_back(seconds);
-        } else {
-            e.window[e.pos] = seconds;
-            e.pos = (e.pos + 1) % e.window.size();
-        }
     }
 
     /** EWMA estimate of one prove; 0 when never observed. */
@@ -83,34 +62,12 @@ class CostEstimator
         return circuit < per_.size() ? per_[circuit].samples : 0;
     }
 
-    /**
-     * Exact quantile over the sliding window (q in [0,1]); falls back
-     * to the EWMA when the window is empty. q=0.99 is the hedge
-     * trigger's tail estimate.
-     */
-    double
-    quantile(std::size_t circuit, double q) const
-    {
-        if (circuit >= per_.size() || per_[circuit].window.empty())
-            return estimate(circuit);
-        std::vector<double> sorted = per_[circuit].window;
-        std::sort(sorted.begin(), sorted.end());
-        double clamped = std::min(std::max(q, 0.0), 1.0);
-        std::size_t idx = std::min(
-            sorted.size() - 1,
-            std::size_t(clamped * double(sorted.size() - 1) + 0.5));
-        return sorted[idx];
-    }
-
   private:
     struct Entry {
         double ewma = 0;
         std::uint64_t samples = 0;
-        std::vector<double> window;
-        std::size_t pos = 0;
     };
 
-    Options opt_;
     std::vector<Entry> per_; //!< indexed by dense service circuit id
 };
 

@@ -3,12 +3,12 @@
  * Service-wide backend health registry with circuit breakers.
  *
  * ZK-Flex (PAPERS.md) motivates treating proving backends as
- * independently failing accelerators behind a scheduler. PR 3's
- * SelfCheckingProver already demotes down the GZKP -> bellperson ->
- * serial ladder, but the decision was per request: a backend browned
- * out for minutes still ate maxAttemptsPerBackend failed attempts on
- * *every* request. BackendHealth turns demotion into a learned,
- * service-wide decision:
+ * independently failing accelerators behind a scheduler.
+ * SelfCheckingProver demotes down the GZKP -> serial ladder, but the
+ * decision is per request: a backend browned out for minutes would
+ * still eat kMaxAttemptsPerBackend failed attempts on *every*
+ * request. BackendHealth turns demotion into a learned, service-wide
+ * decision:
  *
  *  - per-backend sliding window of the most recent attempt outcomes
  *    and latencies (failures are statuses that blame the backend --
@@ -21,7 +21,7 @@
  *    per-device failure domains (src/device/health.hh);
  *  - implements zkp::BackendMonitor, so the registry plugs straight
  *    into SelfCheckingProver: ProofService shares one instance across
- *    all requests and hedged attempts.
+ *    all requests.
  *
  * Fault site "service.breaker": an injected launch fault makes
  * allow() spuriously deny a healthy backend (a lying health signal).
@@ -32,12 +32,9 @@
 #ifndef GZKP_SERVICE_BACKEND_HEALTH_HH
 #define GZKP_SERVICE_BACKEND_HEALTH_HH
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <mutex>
-#include <tuple>
-#include <vector>
 
 #include "faultsim/faultsim.hh"
 #include "service/breaker.hh"
@@ -49,7 +46,7 @@ namespace gzkp::service {
 class BackendHealth final : public zkp::BackendMonitor
 {
   public:
-    /** One breaker configuration shared by all three backends. */
+    /** One breaker configuration shared by both backends. */
     using Options = BreakerOptions;
 
     struct BackendSnapshot {
@@ -133,35 +130,6 @@ class BackendHealth final : public zkp::BackendMonitor
             if (b.wouldAllow())
                 ++n;
         return n;
-    }
-
-    /**
-     * Backends ordered healthiest-first: Closed before HalfOpen
-     * before Open, ties broken by windowed failure rate, then p99
-     * latency, then the ladder order. The hedge path launches its
-     * secondary on the first entry that differs from the primary.
-     */
-    std::vector<zkp::ProverBackend>
-    healthyOrder() const
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        std::vector<std::size_t> idx = {0, 1, 2};
-        auto rank = [this](std::size_t i) {
-            const SlidingBreaker &b = b_[i];
-            int staterank = b.state() == BreakerState::Closed ? 0
-                : b.state() == BreakerState::HalfOpen         ? 1
-                                                              : 2;
-            return std::make_tuple(staterank, b.failureRate(),
-                                   b.latencyQuantile(0.99), i);
-        };
-        std::sort(idx.begin(), idx.end(),
-                  [&](std::size_t a, std::size_t c) {
-                      return rank(a) < rank(c);
-                  });
-        std::vector<zkp::ProverBackend> out;
-        for (std::size_t i : idx)
-            out.push_back(zkp::ProverBackend(i));
-        return out;
     }
 
     Snapshot

@@ -21,18 +21,13 @@
  *    doomed requests are shed, not proved, and a proof that finishes
  *    after its deadline is dropped (typed error), never delivered --
  *    the service completes zero proofs past their deadline;
- *  - backend health: a shared BackendHealth registry
- *    (backend_health.hh) watches every prover attempt across all
- *    requests; open circuit breakers make SelfCheckingProver skip a
- *    browned-out backend outright instead of paying its retry budget
- *    on every request;
- *  - hedged retry: when the remaining deadline budget falls below a
- *    p99-derived threshold (or Options::forceHedge), the proof is
- *    launched on the next healthy backend concurrently and the first
- *    valid result wins; the loser is cancelled through a child
- *    CancelToken. Proof bytes depend only on (circuit, witness, seed)
- *    -- never on the backend -- so a hedged winner is byte-identical
- *    to the unhedged proof;
+ *  - backend health: a BackendHealth registry (backend_health.hh)
+ *    watches every prover attempt across all requests; open circuit
+ *    breakers make SelfCheckingProver skip a browned-out backend
+ *    outright instead of paying its retry budget on every request.
+ *    Proof bytes depend only on (circuit, witness, seed) -- never on
+ *    the backend -- so a demoted proof is byte-identical to the
+ *    GZKP one;
  *  - shared artifacts: each batch resolves its circuit through the
  *    ArtifactCache, so Algorithm-1 preprocessing and NTT twiddle
  *    tables are paid once per circuit, not once per proof. A cache
@@ -52,12 +47,12 @@
  *    cache optimization, not a scheduling decision;
  *  - deadlines & cancellation: each request's CancelToken is
  *    parent-linked to the service-wide shutdown token, so
- *    shutdownNow() stops every in-flight proof (both arms of a hedged
- *    pair) at the next chunk boundary;
+ *    shutdownNow() stops every in-flight proof at the next chunk
+ *    boundary;
  *  - observability: stats() returns one consistent mutex-guarded
- *    snapshot -- counters, shed/hedge breakdowns, per-tenant
- *    aggregates, breaker states and the cache counters all copied
- *    under a single critical section (no field-by-field tearing).
+ *    snapshot -- counters, shed breakdowns, per-tenant aggregates,
+ *    breaker states and the cache counters all copied under a single
+ *    critical section (no field-by-field tearing).
  *
  * Determinism: the scheduler itself is sequential (one drain at a
  * time); parallelism lives inside each proof via the deterministic
@@ -69,7 +64,6 @@
  *
  * Fault sites (see faultsim.hh): "service.queue" (admission
  * alloc/launch), "service.shed" (spurious admission shed),
- * "service.hedge" (hedge launch failure -> downgrade to unhedged),
  * "service.breaker" (lying health signal, see backend_health.hh).
  */
 
@@ -137,27 +131,10 @@ class ProofService
         std::size_t maxBatch = 8;
         std::size_t threads = 0;       //!< 0 = GZKP_THREADS default
         std::uint64_t cacheBytes = 0;  //!< 0 = GZKP_CACHE_BYTES default
-        std::size_t maxAttemptsPerBackend = 2;
-        std::size_t preprocessAttempts = 3;
-        bool selfCheck = true;
-
-        /** Deadline-aware admission + queue-time shedding. */
-        bool admissionControl = true;
-        /** Cost-model multiplier in the feasibility check. */
-        double admissionSafety = 1.0;
 
         /** Cross-request backend health with circuit breakers. */
         bool healthTracking = true;
-        /** Share a registry across services (nullptr = own one). */
-        BackendHealth *health = nullptr;
         BackendHealth::Options healthOptions;
-
-        /** Hedged retry on the next healthy backend. */
-        bool hedging = true;
-        /** Hedge when remaining budget < hedgeFactor * p99(circuit). */
-        double hedgeFactor = 1.5;
-        /** Hedge every request regardless of budget (tests/bench). */
-        bool forceHedge = false;
 
         /** Initial tenant weights; GZKP_TENANT_WEIGHTS overrides. */
         std::map<std::uint64_t, std::uint64_t> tenantWeights;
@@ -174,10 +151,6 @@ class ProofService
          * (circuit, witness, seed) -> proof function.
          */
         std::string deviceSpec;
-        /** Per-device queued-stage bound of the device scheduler. */
-        std::size_t deviceQueueDepth = 8;
-        /** Breaker tuning of the per-device failure domains. */
-        BreakerOptions deviceHealthOptions;
     };
 
     struct Request {
@@ -199,8 +172,6 @@ class ProofService
         double queueSeconds = 0;
         double proveSeconds = 0;
         std::uint64_t tenant = 0;
-        bool hedged = false;   //!< a secondary backend was launched
-        bool hedgeWon = false; //!< the secondary delivered the proof
 
         /** Device-path placement (-1 = single-lane path). */
         int polyDevice = -1;
@@ -236,9 +207,6 @@ class ProofService
         std::uint64_t shedAdmission = 0; //!< rejected at submit()
         std::uint64_t shedQueued = 0;    //!< dropped doomed at dequeue
         std::uint64_t shedLate = 0;      //!< finished past deadline
-        std::uint64_t hedgesLaunched = 0;
-        std::uint64_t hedgeWins = 0; //!< secondary beat the primary
-        std::uint64_t hedgeLaunchFailures = 0;
         std::uint64_t backendsSkipped = 0; //!< breaker-skipped tiers
         std::map<std::uint64_t, TenantStats> tenants;
         bool healthTracking = false;
@@ -255,10 +223,8 @@ class ProofService
                           Verifier verifier = Verifier())
         : opt_(opt), verifier_(std::move(verifier)), cache_(opt.cacheBytes)
     {
-        if (opt_.healthTracking && opt_.health == nullptr) {
-            ownedHealth_ =
-                std::make_unique<BackendHealth>(opt_.healthOptions);
-        }
+        if (opt_.healthTracking)
+            health_ = std::make_unique<BackendHealth>(opt_.healthOptions);
         for (const auto &[tenant, weight] : opt_.tenantWeights)
             queue_.setWeight(tenant, weight);
         for (const auto &[tenant, weight] : tenantWeightsFromEnv())
@@ -276,9 +242,6 @@ class ProofService
         if (!devices.empty()) {
             typename Scheduler::Options sopt;
             sopt.devices = std::move(devices);
-            sopt.maxQueueDepth = opt_.deviceQueueDepth;
-            sopt.selfCheck = opt_.selfCheck;
-            sopt.healthOptions = opt_.deviceHealthOptions;
             scheduler_ =
                 std::make_unique<Scheduler>(std::move(sopt), verifier_);
         }
@@ -326,11 +289,7 @@ class ProofService
     }
 
     /** The health registry (nullptr when healthTracking is off). */
-    BackendHealth *
-    health()
-    {
-        return opt_.health != nullptr ? opt_.health : ownedHealth_.get();
-    }
+    BackendHealth *health() { return health_.get(); }
 
     /**
      * Admit a request. Returns the future that will carry its Result,
@@ -389,16 +348,14 @@ class ProofService
                 std::to_string(opt_.maxQueuePerTenant) + "; retry later");
         }
         double est = estimator_.estimate(req.circuit);
-        if (opt_.admissionControl && req.timeout.count() > 0 &&
-            est > 0) {
+        if (req.timeout.count() > 0 && est > 0) {
             // Feasibility: the backlog ahead of this request plus its
             // own estimated prove must fit in the deadline budget. A
             // never-observed circuit estimates 0 (optimistic cold
             // start: admit and learn).
             double budget =
                 std::chrono::duration<double>(req.timeout).count();
-            double eta = queuedCost_ + inFlightCost_ +
-                est * opt_.admissionSafety;
+            double eta = queuedCost_ + inFlightCost_ + est;
             if (eta > budget) {
                 ++stats_.rejected;
                 ++stats_.shedAdmission;
@@ -487,23 +444,19 @@ class ProofService
             // Queue-time re-check: work whose deadline has passed or
             // can no longer fit its own prove is shed here, before it
             // costs a prove.
-            if (opt_.admissionControl) {
-                auto now = Clock::now();
-                for (auto it = batch.begin(); it != batch.end();) {
-                    bool doom = false;
-                    if (it->hasDeadline) {
-                        double remaining = seconds(it->deadline - now);
-                        double est = estimator_.estimate(it->circuit);
-                        doom = remaining <= 0 ||
-                            (est > 0 &&
-                             est * opt_.admissionSafety > remaining);
-                    }
-                    if (doom) {
-                        doomed.push_back(std::move(*it));
-                        it = batch.erase(it);
-                    } else {
-                        ++it;
-                    }
+            auto now = Clock::now();
+            for (auto it = batch.begin(); it != batch.end();) {
+                bool doom = false;
+                if (it->hasDeadline) {
+                    double remaining = seconds(it->deadline - now);
+                    double est = estimator_.estimate(it->circuit);
+                    doom = remaining <= 0 || est > remaining;
+                }
+                if (doom) {
+                    doomed.push_back(std::move(*it));
+                    it = batch.erase(it);
+                } else {
+                    ++it;
                 }
             }
             for (const Pending &p : batch) {
@@ -531,8 +484,7 @@ class ProofService
             circuit->hash,
             [&] {
                 return buildCircuitArtifacts<Family>(
-                    circuit->pk, circuit->hash, opt_.threads,
-                    opt_.preprocessAttempts);
+                    circuit->pk, circuit->hash, opt_.threads);
             },
             &hit);
         double build_s = seconds(Clock::now() - t0);
@@ -593,10 +545,9 @@ class ProofService
     }
 
     /**
-     * Cancel everything: in-flight proofs (both arms of a hedged
-     * pair) stop at the next chunk boundary, queued requests resolve
-     * with kCancelled (their futures are always fulfilled, never
-     * abandoned).
+     * Cancel everything: in-flight proofs stop at the next chunk
+     * boundary, queued requests resolve with kCancelled (their futures
+     * are always fulfilled, never abandoned).
      */
     void
     shutdownNow()
@@ -629,11 +580,9 @@ class ProofService
             s.queueDepth = queue_.size();
         }
         s.cache = cache_.stats();
-        const BackendHealth *h =
-            opt_.health != nullptr ? opt_.health : ownedHealth_.get();
-        if (h != nullptr) {
+        if (health_ != nullptr) {
             s.healthTracking = true;
-            s.health = h->snapshot();
+            s.health = health_->snapshot();
         }
         if (scheduler_ != nullptr) {
             s.deviceScheduling = true;
@@ -679,14 +628,6 @@ class ProofService
         return std::chrono::duration<double>(d).count();
     }
 
-    BackendHealth *
-    monitor()
-    {
-        if (!opt_.healthTracking)
-            return nullptr;
-        return opt_.health != nullptr ? opt_.health : ownedHealth_.get();
-    }
-
     /** Resolve a request shed at dequeue (never proved). */
     void
     resolveShed(Pending p, Status why)
@@ -726,72 +667,23 @@ class ProofService
             token.setDeadline(p.deadline);
 
         typename Prover::Options popt;
-        popt.maxAttemptsPerBackend = opt_.maxAttemptsPerBackend;
         popt.threads = opt_.threads;
-        popt.selfCheck = opt_.selfCheck;
-        popt.monitor = monitor();
+        popt.cancel = &token;
+        popt.monitor = health_.get();
         if (art) {
             popt.artifacts = &art->msm;
             popt.domain = &art->domain;
         }
-
-        // Hedge decision: a request whose remaining budget is inside
-        // the tail of the cost distribution races a second backend.
-        bool hedge = false;
-        std::optional<zkp::ProverBackend> secondary;
-        if (opt_.hedging && !shutdown_.cancelled()) {
-            double p99;
-            {
-                std::lock_guard<std::mutex> lk(mu_);
-                p99 = estimator_.quantile(p.circuit, 0.99);
-            }
-            if (opt_.forceHedge) {
-                hedge = true;
-            } else if (p.hasDeadline && p99 > 0) {
-                double remaining = seconds(p.deadline - start);
-                hedge = remaining > 0 &&
-                    remaining < opt_.hedgeFactor * p99;
-            }
-            if (hedge) {
-                secondary = pickSecondary(popt.start);
-                if (!secondary)
-                    hedge = false;
-            }
-            if (hedge) {
-                std::uint64_t hidx;
-                {
-                    std::lock_guard<std::mutex> lk(mu_);
-                    hidx = hedgeSeq_++;
-                }
-                // Injected hedge-launch failure: downgrade to the
-                // unhedged path (a hedge is an optimization; losing
-                // it must never fail the request).
-                Status probe = statusGuardVoid("service.hedge", [&] {
-                    faultsim::checkLaunch("service.hedge", hidx);
-                });
-                if (!probe.isOk()) {
-                    hedge = false;
-                    std::lock_guard<std::mutex> lk(mu_);
-                    ++stats_.hedgeLaunchFailures;
-                }
-            }
-        }
-
+        Prover prover(popt, verifier_);
+        ProofRng rng(p.seed);
         typename Prover::Report rep;
-        if (!hedge) {
-            popt.cancel = &token;
-            Prover prover(popt, verifier_);
-            ProofRng rng(p.seed);
-            StatusOr<Proof> r =
-                prover.prove(c.pk, c.vk, c.cs, p.witness, rng, &rep);
-            if (r.isOk())
-                res.proof = std::move(*r);
-            else
-                res.status = r.status();
-            res.backendUsed = rep.backendUsed;
-        } else {
-            runHedged(p, c, popt, token, *secondary, res, rep);
-        }
+        StatusOr<Proof> r =
+            prover.prove(c.pk, c.vk, c.cs, p.witness, rng, &rep);
+        if (r.isOk())
+            res.proof = std::move(*r);
+        else
+            res.status = r.status();
+        res.backendUsed = rep.backendUsed;
         res.proveSeconds = seconds(Clock::now() - start);
         finishResult(p, std::move(res), &rep);
     }
@@ -836,11 +728,6 @@ class ProofService
                     ++stats_.shedLate;
                     ++t.shed;
                 }
-            }
-            if (res.hedged) {
-                ++stats_.hedgesLaunched;
-                if (res.hedgeWon)
-                    ++stats_.hedgeWins;
             }
             if (rep != nullptr)
                 stats_.backendsSkipped += rep->backendsSkipped;
@@ -926,98 +813,6 @@ class ProofService
         }
     }
 
-    /**
-     * The next healthy backend distinct from the primary ladder
-     * start; nullopt when no distinct backend is admissible.
-     */
-    std::optional<zkp::ProverBackend>
-    pickSecondary(zkp::ProverBackend primary)
-    {
-        BackendHealth *h = monitor();
-        std::vector<zkp::ProverBackend> order;
-        if (h != nullptr) {
-            order = h->healthyOrder();
-        } else {
-            for (std::size_t b = 0; b < zkp::kProverBackendCount; ++b)
-                order.push_back(zkp::ProverBackend(b));
-        }
-        for (zkp::ProverBackend b : order) {
-            if (b == primary)
-                continue;
-            if (h == nullptr || h->allow(b))
-                return b;
-        }
-        return std::nullopt;
-    }
-
-    /**
-     * Race the primary ladder against `secondary`; first valid proof
-     * wins and cancels the loser through its child token. Proof bytes
-     * are a pure function of (circuit, witness, seed), so the winner
-     * identity never changes the delivered bytes.
-     */
-    void
-    runHedged(Pending &p, const Circuit &c,
-              const typename Prover::Options &base,
-              runtime::CancelToken &token,
-              zkp::ProverBackend secondary, Result &res,
-              typename Prover::Report &rep)
-    {
-        struct Arm {
-            std::optional<Proof> proof;
-            Status status;
-            typename Prover::Report rep;
-        };
-        Arm arms[2];
-        runtime::CancelToken armTok[2];
-        armTok[0].linkParent(&token);
-        armTok[1].linkParent(&token);
-
-        std::mutex hm;
-        int winner = -1;
-
-        auto run = [&](int i, zkp::ProverBackend startBackend) {
-            typename Prover::Options po = base;
-            po.start = startBackend;
-            po.cancel = &armTok[i];
-            Prover prover(po, verifier_);
-            ProofRng rng(p.seed);
-            StatusOr<Proof> r = prover.prove(c.pk, c.vk, c.cs,
-                                             p.witness, rng,
-                                             &arms[i].rep);
-            std::lock_guard<std::mutex> hlk(hm);
-            if (r.isOk()) {
-                arms[i].proof = std::move(*r);
-                if (winner < 0) {
-                    winner = i;
-                    armTok[1 - i].cancel(); // loser stops cooperatively
-                }
-            } else {
-                arms[i].status = r.status();
-            }
-        };
-
-        std::thread sec([&] { run(1, secondary); });
-        run(0, base.start);
-        sec.join();
-
-        res.hedged = true;
-        if (winner >= 0) {
-            res.proof = std::move(arms[winner].proof);
-            res.backendUsed = arms[winner].rep.backendUsed;
-            res.hedgeWon = winner == 1;
-            rep = arms[winner].rep;
-        } else {
-            // Both failed: report the primary's error (the secondary
-            // was only ever a latency optimization).
-            res.status = arms[0].status;
-            res.backendUsed = arms[0].rep.backendUsed;
-            rep = arms[0].rep;
-        }
-        rep.backendsSkipped =
-            arms[0].rep.backendsSkipped + arms[1].rep.backendsSkipped;
-    }
-
     void
     workerLoop()
     {
@@ -1036,7 +831,7 @@ class ProofService
     Verifier verifier_;
     Cache cache_;
     runtime::CancelToken shutdown_;
-    std::unique_ptr<BackendHealth> ownedHealth_;
+    std::unique_ptr<BackendHealth> health_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;
@@ -1046,7 +841,6 @@ class ProofService
     double queuedCost_ = 0;   //!< estimated seconds queued
     double inFlightCost_ = 0; //!< estimated seconds being proved
     std::uint64_t seq_ = 0;
-    std::uint64_t hedgeSeq_ = 0;
     bool stopping_ = false;
     std::thread worker_;
     Stats stats_;

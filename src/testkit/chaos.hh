@@ -154,7 +154,6 @@ runChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
 
     faultsim::ScopedFaultPlan guard(plan);
     zkp::SelfCheckingProver<zkp::Bn254Family>::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     auto prover = zkp::makeBn254SelfCheckingProver(opt);
 
@@ -204,10 +203,10 @@ serviceChaosSites()
 }
 
 /**
- * The overload-control probe sites (PR 8) on top of the service
- * vocabulary: spurious admission sheds, hedge-launch failures and a
- * lying circuit breaker. Again a separate list so the existing
- * service sweep keeps its per-seed plans.
+ * The overload-control probe sites on top of the service vocabulary:
+ * spurious admission sheds and a lying circuit breaker. Again a
+ * separate list so the existing service sweep keeps its per-seed
+ * plans.
  */
 inline const std::vector<std::string> &
 overloadChaosSites()
@@ -215,7 +214,6 @@ overloadChaosSites()
     static const std::vector<std::string> sites = [] {
         std::vector<std::string> s = serviceChaosSites();
         s.push_back("service.shed");
-        s.push_back("service.hedge");
         s.push_back("service.breaker");
         return s;
     }();
@@ -281,7 +279,6 @@ runServiceChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
 
     faultsim::ScopedFaultPlan guard(plan);
     typename Service::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     opt.maxQueueDepth = requests;
     opt.cacheBytes = 64ull << 20;
@@ -358,8 +355,8 @@ overloadReferenceProofs()
 
 /**
  * randomServiceFaultPlan() over the overload vocabulary, biased
- * toward the three new routing sites so the sweep spends most of its
- * seeds on shed/hedge/breaker interference.
+ * toward the routing sites so the sweep spends most of its seeds on
+ * shed/breaker interference.
  */
 inline faultsim::FaultPlan
 randomOverloadFaultPlan(std::uint64_t seed)
@@ -369,8 +366,8 @@ randomOverloadFaultPlan(std::uint64_t seed)
     plan.seed = deriveSeed(seed, 0x0FB);
     if (seed % 16 == 0)
         return plan;
-    static const std::vector<std::string> bias = {
-        "service.shed", "service.hedge", "service.breaker"};
+    static const std::vector<std::string> bias = {"service.shed",
+                                                  "service.breaker"};
     std::size_t arms = 1 + rng() % 3;
     static const std::uint64_t periods[] = {1, 1, 2, 3, 5, 17, 64};
     static const std::uint64_t limits[] = {0, 0, 1, 1, 2, 5};
@@ -379,7 +376,7 @@ randomOverloadFaultPlan(std::uint64_t seed)
         faultsim::FaultArm arm;
         arm.kind =
             faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
-        // 50% of arms target the new routing sites directly.
+        // 50% of arms target the routing sites directly.
         arm.site = rng() % 2 == 0 ? bias[rng() % bias.size()]
                                   : sites[rng() % sites.size()];
         arm.period = periods[rng() % (sizeof(periods) /
@@ -396,7 +393,6 @@ struct OverloadChaosOutcome {
     std::size_t proofsOk = 0;
     std::size_t typedErrors = 0;    //!< futures with a non-OK Status
     std::size_t rejectedAtQueue = 0; //!< submit() itself rejected
-    std::size_t hedged = 0;          //!< results with hedged set
     bool releasedBadProof = false;
     /** A delivered proof whose bytes differ from the fault-free
         reference on a run where only routing sites could fire. */
@@ -409,16 +405,20 @@ struct OverloadChaosOutcome {
 /**
  * Run a ProofService with the full overload stack live -- fair-share
  * tenants with skewed weights, mixed deadlines (none / generous /
- * hopeless), deadline admission, health tracking and (on even seeds)
- * forced hedging -- under `plan`, and classify every outcome. The
- * invariant is the PR-3 one lifted again: a valid proof or a clean
- * typed error, never a bad proof. On plans whose arms touch only
- * routing sites (shed/hedge/breaker/queue: they steer requests but
- * never perturb a prover attempt's rng), delivered bytes must equal
- * the fault-free reference -- hedged winners included.
+ * hopeless), deadline admission and health tracking -- under `plan`,
+ * and classify every outcome. An empty `topology` proves single-lane;
+ * otherwise every proof goes through the device scheduler on that
+ * fleet (placement, pipelining, per-device breakers and inline stage
+ * retries all live). The invariant is the prover's, lifted to the
+ * service: a valid proof or a clean typed error, never a bad proof.
+ * On plans whose arms touch only routing sites -- shed/breaker/queue
+ * and every device.* site (a failed stage is recomputed bit-
+ * identically on a re-placed device) -- delivered bytes must equal
+ * the fault-free single-lane reference.
  */
 inline OverloadChaosOutcome
-runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
+runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
+                     const std::string &topology = "")
 {
     using Service = service::ProofService<zkp::Bn254Family>;
     const ChaosFixture &fx = chaosFixture();
@@ -427,19 +427,20 @@ runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
 
     bool routingOnly = true;
     for (const auto &arm : plan.arms) {
-        if (arm.site != "service.shed" && arm.site != "service.hedge" &&
-            arm.site != "service.breaker" &&
-            arm.site != "service.queue")
+        bool routing = arm.site == "service.shed" ||
+            arm.site == "service.breaker" ||
+            arm.site == "service.queue" ||
+            arm.site.rfind("device", 0) == 0;
+        if (!routing)
             routingOnly = false;
     }
 
     faultsim::ScopedFaultPlan guard(plan);
     typename Service::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     opt.maxQueueDepth = kOverloadChaosRequests;
     opt.cacheBytes = 64ull << 20;
-    opt.forceHedge = seed % 2 == 0;
+    opt.deviceSpec = topology;
     opt.tenantWeights = {{0, 4}, {1, 1}, {2, 1}};
     auto svc = service::makeBn254ProofService(opt);
     auto cid = svc->registerCircuit(fx.keys.pk, fx.keys.vk,
@@ -473,8 +474,6 @@ runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
 
     for (Slot &s : slots) {
         typename Service::Result res = s.fut.get();
-        if (res.hedged)
-            ++out.hedged;
         if (res.status.isOk() && res.proof.has_value()) {
             if (zkp::verifyBn254(fx.keys.vk, *res.proof,
                                  fx.publicInputs)) {
@@ -570,95 +569,6 @@ randomDeviceFaultPlan(std::uint64_t seed)
         plan.arms.push_back(arm);
     }
     return plan;
-}
-
-/**
- * Run a ProofService on the fixed heterogeneous topology under
- * `plan`: the full device scheduler is live (placement, pipelining,
- * per-device breakers, inline stage retries), plus the usual tenant
- * and deadline mix. Invariant: valid proof or clean typed error,
- * never a bad proof. Every device.* site is routing/timing-only --
- * a failed stage is recomputed bit-identically on a re-placed device
- * -- so plans whose arms touch only device and routing sites must
- * deliver bytes equal to the fault-free single-lane reference.
- */
-inline OverloadChaosOutcome
-runDeviceChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
-{
-    using Service = service::ProofService<zkp::Bn254Family>;
-    const ChaosFixture &fx = chaosFixture();
-    const auto &refs = overloadReferenceProofs(); // before the guard
-    OverloadChaosOutcome out;
-
-    bool routingOnly = true;
-    for (const auto &arm : plan.arms) {
-        bool routing = arm.site == "service.shed" ||
-            arm.site == "service.hedge" ||
-            arm.site == "service.breaker" ||
-            arm.site == "service.queue" ||
-            arm.site.rfind("device", 0) == 0;
-        if (!routing)
-            routingOnly = false;
-    }
-
-    faultsim::ScopedFaultPlan guard(plan);
-    typename Service::Options opt;
-    opt.threads = 2;
-    opt.maxQueueDepth = kOverloadChaosRequests;
-    opt.cacheBytes = 64ull << 20;
-    opt.deviceSpec = kDeviceChaosTopology;
-    opt.tenantWeights = {{0, 4}, {1, 1}, {2, 1}};
-    auto svc = service::makeBn254ProofService(opt);
-    auto cid = svc->registerCircuit(fx.keys.pk, fx.keys.vk,
-                                    fx.builder.cs());
-
-    struct Slot {
-        std::future<typename Service::Result> fut;
-        std::size_t idx;
-    };
-    std::vector<Slot> slots;
-    for (std::size_t i = 0; i < kOverloadChaosRequests; ++i) {
-        typename Service::Request req;
-        req.circuit = cid;
-        req.witness = fx.builder.assignment();
-        req.seed = deriveSeed(0xB17E, i); // fixed: matches refs
-        req.tenant = i % 3;
-        req.priority = int(i % 2);
-        switch ((seed + i) % 4) {
-        case 1: req.timeout = std::chrono::milliseconds(5000); break;
-        case 2: req.timeout = std::chrono::milliseconds(1); break;
-        default: break; // no deadline
-        }
-        auto admitted = svc->submit(std::move(req));
-        if (!admitted.isOk()) {
-            ++out.rejectedAtQueue;
-            continue;
-        }
-        slots.push_back(Slot{std::move(*admitted), i});
-    }
-    svc->drain();
-
-    for (Slot &s : slots) {
-        typename Service::Result res = s.fut.get();
-        if (res.status.isOk() && res.proof.has_value()) {
-            if (zkp::verifyBn254(fx.keys.vk, *res.proof,
-                                 fx.publicInputs)) {
-                ++out.proofsOk;
-                if (routingOnly &&
-                    zkp::serializeProof<zkp::Bn254Family>(
-                        *res.proof) != refs[s.idx])
-                    out.byteMismatch = true;
-            } else {
-                out.releasedBadProof = true;
-            }
-        } else if (!res.status.isOk()) {
-            ++out.typedErrors;
-        } else {
-            out.releasedBadProof = true;
-        }
-    }
-    out.fires = faultsim::firedCount();
-    return out;
 }
 
 } // namespace gzkp::testkit

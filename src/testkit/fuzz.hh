@@ -1106,7 +1106,7 @@ fuzzAll(const FuzzOptions &opt,
         // Four proofs per instance, so sample sparsely.
         if (opt.groth16 && i % (opt.groth16Every * 2) == 23)
             fuzzProofDeterminism(deriveSeed(opt.seed, i, 7), rep);
-        // Chaos runs may retry across three backends: sample sparsely.
+        // Chaos runs may retry across both backends: sample sparsely.
         if (opt.fault && i % opt.faultEvery == 11)
             fuzzFaultInstance(deriveSeed(opt.seed, i, 8), rep);
         // A full setup+prove per hit: the sparsest slot of all.

@@ -62,7 +62,7 @@ struct GzkpMsmPolicy {
     }
 };
 
-/** MSM engine policy: the bellperson-like baseline (fallback tier). */
+/** MSM engine policy: the bellperson-like paper baseline. */
 struct BellpersonMsmPolicy {
     template <typename Cfg>
     static ec::ECPoint<Cfg>

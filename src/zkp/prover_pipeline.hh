@@ -16,17 +16,16 @@
  *     proof that fails either check becomes a kDataLoss status and is
  *     never returned to the caller;
  *  3. retryable failures (kResourceExhausted, kUnavailable,
- *     kDataLoss, kInternal) are retried up to maxAttemptsPerBackend
- *     times with bounded exponential backoff; faultsim::advanceEpoch()
- *     runs between attempts so *transient* injected faults (limited
- *     arms, or arms whose hash misses in the next epoch) clear while
- *     *persistent* ones keep firing;
- *  4. when a backend exhausts its attempts the pipeline demotes down
- *     the chain GZKP MSM -> bellperson MSM -> serial Pippenger and
- *     starts over. Caller bugs (kInvalidArgument,
- *     kFailedPrecondition) and cooperative stops (kCancelled,
- *     kDeadlineExceeded) are never retried and never demoted: they
- *     return immediately.
+ *     kDataLoss, kInternal) are retried up to kMaxAttemptsPerBackend
+ *     times; faultsim::advanceEpoch() runs between attempts so
+ *     *transient* injected faults (limited arms, or arms whose hash
+ *     misses in the next epoch) clear while *persistent* ones keep
+ *     firing;
+ *  4. when the GZKP MSM exhausts its attempts the pipeline demotes to
+ *     serial Pippenger and starts over. Caller bugs
+ *     (kInvalidArgument, kFailedPrecondition) and cooperative stops
+ *     (kCancelled, kDeadlineExceeded) are never retried and never
+ *     demoted: they return immediately.
  *
  * The terminal contract -- asserted by the chaos suite over hundreds
  * of seeded fault plans -- is that prove() always ends in exactly one
@@ -42,13 +41,11 @@
 #ifndef GZKP_ZKP_PROVER_PIPELINE_HH
 #define GZKP_ZKP_PROVER_PIPELINE_HH
 
-#include <algorithm>
 #include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -60,17 +57,22 @@
 
 namespace gzkp::zkp {
 
-/** The graceful-degradation chain, fastest tier first. */
-enum class ProverBackend { Gzkp = 0, Bellperson = 1, Serial = 2 };
+/** The graceful-degradation chain, in ladder order. */
+enum class ProverBackend { Gzkp = 0, Serial = 1 };
 
-inline constexpr std::size_t kProverBackendCount = 3;
+inline constexpr std::size_t kProverBackendCount = 2;
+
+/** Attempts per backend before the ladder demotes. */
+inline constexpr std::size_t kMaxAttemptsPerBackend = 2;
+
+/** Attempts of each Algorithm-1 preprocessing (resumed on retry). */
+inline constexpr std::size_t kPreprocessAttempts = 3;
 
 inline const char *
 name(ProverBackend b)
 {
     switch (b) {
     case ProverBackend::Gzkp: return "gzkp";
-    case ProverBackend::Bellperson: return "bellperson";
     case ProverBackend::Serial: return "serial";
     }
     return "?";
@@ -96,10 +98,10 @@ retryableStatus(StatusCode code)
 }
 
 /**
- * Cross-request backend health feedback. The PR-3 pipeline demoted
- * per request: every prove climbed the full GZKP -> bellperson ->
- * serial ladder from the top, re-paying the failed attempts on a
- * backend that has been brown for the last hundred requests. A
+ * Cross-request backend health feedback. Without it the pipeline
+ * demotes per request: every prove climbs the GZKP -> serial ladder
+ * from the top, re-paying the failed attempts on a backend that has
+ * been brown for the last hundred requests. A
  * monitor lifts that decision to service scope: before trying a
  * backend the pipeline asks allow(), and after every attempt it
  * reports the outcome and latency through record(). The serving
@@ -149,19 +151,13 @@ class SelfCheckingProver
         const VerifyingKey &, const Proof &, const std::vector<Fr> &)>;
 
     struct Options {
-        std::size_t maxAttemptsPerBackend = 2;
-        ProverBackend start = ProverBackend::Gzkp;
-        /** Base of the bounded exponential backoff; 0 = no sleep. */
-        std::chrono::milliseconds backoffBase{0};
-        std::chrono::milliseconds backoffCap{100};
         std::size_t threads = 0; //!< 0 = GZKP_THREADS default
-        bool selfCheck = true;
         runtime::CancelToken *cancel = nullptr;
         /**
          * Cached per-circuit artifacts (serving layer). When both are
          * set, the GZKP backend proves over the cached tables/domain
          * instead of re-preprocessing -- byte-identical proofs, see
-         * Groth16::proveWithArtifacts(). The fallback tiers ignore
+         * Groth16::proveWithArtifacts(). The serial tier ignores
          * them, so demotion still works when the cached tables are
          * themselves corrupted (they are then effectively a
          * persistent GZKP-tier fault). Both must outlive prove().
@@ -224,8 +220,7 @@ class SelfCheckingProver
         // backend is overridden with the full ladder: breakers shape
         // latency, they must never strand a request.
         std::vector<ProverBackend> ladder;
-        for (std::size_t b = std::size_t(opt_.start);
-             b < kProverBackendCount; ++b) {
+        for (std::size_t b = 0; b < kProverBackendCount; ++b) {
             ProverBackend backend = ProverBackend(b);
             if (opt_.monitor && !opt_.monitor->allow(backend)) {
                 ++rep.backendsSkipped;
@@ -234,8 +229,7 @@ class SelfCheckingProver
             ladder.push_back(backend);
         }
         if (ladder.empty()) {
-            for (std::size_t b = std::size_t(opt_.start);
-                 b < kProverBackendCount; ++b)
+            for (std::size_t b = 0; b < kProverBackendCount; ++b)
                 ladder.push_back(ProverBackend(b));
         }
 
@@ -244,7 +238,7 @@ class SelfCheckingProver
             internalError("prover.pipeline: no attempt executed");
         for (ProverBackend backend : ladder) {
             for (std::size_t attempt = 0;
-                 attempt < opt_.maxAttemptsPerBackend; ++attempt) {
+                 attempt < kMaxAttemptsPerBackend; ++attempt) {
                 if (opt_.cancel) {
                     Status s = opt_.cancel->check();
                     if (!s.isOk()) {
@@ -276,7 +270,6 @@ class SelfCheckingProver
                 // persistent ones keep firing and force demotion.
                 faultsim::advanceEpoch();
                 ++rep.epochsAdvanced;
-                backoff(attempt);
             }
         }
         return last.withContext(
@@ -309,10 +302,6 @@ class SelfCheckingProver
             return G::template proveChecked<GzkpMsmPolicy>(
                 pk, cs, z, rng, nullptr, CpuNttEngine<Fr>(),
                 opt_.threads);
-        case ProverBackend::Bellperson:
-            return G::template proveChecked<BellpersonMsmPolicy>(
-                pk, cs, z, rng, nullptr, CpuNttEngine<Fr>(),
-                opt_.threads);
         case ProverBackend::Serial:
             return G::template proveChecked<SerialMsmPolicy>(
                 pk, cs, z, rng, nullptr, CpuNttEngine<Fr>(),
@@ -325,8 +314,6 @@ class SelfCheckingProver
     selfCheck(const VerifyingKey &vk, const Proof &p,
               const std::vector<Fr> &pub) const
     {
-        if (!opt_.selfCheck)
-            return Status::ok();
         // Structural check first: it is cheap relative to a pairing
         // and catches coordinate-level corruption (a flipped bit in a
         // Jacobian coordinate maps to an affine point off the curve).
@@ -339,17 +326,6 @@ class SelfCheckingProver
             return dataLossError(
                 "prover.selfcheck: proof failed verification");
         return Status::ok();
-    }
-
-    void
-    backoff(std::size_t attempt) const
-    {
-        if (opt_.backoffBase.count() <= 0)
-            return;
-        auto delay = opt_.backoffBase *
-            (std::int64_t(1) << std::min<std::size_t>(attempt, 16));
-        std::this_thread::sleep_for(std::min(
-            std::chrono::milliseconds(delay), opt_.backoffCap));
     }
 
     Options opt_;
@@ -383,7 +359,7 @@ template <typename Cfg>
 StatusOr<typename msm::GzkpMsm<Cfg>::Preprocessed>
 preprocessWithResume(const msm::GzkpMsm<Cfg> &engine,
                      const std::vector<ec::AffinePoint<Cfg>> &points,
-                     std::size_t max_attempts = 3,
+                     std::size_t max_attempts = kPreprocessAttempts,
                      std::size_t *attempts_used = nullptr)
 {
     typename msm::GzkpMsm<Cfg>::PreprocessProgress progress;
@@ -414,7 +390,7 @@ template <typename Family>
 StatusOr<typename Groth16<Family>::MsmArtifacts>
 buildMsmArtifacts(const typename Groth16<Family>::ProvingKey &pk,
                   std::size_t threads = 0,
-                  std::size_t max_attempts = 3)
+                  std::size_t max_attempts = kPreprocessAttempts)
 {
     using G1Cfg = typename Family::G1Cfg;
     using G2Cfg = typename Family::G2Cfg;

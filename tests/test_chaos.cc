@@ -38,7 +38,6 @@ Prover::Options
 fastOptions()
 {
     Prover::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     return opt;
 }
@@ -155,18 +154,18 @@ TEST(Chaos, SelfCheckCatchesPolyBitFlip)
 
 /**
  * A persistent fault confined to the GZKP engine forces demotion:
- * the proof comes back from a lower tier.
+ * the proof comes back from the serial tier.
  */
 TEST(Chaos, PersistentGzkpFaultDemotesBackend)
 {
     Prover::Report rep;
     auto r = proveUnderPlan("seed=8;launch@msm.gzkp:1", &rep);
     ASSERT_TRUE(r.isOk()) << r.status().toString();
-    EXPECT_EQ(rep.backendUsed, ProverBackend::Bellperson);
+    EXPECT_EQ(rep.backendUsed, ProverBackend::Serial);
     ASSERT_GE(rep.attempts.size(), 3u);
     EXPECT_EQ(rep.attempts[0].backend, ProverBackend::Gzkp);
     EXPECT_EQ(rep.attempts[1].backend, ProverBackend::Gzkp);
-    EXPECT_EQ(rep.attempts[2].backend, ProverBackend::Bellperson);
+    EXPECT_EQ(rep.attempts[2].backend, ProverBackend::Serial);
 }
 
 /**
@@ -179,8 +178,8 @@ TEST(Chaos, PersistentEverywhereYieldsTypedError)
     auto r = proveUnderPlan("seed=9;launch@*:1", &rep);
     ASSERT_FALSE(r.isOk());
     EXPECT_EQ(r.status().code(), StatusCode::kUnavailable);
-    // Two attempts on each of the three backends.
-    EXPECT_EQ(rep.attempts.size(), 6u);
+    // Two attempts on each of the two backends.
+    EXPECT_EQ(rep.attempts.size(), 4u);
     EXPECT_FALSE(rep.succeeded);
 }
 
@@ -326,7 +325,6 @@ std::unique_ptr<Service>
 makeChaosService(std::size_t max_batch = 1)
 {
     Service::Options opt;
-    opt.maxAttemptsPerBackend = 2;
     opt.threads = 2;
     opt.maxBatch = max_batch;
     return service::makeBn254ProofService(opt);
@@ -450,16 +448,15 @@ TEST(ServiceChaos, ServiceChaosSweep)
 }
 
 /**
- * The overload sweep (PR 8): seeded plans biased toward the new
- * routing sites (service.shed / service.hedge / service.breaker) run
- * against a hedging, deadline-laden, multi-tenant service. Invariant:
- * valid proof or clean typed error, never a bad proof -- and on
- * routing-only plans every delivered proof (hedged winners included)
- * is byte-identical to the fault-free reference.
+ * The overload sweep: seeded plans biased toward the routing sites
+ * (service.shed / service.breaker) run against a deadline-laden,
+ * multi-tenant service. Invariant: valid proof or clean typed error,
+ * never a bad proof -- and on routing-only plans every delivered
+ * proof is byte-identical to the fault-free reference.
  */
 TEST(ServiceChaos, OverloadChaosSweep)
 {
-    std::size_t proofs = 0, errors = 0, hedged = 0;
+    std::size_t proofs = 0, errors = 0;
     for (std::uint64_t seed = 1; seed <= 44; ++seed) {
         auto plan = testkit::randomOverloadFaultPlan(seed);
         auto out = testkit::runOverloadChaosPlan(plan, seed);
@@ -469,15 +466,13 @@ TEST(ServiceChaos, OverloadChaosSweep)
                                      : "\" broke byte identity");
         proofs += out.proofsOk;
         errors += out.typedErrors + out.rejectedAtQueue;
-        hedged += out.hedged;
     }
     EXPECT_GT(proofs, 0u);
     EXPECT_GT(errors, 0u);
-    EXPECT_GT(hedged, 0u); // forced-hedge runs must actually hedge
 }
 
 /**
- * The device sweep (PR 9): seeded plans biased toward the per-device
+ * The device sweep: seeded plans biased toward the per-device
  * fault sites (device.fail / device.mem / device.slow, generic and
  * instance-targeted) run against a service on the fixed heterogeneous
  * topology -- placement, pipelining, per-device breakers and inline
@@ -492,7 +487,8 @@ TEST(ServiceChaos, DeviceChaosSweep)
     std::size_t proofs = 0, errors = 0;
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
         auto plan = testkit::randomDeviceFaultPlan(seed);
-        auto out = testkit::runDeviceChaosPlan(plan, seed);
+        auto out = testkit::runOverloadChaosPlan(
+            plan, seed, testkit::kDeviceChaosTopology);
         ASSERT_TRUE(out.clean())
             << "seed " << seed << " plan \"" << plan.toString()
             << (out.releasedBadProof ? "\" released a bad proof"

@@ -82,7 +82,6 @@ fastServiceOptions()
 {
     Service::Options opt;
     opt.threads = 2;
-    opt.maxAttemptsPerBackend = 2;
     return opt;
 }
 

@@ -1,20 +1,18 @@
 /**
  * @file
- * Overload-hardening suite (PR 8): fair-share scheduling, deadline
- * admission and shedding, backend health / circuit breakers, hedged
- * retry, the consistent stats snapshot, and the single-flight failure
- * broadcast. The acceptance gates asserted here:
+ * Overload-hardening suite: fair-share scheduling, deadline admission
+ * and shedding, backend health / circuit breakers, the consistent
+ * stats snapshot, and the single-flight failure broadcast. The
+ * acceptance gates asserted here:
  *
  *  - infeasible deadlines are rejected AT ADMISSION with a typed
  *    kDeadlineExceeded, and a saturated service completes zero proofs
  *    after their deadline expired (ok => on time, structurally);
  *  - a persistently failing backend opens its breaker and later
  *    requests skip it service-wide (learned demotion);
- *  - a hedged winner is byte-identical to the unhedged proof of the
- *    same seeded request;
- *  - parent shutdown during an in-flight hedged pair cancels both
- *    arms and never leaks a prover thread (the test finishing is the
- *    leak check: every join is on the path to return);
+ *  - shutdown during an in-flight prove cancels it and never leaks
+ *    the worker thread (the test finishing is the leak check: the
+ *    join is on the path to return);
  *  - ArtifactCache build failure propagates one typed error to every
  *    single-flight waiter and permits a later rebuild.
  */
@@ -80,7 +78,6 @@ baseOptions()
 {
     Service::Options opt;
     opt.threads = 2;
-    opt.maxAttemptsPerBackend = 2;
     opt.cacheBytes = 64ull << 20;
     return opt;
 }
@@ -224,7 +221,7 @@ TEST(FairShareQueueTest, TenantWeightsFromEnv)
 
 // ------------------------------------------------------ cost estimator
 
-TEST(CostEstimatorTest, EwmaAndQuantiles)
+TEST(CostEstimatorTest, Ewma)
 {
     CostEstimator est;
     EXPECT_EQ(est.estimate(3), 0.0); // optimistic cold start
@@ -234,14 +231,6 @@ TEST(CostEstimatorTest, EwmaAndQuantiles)
     est.record(3, 2.0);
     EXPECT_NEAR(est.estimate(3), 1.3, 1e-12); // alpha = 0.3
     EXPECT_EQ(est.samples(3), 2u);
-    // Quantiles over the window: p0 = min, p99 ~ max.
-    for (int i = 0; i < 20; ++i)
-        est.record(5, 0.1);
-    est.record(5, 0.9); // one outlier
-    EXPECT_NEAR(est.quantile(5, 0.0), 0.1, 1e-12);
-    EXPECT_NEAR(est.quantile(5, 0.99), 0.9, 1e-12);
-    // Unknown circuit: quantile falls back to the (zero) EWMA.
-    EXPECT_EQ(est.quantile(99, 0.99), 0.0);
 }
 
 // ------------------------------------------------------ circuit breaker
@@ -299,7 +288,7 @@ TEST(BackendHealthTest, BreakerOpensHalfOpensAndCloses)
 TEST(BackendHealthTest, NeutralStatusesDoNotOpenBreaker)
 {
     BackendHealth h(breakerOptions());
-    auto b = zkp::ProverBackend::Bellperson;
+    auto b = zkp::ProverBackend::Serial;
     for (int i = 0; i < 16; ++i) {
         h.record(b, cancelledError("stop"), 0.1);
         h.record(b, deadlineExceededError("late"), 0.1);
@@ -307,21 +296,6 @@ TEST(BackendHealthTest, NeutralStatusesDoNotOpenBreaker)
     }
     EXPECT_EQ(h.state(b), BreakerState::Closed);
     EXPECT_EQ(h.snapshot()[b].windowFailureRate, 0.0);
-}
-
-TEST(BackendHealthTest, HealthyOrderPrefersClosedBackends)
-{
-    BackendHealth h(breakerOptions());
-    Status fail = unavailableError("injected");
-    for (int i = 0; i < 4; ++i)
-        h.record(zkp::ProverBackend::Gzkp, fail, 0.1);
-    auto order = h.healthyOrder();
-    ASSERT_EQ(order.size(), zkp::kProverBackendCount);
-    // Gzkp is open: it sorts last; the healthy ladder keeps its
-    // relative order (Bellperson before Serial).
-    EXPECT_EQ(order[0], zkp::ProverBackend::Bellperson);
-    EXPECT_EQ(order[1], zkp::ProverBackend::Serial);
-    EXPECT_EQ(order[2], zkp::ProverBackend::Gzkp);
 }
 
 /** service.breaker fault: a lying allow() is routing-only. */
@@ -549,83 +523,18 @@ TEST(ServiceOverload, BreakerLearnsAcrossRequests)
               BreakerState::Open);
 }
 
-// -------------------------------------------------------- hedged retry
-
-/** Hedged winners are byte-identical to the unhedged proof. */
-TEST(ServiceOverload, HedgedProofByteIdenticalToUnhedged)
-{
-    auto unhedgedOpt = baseOptions();
-    unhedgedOpt.hedging = false;
-    auto plain = service::makeBn254ProofService(unhedgedOpt);
-    auto pid = plain->registerCircuit(fx().keys.pk, fx().keys.vk,
-                                      fx().builder.cs());
-    auto hedgedOpt = baseOptions();
-    hedgedOpt.forceHedge = true;
-    auto hedged = service::makeBn254ProofService(hedgedOpt);
-    auto hid = hedged->registerCircuit(fx().keys.pk, fx().keys.vk,
-                                       fx().builder.cs());
-
-    auto a = plain->submit(makeRequest(pid, 0x5EED));
-    ASSERT_TRUE(a.isOk());
-    plain->drain();
-    Service::Result ra = a->get();
-    ASSERT_TRUE(ra.status.isOk()) << ra.status.toString();
-    EXPECT_FALSE(ra.hedged);
-
-    auto b = hedged->submit(makeRequest(hid, 0x5EED));
-    ASSERT_TRUE(b.isOk());
-    hedged->drain();
-    Service::Result rb = b->get();
-    ASSERT_TRUE(rb.status.isOk()) << rb.status.toString();
-    EXPECT_TRUE(rb.hedged);
-
-    EXPECT_EQ(zkp::serializeProof<Bn254Family>(*ra.proof),
-              zkp::serializeProof<Bn254Family>(*rb.proof));
-    Service::Stats st = hedged->stats();
-    EXPECT_EQ(st.hedgesLaunched, 1u);
-    EXPECT_LE(st.hedgeWins, 1u);
-}
-
-/** service.hedge fault: losing the hedge launch downgrades the
-    request to the unhedged path; it still completes. */
-TEST(ServiceOverload, HedgeLaunchFailureDowngradesGracefully)
-{
-    faultsim::FaultPlan plan;
-    plan.seed = 0xB1;
-    plan.arms.push_back(
-        {faultsim::FaultKind::Launch, "service.hedge", 1, 0});
-    faultsim::ScopedFaultPlan guard(plan);
-
-    auto opt = baseOptions();
-    opt.forceHedge = true;
-    auto svc = service::makeBn254ProofService(opt);
-    auto id = svc->registerCircuit(fx().keys.pk, fx().keys.vk,
-                                   fx().builder.cs());
-    auto admitted = svc->submit(makeRequest(id, 0xFEED));
-    ASSERT_TRUE(admitted.isOk());
-    svc->drain();
-    Service::Result res = admitted->get();
-    ASSERT_TRUE(res.status.isOk()) << res.status.toString();
-    EXPECT_FALSE(res.hedged);
-    Service::Stats st = svc->stats();
-    EXPECT_EQ(st.hedgesLaunched, 0u);
-    EXPECT_GE(st.hedgeLaunchFailures, 1u);
-    EXPECT_TRUE(zkp::verifyBn254(fx().keys.vk, *res.proof, fx().pub));
-}
+// ------------------------------------------------------------ shutdown
 
 /**
- * Satellite: parent shutdown during an in-flight hedged pair. Both
- * arms hang off the request token which hangs off the shutdown token;
- * shutdownNow() must resolve every future (kCancelled or a completed
- * proof, depending on how far the race got) and join every thread --
- * this test returning at all is the no-leak assertion, since both the
- * hedge arm join and the worker join are on the only exit path.
+ * Shutdown during an in-flight prove. The request token hangs off the
+ * shutdown token; shutdownNow() must resolve every future (kCancelled
+ * or a completed proof, depending on how far the prove got) and join
+ * the worker -- this test returning at all is the no-leak assertion,
+ * since the worker join is on the only exit path.
  */
-TEST(ServiceOverload, ShutdownDuringHedgedPairCancelsBothArms)
+TEST(ServiceOverload, ShutdownMidProveCancelsInFlight)
 {
-    auto opt = baseOptions();
-    opt.forceHedge = true;
-    auto svc = service::makeBn254ProofService(opt);
+    auto svc = service::makeBn254ProofService(baseOptions());
     auto id = svc->registerCircuit(fx().keys.pk, fx().keys.vk,
                                    fx().builder.cs());
     svc->start();
@@ -705,7 +614,6 @@ TEST(ServiceOverload, StatsSnapshotIsConsistentUnderConcurrency)
         while (!done.load(std::memory_order_relaxed)) {
             Service::Stats st = svc->stats();
             EXPECT_LE(st.completed + st.failed, st.accepted);
-            EXPECT_LE(st.hedgeWins, st.hedgesLaunched);
             EXPECT_LE(st.batchedRequests,
                       st.accepted); // batched <= admitted
             std::this_thread::yield();

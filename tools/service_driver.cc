@@ -6,8 +6,8 @@
  *                    [--constraints=10] [--queue-depth=64]
  *                    [--batch=8] [--threads=0] [--cache-bytes=SPEC]
  *                    [--deadline-ms=N] [--tenant-weights=SPEC]
- *                    [--devices=SPEC] [--force-hedge] [--background]
- *                    [--verify] [--verbose]
+ *                    [--devices=SPEC] [--background] [--verify]
+ *                    [--verbose]
  *
  * Replays a synthetic multi-tenant trace (testkit::serviceTrace:
  * `circuits` tenants x `per-circuit` requests each, seeded arrival
@@ -28,6 +28,11 @@
  * seeded plan such as `launch@device.fail.v100.0:1` replays a
  * device brown-out through the whole service.
  *
+ * Numeric flags must parse in full as unsigned integers (decimal, 0x
+ * hex or 0-prefixed octal); --circuits, --per-circuit, --queue-depth
+ * and --batch must also be positive. A bad value is a usage error (exit
+ * 2), like a malformed spec, rather than a run that proves nothing.
+ *
  * The replay summary breaks rejected and failed requests down by
  * their typed status code. A deliberate shed -- kDeadlineExceeded or
  * kResourceExhausted from overload control -- is reported but is NOT
@@ -36,6 +41,8 @@
  * rejects), so the CI can run overloaded traces as smoke tests.
  */
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -68,7 +75,6 @@ struct Args {
     std::uint64_t deadlineMs = 0;
     std::string tenantWeights;
     std::string devices;
-    bool forceHedge = false;
     bool background = false;
     bool verify = false;
     bool verbose = false;
@@ -82,7 +88,29 @@ deliberateShed(gzkp::StatusCode code)
         code == gzkp::StatusCode::kResourceExhausted;
 }
 
-bool
+enum class Parse { Ok, Unknown, BadValue };
+
+/**
+ * Parse all of `v` as an unsigned integer into `out`. BadValue on an
+ * empty, signed, partial or out-of-range value, or on 0 when
+ * `positive`.
+ */
+template <typename T>
+Parse
+parseCount(const char *v, bool positive, T &out)
+{
+    if (!std::isdigit(static_cast<unsigned char>(*v)))
+        return Parse::BadValue;
+    char *end = nullptr;
+    errno = 0;
+    unsigned long long n = std::strtoull(v, &end, 0);
+    if (errno != 0 || *end != '\0' || (positive && n == 0))
+        return Parse::BadValue;
+    out = T(n);
+    return Parse::Ok;
+}
+
+Parse
 parseOne(Args &a, const std::string &arg)
 {
     auto val = [&](const char *key) -> const char * {
@@ -93,29 +121,27 @@ parseOne(Args &a, const std::string &arg)
         return nullptr;
     };
     if (const char *v = val("--circuits"))
-        a.circuits = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--per-circuit"))
-        a.perCircuit = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--seed"))
-        a.seed = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--constraints"))
-        a.constraints = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--queue-depth"))
-        a.queueDepth = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--batch"))
-        a.batch = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--threads"))
-        a.threads = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--cache-bytes"))
+        return parseCount(v, true, a.circuits);
+    if (const char *v = val("--per-circuit"))
+        return parseCount(v, true, a.perCircuit);
+    if (const char *v = val("--seed"))
+        return parseCount(v, false, a.seed);
+    if (const char *v = val("--constraints"))
+        return parseCount(v, false, a.constraints);
+    if (const char *v = val("--queue-depth"))
+        return parseCount(v, true, a.queueDepth);
+    if (const char *v = val("--batch"))
+        return parseCount(v, true, a.batch);
+    if (const char *v = val("--threads"))
+        return parseCount(v, false, a.threads);
+    if (const char *v = val("--deadline-ms"))
+        return parseCount(v, false, a.deadlineMs);
+    if (const char *v = val("--cache-bytes"))
         a.cacheBytes = v;
-    else if (const char *v = val("--deadline-ms"))
-        a.deadlineMs = std::strtoull(v, nullptr, 0);
     else if (const char *v = val("--tenant-weights"))
         a.tenantWeights = v;
     else if (const char *v = val("--devices"))
         a.devices = v;
-    else if (arg == "--force-hedge")
-        a.forceHedge = true;
     else if (arg == "--background")
         a.background = true;
     else if (arg == "--verify")
@@ -123,8 +149,8 @@ parseOne(Args &a, const std::string &arg)
     else if (arg == "--verbose")
         a.verbose = true;
     else
-        return false;
-    return true;
+        return Parse::Unknown;
+    return Parse::Ok;
 }
 
 /** One registered tenant: circuit, keys, and its public inputs. */
@@ -142,8 +168,17 @@ main(int argc, char **argv)
 {
     Args args;
     for (int i = 1; i < argc; ++i) {
-        if (!parseOne(args, argv[i])) {
+        switch (parseOne(args, argv[i])) {
+        case Parse::Ok: break;
+        case Parse::Unknown:
             std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
+            return 2;
+        case Parse::BadValue:
+            std::fprintf(stderr,
+                         "bad value: %s (expected an unsigned integer; "
+                         "--circuits, --per-circuit, --queue-depth and "
+                         "--batch must be > 0)\n",
+                         argv[i]);
             return 2;
         }
     }
@@ -170,7 +205,6 @@ main(int argc, char **argv)
     opt.maxQueueDepth = args.queueDepth;
     opt.maxBatch = args.batch;
     opt.threads = args.threads;
-    opt.forceHedge = args.forceHedge;
     if (!args.tenantWeights.empty()) {
         auto weights =
             service::parseTenantWeightsSpec(args.tenantWeights.c_str());
@@ -315,13 +349,10 @@ main(int argc, char **argv)
                 st.proveSecondsTotal, wall,
                 wall > 0 ? double(ok) / wall : 0.0);
     std::printf("  overload: shed_admission=%llu shed_queued=%llu "
-                "shed_late=%llu hedges=%llu hedge_wins=%llu "
-                "backends_skipped=%llu\n",
+                "shed_late=%llu backends_skipped=%llu\n",
                 (unsigned long long)st.shedAdmission,
                 (unsigned long long)st.shedQueued,
                 (unsigned long long)st.shedLate,
-                (unsigned long long)st.hedgesLaunched,
-                (unsigned long long)st.hedgeWins,
                 (unsigned long long)st.backendsSkipped);
     if (st.deviceScheduling) {
         std::printf("  devices: makespan_s=%.4f stage_retries=%llu\n",
