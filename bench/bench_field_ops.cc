@@ -175,11 +175,6 @@ struct Op {
     const char *name;
     void (*run)(std::vector<TFr> &out, const std::vector<TFr> &a,
                 const std::vector<TFr> &b);
-    //! Output rides in [0, 2p); canonicalize before the cross-arm
-    //! compare. The lazy rows time the ff::*BatchLazy entry points
-    //! next to their strict twins so the committed table shows the
-    //! saved final-subtract directly.
-    bool lazy = false;
 };
 
 const BigInt<2> kPowExp = BigInt<2>::fromHex("1f3a9");
@@ -210,40 +205,8 @@ const Op kOps[] = {
         const std::vector<TFr> &b) {
          subBatch(out.data(), a.data(), b.data(), a.size());
      }},
-    {"mul-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         mulBatchLazy(out.data(), a.data(), b.data(), a.size());
-     },
-     true},
-    {"sqr-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &) {
-         sqrBatchLazy(out.data(), a.data(), a.size());
-     },
-     true},
-    {"mulc-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         mulcBatchLazy(out.data(), a.data(), b[0], a.size());
-     },
-     true},
-    {"add-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         addBatchLazy(out.data(), a.data(), b.data(), a.size());
-     },
-     true},
-    {"sub-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         subBatchLazy(out.data(), a.data(), b.data(), a.size());
-     },
-     true},
     // One NTT layer over n lane pairs (u in `out`, v/scratch in
-    // static buffers): the shape nttInPlace runs per iteration. The
-    // strict/lazy pair shares the same copies, so their ratio
-    // isolates the butterfly arithmetic.
+    // static buffers): the shape nttInPlace runs per iteration.
     {"butterfly",
      [](std::vector<TFr> &out, const std::vector<TFr> &a,
         const std::vector<TFr> &b) {
@@ -254,17 +217,6 @@ const Op kOps[] = {
          ntt::butterflyRows(out.data(), v.data(), a.data(), a.size(),
                             scratch.data());
      }},
-    {"butterfly-lazy",
-     [](std::vector<TFr> &out, const std::vector<TFr> &a,
-        const std::vector<TFr> &b) {
-         static std::vector<TFr> v, scratch;
-         out = a;
-         v = b;
-         scratch.resize(a.size());
-         ntt::butterflyRowsLazy(out.data(), v.data(), a.data(),
-                                a.size(), scratch.data());
-     },
-     true},
     {"pow",
      [](std::vector<TFr> &out, const std::vector<TFr> &a,
         const std::vector<TFr> &) {
@@ -308,14 +260,9 @@ run(std::size_t reps, const std::string &out_path)
                 simd::setActiveIsa(isa);
                 const char *impl = simd::kernels4(isa).impl;
                 op.run(got, a, b);
-                // Lazy rows land in [0, 2p): canonicalize a copy so
-                // the cross-arm check still compares limb-for-limb.
-                std::vector<TFr> cmp = got;
-                if (op.lazy)
-                    canonicalizeBatch(cmp.data(), cmp.size());
                 if (isa == simd::Isa::Portable) {
-                    ref = cmp;
-                } else if (!limbsEqual(cmp, ref)) {
+                    ref = got;
+                } else if (!limbsEqual(got, ref)) {
                     std::fprintf(stderr,
                                  "FAIL: %s/%s diverges from portable "
                                  "at n=%zu\n",

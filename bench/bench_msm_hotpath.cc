@@ -26,7 +26,6 @@
 #include <vector>
 
 #include "bench_util.hh"
-#include "ff/lazy.hh"
 #include "ff/simd/dispatch.hh"
 #include "msm/msm_bellperson.hh"
 #include "msm/msm_gzkp.hh"
@@ -43,20 +42,20 @@ std::vector<std::string> g_records;
 
 void
 emit(const char *engine, msm::Accumulator acc, msm::GlvMode glv,
-     const char *tier, std::size_t log_n, std::size_t threads,
-     double ns, double baseline_ns)
+     std::size_t log_n, std::size_t threads, double ns,
+     double baseline_ns)
 {
-    char buf[384];
+    char buf[320];
     std::snprintf(
         buf, sizeof(buf),
         "{\"bench\":\"msm-hotpath\",\"engine\":\"%s\","
-        "\"accumulator\":\"%s\",\"glv\":\"%s\",\"tier\":\"%s\","
-        "\"isa\":\"%s\",\"log_n\":%zu,"
+        "\"accumulator\":\"%s\",\"glv\":\"%s\",\"isa\":\"%s\","
+        "\"log_n\":%zu,"
         "\"threads\":%zu,\"ns\":%.0f,\"speedup_vs_jacobian\":%.3f}",
         engine,
         acc == msm::Accumulator::BatchAffine ? "batchaffine"
                                              : "jacobian",
-        glv == msm::GlvMode::On ? "on" : "off", tier,
+        glv == msm::GlvMode::On ? "on" : "off",
         ff::simd::name(ff::simd::activeIsa()), log_n, threads, ns,
         baseline_ns / ns);
     std::printf("%s\n", buf);
@@ -68,27 +67,6 @@ struct Variant {
     msm::Accumulator acc;
     msm::GlvMode glv;
 };
-
-// Batch-affine variants are timed under both field tiers (the lazy
-// chord chain in BatchAffineAccumulator::flush is the MSM-side
-// consumer of [0, 2p) arithmetic); Jacobian bucket adds have no lazy
-// arithmetic, so those rows are strict-only.
-struct TierRun {
-    const char *name;
-    ff::LazyTier tier;
-};
-
-const TierRun kTiers[] = {
-    {"strict", ff::LazyTier::Strict},
-    {"lazy", ff::LazyTier::Lazy},
-};
-
-bool
-tierApplies(const TierRun &t, msm::Accumulator acc)
-{
-    return t.tier == ff::LazyTier::Strict ||
-           acc == msm::Accumulator::BatchAffine;
-}
 
 const Variant kSerialVariants[] = {
     {msm::Accumulator::Jacobian, msm::GlvMode::Off},
@@ -106,26 +84,20 @@ benchSerial(std::size_t log_n, std::size_t threads, std::size_t reps)
     ec::ECPoint<Cfg> expect;
     for (const Variant &v : kSerialVariants) {
         msm::PippengerSerial<Cfg> engine(0, threads, v.acc, v.glv);
-        for (const TierRun &t : kTiers) {
-            if (!tierApplies(t, v.acc))
-                continue;
-            ff::setDefaultLazyTier(t.tier);
-            auto got = engine.run(in.points, in.scalars);
-            double s = bench::medianSeconds(
-                [&] { engine.run(in.points, in.scalars); }, reps);
-            if (v.acc == msm::Accumulator::Jacobian &&
-                v.glv == msm::GlvMode::Off) {
-                baseline = s;
-                expect = got;
-            } else if (got != expect) {
-                std::fprintf(stderr, "serial variant diverged\n");
-                std::exit(1);
-            }
-            emit("serial", v.acc, v.glv, t.name, log_n, threads,
-                 s * 1e9, baseline * 1e9);
+        auto got = engine.run(in.points, in.scalars);
+        double s = bench::medianSeconds(
+            [&] { engine.run(in.points, in.scalars); }, reps);
+        if (v.acc == msm::Accumulator::Jacobian &&
+            v.glv == msm::GlvMode::Off) {
+            baseline = s;
+            expect = got;
+        } else if (got != expect) {
+            std::fprintf(stderr, "serial variant diverged\n");
+            std::exit(1);
         }
+        emit("serial", v.acc, v.glv, log_n, threads, s * 1e9,
+             baseline * 1e9);
     }
-    ff::setDefaultLazyTier(ff::LazyTier::Auto);
 }
 
 void
@@ -139,25 +111,19 @@ benchBellperson(std::size_t log_n, std::size_t threads,
     for (msm::Accumulator acc :
          {msm::Accumulator::Jacobian, msm::Accumulator::BatchAffine}) {
         msm::BellpersonMsm<Cfg> engine(10, 0, threads, acc);
-        for (const TierRun &t : kTiers) {
-            if (!tierApplies(t, acc))
-                continue;
-            ff::setDefaultLazyTier(t.tier);
-            auto got = engine.run(in.points, in.scalars);
-            double s = bench::medianSeconds(
-                [&] { engine.run(in.points, in.scalars); }, reps);
-            if (acc == msm::Accumulator::Jacobian) {
-                baseline = s;
-                expect = got;
-            } else if (got != expect) {
-                std::fprintf(stderr, "bellperson variant diverged\n");
-                std::exit(1);
-            }
-            emit("bellperson", acc, msm::GlvMode::Off, t.name, log_n,
-                 threads, s * 1e9, baseline * 1e9);
+        auto got = engine.run(in.points, in.scalars);
+        double s = bench::medianSeconds(
+            [&] { engine.run(in.points, in.scalars); }, reps);
+        if (acc == msm::Accumulator::Jacobian) {
+            baseline = s;
+            expect = got;
+        } else if (got != expect) {
+            std::fprintf(stderr, "bellperson variant diverged\n");
+            std::exit(1);
         }
+        emit("bellperson", acc, msm::GlvMode::Off, log_n, threads,
+             s * 1e9, baseline * 1e9);
     }
-    ff::setDefaultLazyTier(ff::LazyTier::Auto);
 }
 
 void
@@ -178,26 +144,20 @@ benchGzkp(std::size_t log_n, std::size_t threads, std::size_t reps)
         opt.glv = v.glv;
         msm::GzkpMsm<Cfg> engine(opt);
         auto pp = engine.preprocess(in.points);
-        for (const TierRun &t : kTiers) {
-            if (!tierApplies(t, v.acc))
-                continue;
-            ff::setDefaultLazyTier(t.tier);
-            auto got = engine.run(pp, in.scalars);
-            double s = bench::medianSeconds(
-                [&] { engine.run(pp, in.scalars); }, reps);
-            if (v.acc == msm::Accumulator::Jacobian &&
-                v.glv == msm::GlvMode::Off) {
-                baseline = s;
-                expect = got;
-            } else if (got != expect) {
-                std::fprintf(stderr, "gzkp variant diverged\n");
-                std::exit(1);
-            }
-            emit("gzkp", v.acc, v.glv, t.name, log_n, threads,
-                 s * 1e9, baseline * 1e9);
+        auto got = engine.run(pp, in.scalars);
+        double s = bench::medianSeconds(
+            [&] { engine.run(pp, in.scalars); }, reps);
+        if (v.acc == msm::Accumulator::Jacobian &&
+            v.glv == msm::GlvMode::Off) {
+            baseline = s;
+            expect = got;
+        } else if (got != expect) {
+            std::fprintf(stderr, "gzkp variant diverged\n");
+            std::exit(1);
         }
+        emit("gzkp", v.acc, v.glv, log_n, threads, s * 1e9,
+             baseline * 1e9);
     }
-    ff::setDefaultLazyTier(ff::LazyTier::Auto);
 }
 
 } // namespace

@@ -27,7 +27,6 @@
 
 #include <algorithm>
 #include <array>
-#include <cassert>
 #include <cstdint>
 #include <stdexcept>
 #include <string>
@@ -35,7 +34,6 @@
 #include <vector>
 
 #include "ff/bigint.hh"
-#include "ff/lazy.hh"
 #include "ff/simd/dispatch.hh"
 #include "ff/simd/mont_scalar.hh"
 
@@ -520,331 +518,6 @@ subBatch(FpT *out, const FpT *a, const FpT *b, std::size_t n)
         out[i] = a[i] - b[i];
 }
 
-//===-------------------- lazy-reduction tier --------------------===//
-//
-// Lazy values are ordinary FpT objects whose raw Montgomery limbs
-// live in [0, 2p) instead of [0, p) -- a chain-internal relaxation,
-// never a serialized one. Headroom accounting:
-//
-//   mulBatchLazy / sqrBatchLazy / mulcBatchLazy
-//       inputs < 2p  ->  output < 2p   (CIOS minus final subtract;
-//                                       needs 4p < 2^256)
-//   addBatchLazy / subBatchLazy
-//       inputs < 2p  ->  transient < 4p inside the op, one
-//                        conditional subtract of 2p -> output < 2p
-//   canonicalizeBatch
-//       input < 2p   ->  output < p    (the unique representative)
-//
-// A *strict* multiply fed lazy inputs also lands canonical (its one
-// conditional subtract covers [0, 2p)), so chains that end in a
-// strict mul need no separate canonicalize pass -- the inverse NTT's
-// nInv scaling and the batch-affine y3 row exploit this.
-//
-// Debug builds assert the input range on every lazy entry point; the
-// asserts cannot fire from faultsim corruption because flipBit
-// re-canonicalizes below p. Fields without two spare top bits
-// (bits > 254, e.g. BLS12-381 Fr) and non-4-limb fields are not
-// eligible: every lazy entry point degrades to its strict
-// counterpart there, so generic consumers can call the lazy names
-// unconditionally and stay correct (the chain is then strict
-// end-to-end and canonicalizeBatch is a no-op).
-
-/** 2p as a raw Repr, cached per field (fits: our moduli are < 2^255). */
-template <typename FpT>
-inline const typename FpT::Repr &
-twoPRepr()
-{
-    using Repr = typename FpT::Repr;
-    static const Repr tp = [] {
-        Repr t;
-        Repr::add(FpT::modulus(), FpT::modulus(), t);
-        return t;
-    }();
-    return tp;
-}
-
-/**
- * True when FpT can carry lazy values: 4-limb (vector-kernel layout)
- * and 4p < 2^256 so the subtract-free CIOS closure bound holds.
- */
-template <typename FpT>
-inline bool
-lazyEligible()
-{
-    if constexpr (!detail::IsSimd4<FpT>::value) {
-        return false;
-    } else {
-        static const bool ok = FpT::bits() <= 254;
-        return ok;
-    }
-}
-
-namespace detail {
-
-/** Debug-build headroom check: every element < 2p. */
-template <typename FpT>
-inline void
-assertLazyRange(const FpT *a, std::size_t n)
-{
-#ifndef NDEBUG
-    for (std::size_t i = 0; i < n; ++i)
-        assert(a[i].raw() < twoPRepr<FpT>() &&
-               "lazy headroom overflow: value >= 2p");
-#else
-    (void)a;
-    (void)n;
-#endif
-}
-
-} // namespace detail
-
-/** Lazy product: inputs in [0, 2p), output in [0, 2p). */
-template <typename FpT>
-inline void
-mulBatchLazy(FpT *out, const FpT *a, const FpT *b, std::size_t n)
-{
-    if constexpr (detail::IsSimd4<FpT>::value) {
-        if (lazyEligible<FpT>()) {
-            detail::assertLazyRange(a, n);
-            detail::assertLazyRange(b, n);
-            simd::kernels4().mulLazy(detail::limbPtr(out),
-                                     detail::limbPtr(a),
-                                     detail::limbPtr(b), n,
-                                     mont4Params<FpT>());
-            return;
-        }
-    }
-    mulBatch(out, a, b, n);
-}
-
-/** Lazy square: input in [0, 2p), output in [0, 2p). */
-template <typename FpT>
-inline void
-sqrBatchLazy(FpT *out, const FpT *a, std::size_t n)
-{
-    if constexpr (detail::IsSimd4<FpT>::value) {
-        if (lazyEligible<FpT>()) {
-            detail::assertLazyRange(a, n);
-            simd::kernels4().sqrLazy(detail::limbPtr(out),
-                                     detail::limbPtr(a), n,
-                                     mont4Params<FpT>());
-            return;
-        }
-    }
-    sqrBatch(out, a, n);
-}
-
-/** Lazy scaling by one shared c (c itself may be lazy). */
-template <typename FpT>
-inline void
-mulcBatchLazy(FpT *out, const FpT *a, const FpT &c, std::size_t n)
-{
-    if constexpr (detail::IsSimd4<FpT>::value) {
-        if (lazyEligible<FpT>()) {
-            detail::assertLazyRange(a, n);
-            detail::assertLazyRange(&c, 1);
-            simd::kernels4().mulcLazy(detail::limbPtr(out),
-                                      detail::limbPtr(a),
-                                      detail::limbPtr(&c), n,
-                                      mont4Params<FpT>());
-            return;
-        }
-    }
-    mulcBatch(out, a, c, n);
-}
-
-/** Lazy sum: a + b < 4p, one conditional subtract of 2p. */
-template <typename FpT>
-inline void
-addBatchLazy(FpT *out, const FpT *a, const FpT *b, std::size_t n)
-{
-    // The constexpr gate keeps the limb-level body out of extension
-    // fields (Fp2 has no raw()/Repr); they take the strict path.
-    if constexpr (detail::IsSimd4<FpT>::value) {
-        if (lazyEligible<FpT>()) {
-            detail::assertLazyRange(a, n);
-            detail::assertLazyRange(b, n);
-            using Repr = typename FpT::Repr;
-            const Repr &tp = twoPRepr<FpT>();
-            for (std::size_t i = 0; i < n; ++i) {
-                Repr s;
-                // < 4p < 2^256: no carry out.
-                Repr::add(a[i].raw(), b[i].raw(), s);
-                if (!(s < tp)) {
-                    Repr t;
-                    Repr::sub(s, tp, t);
-                    s = t;
-                }
-                out[i] = FpT::fromRaw(s);
-            }
-            return;
-        }
-    }
-    addBatch(out, a, b, n);
-}
-
-/** Lazy difference: a + (2p - b), one conditional subtract of 2p. */
-template <typename FpT>
-inline void
-subBatchLazy(FpT *out, const FpT *a, const FpT *b, std::size_t n)
-{
-    if constexpr (detail::IsSimd4<FpT>::value) {
-        if (lazyEligible<FpT>()) {
-            detail::assertLazyRange(a, n);
-            detail::assertLazyRange(b, n);
-            using Repr = typename FpT::Repr;
-            const Repr &tp = twoPRepr<FpT>();
-            for (std::size_t i = 0; i < n; ++i) {
-                Repr neg;
-                Repr::sub(tp, b[i].raw(), neg); // b < 2p: no borrow
-                Repr s;
-                Repr::add(a[i].raw(), neg, s);
-                if (!(s < tp)) {
-                    Repr t;
-                    Repr::sub(s, tp, t);
-                    s = t;
-                }
-                out[i] = FpT::fromRaw(s);
-            }
-            return;
-        }
-    }
-    subBatch(out, a, b, n);
-}
-
-/**
- * Restore canonical form in place: the unique representative < p.
- * Accepts the full [0, 4p) headroom range (two conditional
- * subtracts); a no-op on already-canonical data, so it is safe to
- * run unconditionally at tier boundaries.
- */
-template <typename FpT>
-inline void
-canonicalizeBatch(FpT *a, std::size_t n)
-{
-    // Non-limb fields (Fp2) never carry lazy values -- every lazy
-    // entry point is strict for them -- so this is a no-op there.
-    if constexpr (detail::IsSimd4<FpT>::value) {
-        using Repr = typename FpT::Repr;
-        const Repr &p = FpT::modulus();
-        for (std::size_t i = 0; i < n; ++i) {
-            Repr v = a[i].raw();
-            for (int k = 0; k < 2 && !(v < p); ++k) {
-                Repr t;
-                Repr::sub(v, p, t);
-                v = t;
-            }
-            assert(v < p && "canonicalizeBatch: value >= 4p");
-            a[i] = FpT::fromRaw(v);
-        }
-    } else {
-        (void)a;
-        (void)n;
-    }
-}
-
-/**
- * A scalar field element carried in the lazy representation
- * ([0, 2p) raw Montgomery limbs). The type exists to keep lazy and
- * canonical values apart in scalar code and tests -- the batch hot
- * paths stay on raw FpT arrays and document their ranges instead.
- * Comparison is deliberately absent: canonicalize first.
- */
-template <typename Tag>
-class FpLazy
-{
-  public:
-    using F = Fp<Tag>;
-    using Repr = typename F::Repr;
-
-    FpLazy() = default;
-
-    /** Widen a canonical element (always in range). */
-    explicit FpLazy(const F &x) : v_(x.raw()) {}
-
-    /** Adopt raw limbs already known to be < 2p. */
-    static FpLazy
-    fromRaw(const Repr &r)
-    {
-        FpLazy x;
-        x.v_ = r;
-        assert(x.v_ < twoPRepr<F>() && "FpLazy::fromRaw: value >= 2p");
-        return x;
-    }
-
-    const Repr &raw() const { return v_; }
-
-    /** The unique canonical representative. */
-    F
-    canonicalize() const
-    {
-        Repr v = v_;
-        if (!(v < F::modulus())) {
-            Repr t;
-            Repr::sub(v, F::modulus(), t);
-            v = t;
-        }
-        return F::fromRaw(v);
-    }
-
-  private:
-    Repr v_; // Montgomery form, always < 2p
-};
-
-/** Scalar lazy sum (see addBatchLazy for the bound). */
-template <typename Tag>
-inline FpLazy<Tag>
-addLazy(const FpLazy<Tag> &a, const FpLazy<Tag> &b)
-{
-    using F = Fp<Tag>;
-    using Repr = typename F::Repr;
-    const Repr &tp = twoPRepr<F>();
-    Repr s;
-    Repr::add(a.raw(), b.raw(), s);
-    if (!(s < tp)) {
-        Repr t;
-        Repr::sub(s, tp, t);
-        s = t;
-    }
-    return FpLazy<Tag>::fromRaw(s);
-}
-
-/** Scalar lazy difference (see subBatchLazy for the bound). */
-template <typename Tag>
-inline FpLazy<Tag>
-subLazy(const FpLazy<Tag> &a, const FpLazy<Tag> &b)
-{
-    using F = Fp<Tag>;
-    using Repr = typename F::Repr;
-    const Repr &tp = twoPRepr<F>();
-    Repr neg;
-    Repr::sub(tp, b.raw(), neg);
-    Repr s;
-    Repr::add(a.raw(), neg, s);
-    if (!(s < tp)) {
-        Repr t;
-        Repr::sub(s, tp, t);
-        s = t;
-    }
-    return FpLazy<Tag>::fromRaw(s);
-}
-
-/** Scalar lazy Montgomery product (CIOS minus the final subtract). */
-template <typename Tag>
-inline FpLazy<Tag>
-mulLazy(const FpLazy<Tag> &a, const FpLazy<Tag> &b)
-{
-    using F = Fp<Tag>;
-    static_assert(F::kLimbs == 4,
-                  "scalar mulLazy is defined for 4-limb fields");
-    typename F::Repr r;
-    simd::montMulLimbs<4, true>(r.limbs.data(), a.raw().limbs.data(),
-                                b.raw().limbs.data(),
-                                F::params().modulus.limbs.data(),
-                                F::params().inv);
-    return FpLazy<Tag>::fromRaw(r);
-}
-
 /**
  * out[i] = a[i]^e for one shared standard-form exponent, by batched
  * square-and-multiply (the whole batch shares the exponent's bit
@@ -917,22 +590,12 @@ batchInverseBlocked(std::vector<FpT> &xs)
     for (std::size_t i = 0; i < n; ++i)
         xc[i] = xs[i].isZero() ? FpT::one() : xs[i];
 
-    // Under the lazy tier the forward lane products ride in [0, 2p):
-    // the serial combo chain and the backward unwind below consist
-    // solely of strict Montgomery multiplies, each of which absorbs a
-    // lazy operand and lands canonical (see the lazy-tier section),
-    // so outputs stay bit-identical to the strict path.
-    const bool lazy = lazyEligible<FpT>() && lazyEnabled();
-
     std::vector<FpT> prefix(head);
     std::array<FpT, L> acc;
     acc.fill(FpT::one());
     for (std::size_t r = 0; r < rows; ++r) {
         std::copy(acc.begin(), acc.end(), prefix.begin() + r * L);
-        if (lazy)
-            mulBatchLazy(acc.data(), acc.data(), xc.data() + r * L, L);
-        else
-            mulBatch(acc.data(), acc.data(), xc.data() + r * L, L);
+        mulBatch(acc.data(), acc.data(), xc.data() + r * L, L);
     }
 
     // One inversion covers the L lane products and the tail.

@@ -95,10 +95,7 @@ storeDigits(std::uint64_t *out, const __m256i D[8])
     }
 }
 
-/** 4-lane CIOS over digit vectors; D receives the canonical digits
- *  (Lazy = true skips the subtract: digits of a [0, 2p) value, the
- *  overflow digit T[8] provably zero for two-spare-bit moduli). */
-template <bool Lazy = false>
+/** 4-lane CIOS over digit vectors; D receives the canonical digits. */
 inline void
 montCore(__m256i D[8], const __m256i A[8], const __m256i B[8],
          const Ctx &c)
@@ -135,12 +132,6 @@ montCore(__m256i D[8], const __m256i A[8], const __m256i B[8],
         S = _mm256_add_epi64(T[8], C);
         T[7] = _mm256_and_si256(S, c.mask);
         T[8] = _mm256_add_epi64(T9, _mm256_srli_epi64(S, 32));
-    }
-
-    if constexpr (Lazy) {
-        for (int j = 0; j < 8; ++j)
-            D[j] = T[j];
-        return;
     }
 
     // Conditional subtract. Digits are < 2^32, so after the trial
@@ -213,66 +204,12 @@ mulcAvx2(std::uint64_t *out, const std::uint64_t *a,
         montMulLimbs<4>(out + 4 * i, a + 4 * i, cc, m.p, m.inv);
 }
 
-void
-mulAvx2Lazy(std::uint64_t *out, const std::uint64_t *a,
-            const std::uint64_t *b, std::size_t n, const Mont4 &m)
-{
-    const Ctx c = makeCtx(m);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i A[8], B[8], D[8];
-        loadDigits(A, a + 4 * i, c);
-        loadDigits(B, b + 4 * i, c);
-        montCore<true>(D, A, B, c);
-        storeDigits(out + 4 * i, D);
-    }
-    for (; i < n; ++i)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, b + 4 * i, m.p,
-                              m.inv);
-}
-
-void
-sqrAvx2Lazy(std::uint64_t *out, const std::uint64_t *a, std::size_t n,
-            const Mont4 &m)
-{
-    const Ctx c = makeCtx(m);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i A[8], D[8];
-        loadDigits(A, a + 4 * i, c);
-        montCore<true>(D, A, A, c);
-        storeDigits(out + 4 * i, D);
-    }
-    for (; i < n; ++i)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, a + 4 * i, m.p,
-                              m.inv);
-}
-
-void
-mulcAvx2Lazy(std::uint64_t *out, const std::uint64_t *a,
-             const std::uint64_t *cc, std::size_t n, const Mont4 &m)
-{
-    const Ctx c = makeCtx(m);
-    __m256i B[8];
-    broadcastDigits(B, cc);
-    std::size_t i = 0;
-    for (; i + 4 <= n; i += 4) {
-        __m256i A[8], D[8];
-        loadDigits(A, a + 4 * i, c);
-        montCore<true>(D, A, B, c);
-        storeDigits(out + 4 * i, D);
-    }
-    for (; i < n; ++i)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, cc, m.p, m.inv);
-}
-
 } // namespace
 
 const Kernels4 &
 avx2Kernels4()
 {
-    static const Kernels4 k = {mulAvx2,     sqrAvx2,     mulcAvx2,
-                               mulAvx2Lazy, sqrAvx2Lazy, mulcAvx2Lazy,
+    static const Kernels4 k = {mulAvx2, sqrAvx2, mulcAvx2,
                                "avx2-cios32x4"};
     return k;
 }

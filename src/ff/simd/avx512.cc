@@ -99,7 +99,6 @@ storeDigits32(std::uint64_t *out, const __m512i D[8])
     }
 }
 
-template <bool Lazy = false>
 inline void
 montCore32(__m512i D[8], const __m512i A[8], const __m512i B[8],
            const Ctx32 &c)
@@ -136,12 +135,6 @@ montCore32(__m512i D[8], const __m512i A[8], const __m512i B[8],
         S = _mm512_add_epi64(T[8], C);
         T[7] = _mm512_and_si512(S, c.mask);
         T[8] = _mm512_add_epi64(T9, _mm512_srli_epi64(S, 32));
-    }
-
-    if constexpr (Lazy) {
-        for (int j = 0; j < 8; ++j)
-            D[j] = T[j];
-        return;
     }
 
     __m512i R[8];
@@ -208,59 +201,6 @@ mulc32(std::uint64_t *out, const std::uint64_t *a,
     }
     for (; i < n; ++i)
         montMulLimbs<4>(out + 4 * i, a + 4 * i, cc, m.p, m.inv);
-}
-
-void
-mul32Lazy(std::uint64_t *out, const std::uint64_t *a,
-          const std::uint64_t *b, std::size_t n, const Mont4 &m)
-{
-    const Ctx32 c = makeCtx32(m);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i A[8], B[8], D[8];
-        loadDigits32(A, a + 4 * i, c);
-        loadDigits32(B, b + 4 * i, c);
-        montCore32<true>(D, A, B, c);
-        storeDigits32(out + 4 * i, D);
-    }
-    for (; i < n; ++i)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, b + 4 * i, m.p,
-                              m.inv);
-}
-
-void
-sqr32Lazy(std::uint64_t *out, const std::uint64_t *a, std::size_t n,
-          const Mont4 &m)
-{
-    const Ctx32 c = makeCtx32(m);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i A[8], D[8];
-        loadDigits32(A, a + 4 * i, c);
-        montCore32<true>(D, A, A, c);
-        storeDigits32(out + 4 * i, D);
-    }
-    for (; i < n; ++i)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, a + 4 * i, m.p,
-                              m.inv);
-}
-
-void
-mulc32Lazy(std::uint64_t *out, const std::uint64_t *a,
-           const std::uint64_t *cc, std::size_t n, const Mont4 &m)
-{
-    const Ctx32 c = makeCtx32(m);
-    __m512i B[8];
-    broadcastDigits32(B, cc);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i A[8], D[8];
-        loadDigits32(A, a + 4 * i, c);
-        montCore32<true>(D, A, B, c);
-        storeDigits32(out + 4 * i, D);
-    }
-    for (; i < n; ++i)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, cc, m.p, m.inv);
 }
 
 //===------------------------- ifma52x8 -------------------------===//
@@ -372,14 +312,6 @@ storeDigits52(std::uint64_t *out, const __m512i D[5])
     }
 }
 
-/**
- * Lazy = true skips the subtract. Bound with lazy inputs: one operand
- * is pre-shifted (16a with a < 2p), so the pre-subtract value is
- * < p + 64p^2/2^260 = p + p*(p/2^254) < 2p for p < 2^254 -- the
- * radix-2^52 headroom absorbs both the shift and the lazy range, and
- * the top digit T[5] stays zero.
- */
-template <bool Lazy = false>
 inline void
 montCore52(__m512i D[5], const __m512i A[5], const __m512i B[5],
            const Ctx52 &c)
@@ -419,12 +351,6 @@ montCore52(__m512i D[5], const __m512i A[5], const __m512i B[5],
         S = _mm512_add_epi64(T[5], C);
         T[4] = _mm512_and_si512(S, c.mask);
         T[5] = _mm512_add_epi64(T6, _mm512_srli_epi64(S, 52));
-    }
-
-    if constexpr (Lazy) {
-        for (int j = 0; j < 5; ++j)
-            D[j] = T[j];
-        return;
     }
 
     __m512i R[5];
@@ -496,62 +422,6 @@ mulc52(std::uint64_t *out, const std::uint64_t *a,
         montMulLimbs<4>(out + 4 * i, a + 4 * i, cc, m.p, m.inv);
 }
 
-void
-mul52Lazy(std::uint64_t *out, const std::uint64_t *a,
-          const std::uint64_t *b, std::size_t n, const Mont4 &m)
-{
-    const Ctx52 c = makeCtx52(m);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i A[5], A4[5], B[5], D[5];
-        loadDigits52(A, a + 4 * i, c);
-        shiftDigits4(A4, A, c);
-        loadDigits52(B, b + 4 * i, c);
-        montCore52<true>(D, A4, B, c);
-        storeDigits52(out + 4 * i, D);
-    }
-    for (; i < n; ++i)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, b + 4 * i, m.p,
-                              m.inv);
-}
-
-void
-sqr52Lazy(std::uint64_t *out, const std::uint64_t *a, std::size_t n,
-          const Mont4 &m)
-{
-    const Ctx52 c = makeCtx52(m);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i A[5], A4[5], D[5];
-        loadDigits52(A, a + 4 * i, c);
-        shiftDigits4(A4, A, c);
-        montCore52<true>(D, A4, A, c);
-        storeDigits52(out + 4 * i, D);
-    }
-    for (; i < n; ++i)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, a + 4 * i, m.p,
-                              m.inv);
-}
-
-void
-mulc52Lazy(std::uint64_t *out, const std::uint64_t *a,
-           const std::uint64_t *cc, std::size_t n, const Mont4 &m)
-{
-    const Ctx52 c = makeCtx52(m);
-    __m512i B[5], B4[5];
-    broadcastDigits52(B, cc);
-    shiftDigits4(B4, B, c);
-    std::size_t i = 0;
-    for (; i + 8 <= n; i += 8) {
-        __m512i A[5], D[5];
-        loadDigits52(A, a + 4 * i, c);
-        montCore52<true>(D, A, B4, c);
-        storeDigits52(out + 4 * i, D);
-    }
-    for (; i < n; ++i)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, cc, m.p, m.inv);
-}
-
 #endif // __AVX512IFMA__
 
 } // namespace
@@ -559,12 +429,10 @@ mulc52Lazy(std::uint64_t *out, const std::uint64_t *a,
 const Kernels4 &
 avx512Kernels4()
 {
-    static const Kernels4 k32 = {mul32,     sqr32,     mulc32,
-                                 mul32Lazy, sqr32Lazy, mulc32Lazy,
+    static const Kernels4 k32 = {mul32, sqr32, mulc32,
                                  "avx512-cios32x8"};
 #ifdef __AVX512IFMA__
-    static const Kernels4 k52 = {mul52,     sqr52,     mulc52,
-                                 mul52Lazy, sqr52Lazy, mulc52Lazy,
+    static const Kernels4 k52 = {mul52, sqr52, mulc52,
                                  "avx512-ifma52x8"};
     if (__builtin_cpu_supports("avx512ifma"))
         return k52;

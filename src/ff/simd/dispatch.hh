@@ -63,12 +63,6 @@ struct Mont4 {
  * Batched Montgomery operations over arrays of `n` elements, each 4
  * little-endian 64-bit limbs, fully reduced (< p). Outputs are fully
  * reduced. `out` may alias `a` or `b` wholesale (no partial overlap).
- *
- * The *Lazy entry points are the same kernels minus the final
- * conditional subtract: inputs anywhere in [0, 2p), outputs in
- * [0, 2p) (see mont_scalar.hh for the closure bound). They are only
- * meaningful for moduli with two spare top bits (4p < 2^256); fp.hh
- * gates lazy batch routing on that.
  */
 struct Kernels4 {
     void (*mul)(std::uint64_t *out, const std::uint64_t *a,
@@ -79,14 +73,6 @@ struct Kernels4 {
     void (*mulc)(std::uint64_t *out, const std::uint64_t *a,
                  const std::uint64_t *c, std::size_t n,
                  const Mont4 &m);
-    void (*mulLazy)(std::uint64_t *out, const std::uint64_t *a,
-                    const std::uint64_t *b, std::size_t n,
-                    const Mont4 &m);
-    void (*sqrLazy)(std::uint64_t *out, const std::uint64_t *a,
-                    std::size_t n, const Mont4 &m);
-    void (*mulcLazy)(std::uint64_t *out, const std::uint64_t *a,
-                     const std::uint64_t *c, std::size_t n,
-                     const Mont4 &m);
     const char *impl; //!< human-readable kernel id ("avx512-ifma", ...)
 };
 

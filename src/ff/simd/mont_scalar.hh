@@ -14,14 +14,6 @@
  * dispatch layer preserves full reduction, which is what makes
  * cross-arm limb equality a testable invariant rather than a hope.
  *
- * Lazy tier: the Lazy template arm skips the final conditional
- * subtract, closing over [0, 2p) instead. With inputs a, b < 2p the
- * pre-subtract CIOS accumulator is < p + 4p^2/R, which for any
- * modulus with two spare top bits (4p < R, e.g. BN254) is < 2p with
- * a zero overflow limb -- so "skip the subtract" is the entire
- * difference between the tiers, and a strict multiply fed lazy
- * inputs still lands canonical (its one subtract covers [0, 2p)).
- *
  * Header-only and free of fp.hh dependencies so the per-file-ISA
  * translation units can include it without dragging field tags in.
  */
@@ -68,12 +60,8 @@ limbsSub(std::uint64_t *out, const std::uint64_t *a,
  * CIOS Montgomery multiplication: out = a * b * R^-1 mod p with
  * R = 2^(64N). Inputs fully reduced; output fully reduced. `out` may
  * alias `a` or `b` (the working state lives in `t`).
- *
- * With Lazy = true, inputs may be anywhere in [0, 2p) and the final
- * conditional subtract is skipped; the output is a valid lazy value
- * in [0, 2p) congruent to a * b * R^-1.
  */
-template <std::size_t N, bool Lazy = false>
+template <std::size_t N>
 inline void
 montMulLimbs(std::uint64_t *out, const std::uint64_t *a,
              const std::uint64_t *b, const std::uint64_t *p,
@@ -106,17 +94,11 @@ montMulLimbs(std::uint64_t *out, const std::uint64_t *a,
         t[N] = t[N + 1] + std::uint64_t(s >> 64);
         t[N + 1] = 0;
     }
-    if constexpr (Lazy) {
-        // Overflow limb is provably zero (see file comment); the
-        // accumulator itself is the [0, 2p) result.
-        for (std::size_t i = 0; i < N; ++i)
-            out[i] = t[i];
-    } else if (t[N] != 0 || limbsGe<N>(t, p)) {
+    if (t[N] != 0 || limbsGe<N>(t, p))
         limbsSub<N>(out, t, p);
-    } else {
+    else
         for (std::size_t i = 0; i < N; ++i)
             out[i] = t[i];
-    }
 }
 
 /**
@@ -128,7 +110,7 @@ montMulLimbs(std::uint64_t *out, const std::uint64_t *a,
  * stalls -- the portable batch arm's whole trick. Results are exactly
  * montMulLimbs of each pair (same operations, same order per chain).
  */
-template <std::size_t N, bool Lazy = false>
+template <std::size_t N>
 inline void
 montMulLimbs2(std::uint64_t *out0, const std::uint64_t *a0,
               const std::uint64_t *b0, std::uint64_t *out1,
@@ -178,13 +160,6 @@ montMulLimbs2(std::uint64_t *out0, const std::uint64_t *a0,
         t1[N - 1] = std::uint64_t(s1);
         t1[N] = t1[N + 1] + std::uint64_t(s1 >> 64);
         t1[N + 1] = 0;
-    }
-    if constexpr (Lazy) {
-        for (std::size_t i = 0; i < N; ++i)
-            out0[i] = t0[i];
-        for (std::size_t i = 0; i < N; ++i)
-            out1[i] = t1[i];
-        return;
     }
     if (t0[N] != 0 || limbsGe<N>(t0, p))
         limbsSub<N>(out0, t0, p);

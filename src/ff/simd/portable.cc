@@ -50,50 +50,12 @@ mulcPortable(std::uint64_t *out, const std::uint64_t *a,
         montMulLimbs<4>(out + 4 * i, a + 4 * i, c, m.p, m.inv);
 }
 
-void
-mulPortableLazy(std::uint64_t *out, const std::uint64_t *a,
-                const std::uint64_t *b, std::size_t n, const Mont4 &m)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        montMulLimbs2<4, true>(out + 4 * i, a + 4 * i, b + 4 * i,
-                               out + 4 * (i + 1), a + 4 * (i + 1),
-                               b + 4 * (i + 1), m.p, m.inv);
-    }
-    if (i < n)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, b + 4 * i, m.p,
-                              m.inv);
-}
-
-void
-sqrPortableLazy(std::uint64_t *out, const std::uint64_t *a,
-                std::size_t n, const Mont4 &m)
-{
-    mulPortableLazy(out, a, a, n, m);
-}
-
-void
-mulcPortableLazy(std::uint64_t *out, const std::uint64_t *a,
-                 const std::uint64_t *c, std::size_t n, const Mont4 &m)
-{
-    std::size_t i = 0;
-    for (; i + 2 <= n; i += 2) {
-        montMulLimbs2<4, true>(out + 4 * i, a + 4 * i, c,
-                               out + 4 * (i + 1), a + 4 * (i + 1), c,
-                               m.p, m.inv);
-    }
-    if (i < n)
-        montMulLimbs<4, true>(out + 4 * i, a + 4 * i, c, m.p, m.inv);
-}
-
 } // namespace
 
 const Kernels4 &
 portableKernels4()
 {
-    static const Kernels4 k = {mulPortable,     sqrPortable,
-                               mulcPortable,    mulPortableLazy,
-                               sqrPortableLazy, mulcPortableLazy,
+    static const Kernels4 k = {mulPortable, sqrPortable, mulcPortable,
                                "portable-cios2"};
     return k;
 }

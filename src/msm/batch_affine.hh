@@ -237,35 +237,14 @@ class BatchAffineAccumulator
             px_[i] = staged_[i].p.x;
             py_[i] = staged_[i].p.y;
         }
-        if (ff::lazyEligible<Field>() && ff::lazyEnabled()) {
-            // Lazy tier: the row chain rides in [0, 2p). The y3 row
-            // ends in a *strict* multiply-then-subtract (a strict
-            // Montgomery multiply absorbs lazy operands and lands
-            // canonical), so only x3 needs an explicit reduction
-            // before write-back -- Affine coordinates must be
-            // canonical because add() detects doubling/cancellation
-            // by raw-limb equality.
-            ff::subBatchLazy(lambda_.data(), py_.data(), ay_.data(), n);
-            ff::mulBatchLazy(lambda_.data(), lambda_.data(),
-                             denoms_.data(), n);
-            ff::sqrBatchLazy(x3_.data(), lambda_.data(), n);
-            ff::subBatchLazy(x3_.data(), x3_.data(), ax_.data(), n);
-            ff::subBatchLazy(x3_.data(), x3_.data(), px_.data(), n);
-            ff::subBatchLazy(ax_.data(), ax_.data(), x3_.data(), n);
-            ff::mulBatch(ax_.data(), lambda_.data(), ax_.data(), n);
-            ff::subBatch(ay_.data(), ax_.data(), ay_.data(), n);
-            ff::canonicalizeBatch(x3_.data(), n);
-        } else {
-            ff::subBatch(lambda_.data(), py_.data(), ay_.data(), n);
-            ff::mulBatch(lambda_.data(), lambda_.data(),
-                         denoms_.data(), n);
-            ff::sqrBatch(x3_.data(), lambda_.data(), n);
-            ff::subBatch(x3_.data(), x3_.data(), ax_.data(), n);
-            ff::subBatch(x3_.data(), x3_.data(), px_.data(), n);
-            ff::subBatch(ax_.data(), ax_.data(), x3_.data(), n);
-            ff::mulBatch(ax_.data(), lambda_.data(), ax_.data(), n);
-            ff::subBatch(ay_.data(), ax_.data(), ay_.data(), n);
-        }
+        ff::subBatch(lambda_.data(), py_.data(), ay_.data(), n);
+        ff::mulBatch(lambda_.data(), lambda_.data(), denoms_.data(), n);
+        ff::sqrBatch(x3_.data(), lambda_.data(), n);
+        ff::subBatch(x3_.data(), x3_.data(), ax_.data(), n);
+        ff::subBatch(x3_.data(), x3_.data(), px_.data(), n);
+        ff::subBatch(ax_.data(), ax_.data(), x3_.data(), n);
+        ff::mulBatch(ax_.data(), lambda_.data(), ax_.data(), n);
+        ff::subBatch(ay_.data(), ax_.data(), ay_.data(), n);
         for (std::size_t i = 0; i < n; ++i)
             cur_[staged_[i].slot] = Affine(x3_[i], ay_[i]);
         staged_.clear();

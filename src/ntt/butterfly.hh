@@ -38,44 +38,6 @@ butterflyRows(Fr *u, Fr *v, const Fr *w, std::size_t n, Fr *scratch)
     ff::addBatch(u, u, scratch, n);
 }
 
-/**
- * The lazy-tier butterfly: same dataflow, but u/v ride in [0, 2p)
- * across iterations and the twiddle multiply skips its final
- * subtract. Twiddles are canonical (< 2p trivially); the sub/add
- * close back to [0, 2p), so iterations chain without intermediate
- * reduction. The caller canonicalizes once after the last lazy
- * iteration (or lets a final strict multiply absorb the range, as
- * the inverse transform's nInv scaling does). On fields without
- * lazy headroom every ff::*Lazy entry point degrades to strict, so
- * this is safe to call unconditionally.
- */
-template <typename Fr>
-inline void
-butterflyRowsLazy(Fr *u, Fr *v, const Fr *w, std::size_t n, Fr *scratch)
-{
-    ff::mulBatchLazy(scratch, v, w, n);
-    ff::subBatchLazy(v, u, scratch, n);
-    ff::addBatchLazy(u, u, scratch, n);
-}
-
-/**
- * One lazy butterfly for the scalar small-half iterations of the
- * group-kernel NTTs, whose batches interleave scalar and batched
- * layers: u/v may already be lazy from a previous batch, so the
- * strict scalar formulas (which assume canonical inputs) cannot be
- * used there.
- */
-template <typename Fr>
-inline void
-butterflyLazy(Fr &u, Fr &v, const Fr &w)
-{
-    Fr t;
-    ff::mulcBatchLazy(&t, &v, w, 1);
-    Fr u0 = u;
-    ff::addBatchLazy(&u, &u0, &t, 1);
-    ff::subBatchLazy(&v, &u0, &t, 1);
-}
-
 } // namespace gzkp::ntt
 
 #endif // GZKP_NTT_BUTTERFLY_HH

@@ -64,13 +64,6 @@ nttInPlace(const Domain<Fr> &dom, std::vector<Fr> &a, bool invert = false)
     // final iteration's n/2 lanes.
     std::vector<Fr> scratch(n / 2);
 
-    // Lazy tier: the scalar small-half iterations run first and stay
-    // strict; every batched iteration after them keeps the array in
-    // [0, 2p), reduced once at the end (the INTT's strict nInv
-    // multiply absorbs the range for free).
-    const bool lazy = ff::lazyEligible<Fr>() && ff::lazyEnabled();
-    bool lazyPending = false;
-
     for (std::size_t iter = 0; iter < log_n; ++iter) {
         std::size_t half = std::size_t(1) << iter;
         std::size_t len = half << 1;
@@ -82,18 +75,9 @@ nttInPlace(const Domain<Fr> &dom, std::vector<Fr> &a, bool invert = false)
             // vector kernels. Bit-identical to the scalar loop below.
             const Fr *w = invert ? dom.twiddleInvRow(iter)
                                  : dom.twiddleRow(iter);
-            if (lazy) {
-                for (std::size_t start = 0; start < n; start += len)
-                    butterflyRowsLazy(a.data() + start,
-                                      a.data() + start + half, w, half,
-                                      scratch.data());
-                lazyPending = true;
-            } else {
-                for (std::size_t start = 0; start < n; start += len)
-                    butterflyRows(a.data() + start,
-                                  a.data() + start + half, w, half,
-                                  scratch.data());
-            }
+            for (std::size_t start = 0; start < n; start += len)
+                butterflyRows(a.data() + start, a.data() + start + half,
+                              w, half, scratch.data());
         } else {
             for (std::size_t start = 0; start < n; start += len) {
                 for (std::size_t j = 0; j < half; ++j) {
@@ -115,11 +99,7 @@ nttInPlace(const Domain<Fr> &dom, std::vector<Fr> &a, bool invert = false)
     }
 
     if (invert)
-        // Strict multiply: canonicalizes a lazy array as a side
-        // effect of its final conditional subtract.
         ff::mulcBatch(a.data(), a.data(), dom.nInv(), n);
-    else if (lazyPending)
-        ff::canonicalizeBatch(a.data(), n);
 }
 
 /**

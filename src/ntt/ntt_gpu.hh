@@ -188,11 +188,6 @@ class ShuffledNtt
                 std::swap(a[i], a[j]);
         }
 
-        // The whole transform rides in [0, 2p) under the lazy tier;
-        // one reduction at the end (absorbed by the INTT's strict
-        // nInv multiply).
-        const bool lazy = ff::lazyEligible<Fr>() && ff::lazyEnabled();
-
         std::size_t b = effectiveB(dev);
         std::vector<Fr> staged, scratch;
         for (const Batch &bt : makeBatches(log_n, b)) {
@@ -210,7 +205,7 @@ class ShuffledNtt
                 for (std::size_t j = 0; j < gsz; ++j)
                     staged[j] = a[base + j * stride];
                 butterfliesInGroup(dom, staged, base, bt,
-                                   scratch.data(), invert, lazy);
+                                   scratch.data(), invert);
                 for (std::size_t j = 0; j < gsz; ++j)
                     a[base + j * stride] = staged[j];
             }
@@ -221,8 +216,6 @@ class ShuffledNtt
 
         if (invert)
             ff::mulcBatch(a.data(), a.data(), dom.nInv(), n);
-        else if (lazy)
-            ff::canonicalizeBatch(a.data(), n);
     }
 
     /** Model statistics at any scale (no functional run needed). */
@@ -344,7 +337,7 @@ class ShuffledNtt
     void
     butterfliesInGroup(const Domain<Fr> &dom, std::vector<Fr> &g,
                        std::size_t base, const Batch &bt, Fr *scratch,
-                       bool invert, bool lazy) const
+                       bool invert) const
     {
         std::size_t s0 = bt.startIter;
         std::size_t low_mask = (std::size_t(1) << s0) - 1;
@@ -364,14 +357,9 @@ class ShuffledNtt
                     wrow[l] = invert ? dom.twiddleInv(iter, tw)
                                      : dom.twiddle(iter, tw);
                 }
-                for (std::size_t j0 = 0; j0 < g.size(); j0 += 2 * half) {
-                    if (lazy)
-                        butterflyRowsLazy(&g[j0], &g[j0 + half], wrow,
-                                          half, mrow);
-                    else
-                        butterflyRows(&g[j0], &g[j0 + half], wrow,
-                                      half, mrow);
-                }
+                for (std::size_t j0 = 0; j0 < g.size(); j0 += 2 * half)
+                    butterflyRows(&g[j0], &g[j0 + half], wrow, half,
+                                  mrow);
                 continue;
             }
             for (std::size_t j = 0; j < g.size(); ++j) {
@@ -383,12 +371,6 @@ class ShuffledNtt
                     ((j & (half - 1)) << s0);
                 const Fr &w = invert ? dom.twiddleInv(iter, tw)
                                      : dom.twiddle(iter, tw);
-                if (lazy) {
-                    // Inputs may be lazy from a previous batch; the
-                    // strict scalar formulas assume canonical inputs.
-                    butterflyLazy(g[j], g[j + half], w);
-                    continue;
-                }
                 Fr u = g[j];
                 Fr v = g[j + half] * w;
                 g[j] = u + v;
@@ -454,10 +436,6 @@ class GzkpNtt
                 std::swap(a[i], a[j]);
         }
 
-        // Lazy tier: identical scheme to ShuffledNtt -- the array
-        // stays in [0, 2p) across batches, reduced once at the end.
-        const bool lazy = ff::lazyEligible<Fr>() && ff::lazyEnabled();
-
         std::size_t b = effectiveB(log_n);
         std::vector<Fr> shared; // the modeled per-SM shared memory
         std::vector<Fr> scratch;
@@ -486,7 +464,7 @@ class GzkpNtt
                     std::size_t base =
                         groupBase(u0 + c, bt.startIter, bb);
                     butterflies(dom, &shared[c * gsz], gsz, base, bt,
-                                scratch.data(), invert, lazy);
+                                scratch.data(), invert);
                 }
                 // Internal shuffle out: reverse movement.
                 for (std::size_t c = 0; c < gcnt; ++c) {
@@ -503,8 +481,6 @@ class GzkpNtt
 
         if (invert)
             ff::mulcBatch(a.data(), a.data(), dom.nInv(), n);
-        else if (lazy)
-            ff::canonicalizeBatch(a.data(), n);
     }
 
     NttStats
@@ -573,7 +549,7 @@ class GzkpNtt
     void
     butterflies(const Domain<Fr> &dom, Fr *g, std::size_t gsz,
                 std::size_t base, const Batch &bt, Fr *scratch,
-                bool invert, bool lazy) const
+                bool invert) const
     {
         std::size_t s0 = bt.startIter;
         std::size_t low_mask = (std::size_t(1) << s0) - 1;
@@ -591,14 +567,9 @@ class GzkpNtt
                     wrow[l] = invert ? dom.twiddleInv(iter, tw)
                                      : dom.twiddle(iter, tw);
                 }
-                for (std::size_t j0 = 0; j0 < gsz; j0 += 2 * half) {
-                    if (lazy)
-                        butterflyRowsLazy(g + j0, g + j0 + half, wrow,
-                                          half, mrow);
-                    else
-                        butterflyRows(g + j0, g + j0 + half, wrow,
-                                      half, mrow);
-                }
+                for (std::size_t j0 = 0; j0 < gsz; j0 += 2 * half)
+                    butterflyRows(g + j0, g + j0 + half, wrow, half,
+                                  mrow);
                 continue;
             }
             for (std::size_t j = 0; j < gsz; ++j) {
@@ -608,10 +579,6 @@ class GzkpNtt
                     ((j & (half - 1)) << s0);
                 const Fr &w = invert ? dom.twiddleInv(iter, tw)
                                      : dom.twiddle(iter, tw);
-                if (lazy) {
-                    butterflyLazy(g[j], g[j + half], w);
-                    continue;
-                }
                 Fr u = g[j];
                 Fr v = g[j + half] * w;
                 g[j] = u + v;

@@ -25,12 +25,7 @@
  *  - ffdispatch: random field-op programs (batch mul/sqr/mulc/add/
  *    sub/pow/inverse over ff/fp.hh entry points) replayed under every
  *    compiled SIMD ISA arm; results must be limb-identical to the
- *    portable arm, pinning the field core's bit-identity invariant;
- *  - fflazy: random lazy-tier programs (mulBatchLazy & co with values
- *    riding [0, 2p), mixed canonical/non-canonical representatives,
- *    mid-program canonicalization boundaries) replayed under every
- *    ISA arm; after a final canonicalize the state must be limb-
- *    identical to the strict portable twin of the same program.
+ *    portable arm, pinning the field core's bit-identity invariant.
  *
  * On divergence the failing instance is greedily shrunk and the
  * report carries a self-contained repro line (--seed=S --size=N
@@ -81,7 +76,6 @@ struct FuzzOptions {
     bool fault = true;
     bool workload = true;
     bool ffdispatch = true;
-    bool fflazy = true;
     std::uint64_t groth16Every = 40; //!< proofs are expensive
     std::uint64_t faultEvery = 16;   //!< chaos runs prove repeatedly
     std::uint64_t workloadEvery = 64; //!< full Merkle prove per hit
@@ -842,157 +836,6 @@ fuzzFfDispatchInstance(std::uint64_t seed, std::size_t size,
         {"ffdispatch", ffDispatchRepro(seed, size), detail.str()});
 }
 
-// ------------------------------------------------------------- fflazy
-
-/** Repro fragment for a lazy-tier field-op instance. */
-inline std::string
-ffLazyRepro(std::uint64_t seed, std::size_t size)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=" << size << " --kind=fflazy";
-    return os.str();
-}
-
-/**
- * A random lazy-tier program, same shape as FfDispatchProgram but the
- * op codes map to the ff::*BatchLazy entry points (plus a mid-program
- * canonicalization boundary). The oracle is the strict twin: the same
- * semantic program through the strict entry points on the portable
- * arm. Lazy may return either representative of a residue, so the
- * comparison canonicalizes the final state first.
- */
-inline FfDispatchProgram
-ffLazyProgram(std::size_t size, std::uint64_t seed)
-{
-    Rng rng(deriveSeed(seed, 21));
-    FfDispatchProgram p;
-    std::size_t n = std::max<std::size_t>(size, 1);
-    ScalarMix mix = ScalarMix(rng() % kScalarMixCount);
-    p.init = scalarVector<ff::Bn254Fr>(n, mix, rng);
-    p.ops.resize(2 + rng() % 14);
-    for (auto &op : p.ops)
-        op = std::uint8_t(rng() % 6);
-    return p;
-}
-
-/**
- * Replay under the active ISA arm; `lazy=false` runs the strict twin.
- * The lazy run lifts odd initial elements to their non-canonical
- * representative (raw + p) so programs exercise mixed-representative
- * inputs from the first op; the final state is canonicalized in both
- * runs (a no-op for the strict twin), so equal limbs <=> correct.
- */
-inline std::vector<ff::Bn254Fr>
-runFfLazy(const FfDispatchProgram &p, bool lazy)
-{
-    using Fr = ff::Bn254Fr;
-    const std::size_t n = p.init.size();
-    std::vector<Fr> a = p.init;
-    std::vector<Fr> b(p.init.rbegin(), p.init.rend());
-    if (lazy) {
-        const auto &mod = Fr::modulus();
-        for (std::size_t i = 1; i < n; i += 2) {
-            typename Fr::Repr r;
-            Fr::Repr::add(a[i].raw(), mod, r);
-            a[i] = Fr::fromRaw(r);
-        }
-    }
-    for (std::uint8_t op : p.ops) {
-        switch (op % 6) {
-        case 0:
-            lazy ? ff::mulBatchLazy(a.data(), a.data(), b.data(), n)
-                 : ff::mulBatch(a.data(), a.data(), b.data(), n);
-            break;
-        case 1:
-            lazy ? ff::sqrBatchLazy(b.data(), a.data(), n)
-                 : ff::sqrBatch(b.data(), a.data(), n);
-            break;
-        case 2:
-            lazy ? ff::mulcBatchLazy(a.data(), b.data(), b[n / 2], n)
-                 : ff::mulcBatch(a.data(), b.data(), b[n / 2], n);
-            break;
-        case 3:
-            lazy ? ff::addBatchLazy(b.data(), b.data(), a.data(), n)
-                 : ff::addBatch(b.data(), b.data(), a.data(), n);
-            break;
-        case 4:
-            lazy ? ff::subBatchLazy(a.data(), a.data(), b.data(), n)
-                 : ff::subBatch(a.data(), a.data(), b.data(), n);
-            break;
-        case 5:
-            // A mid-program canonicalization boundary; both runs take
-            // it so the op sequences stay semantically identical.
-            ff::canonicalizeBatch(a.data(), n);
-            break;
-        }
-    }
-    a.insert(a.end(), b.begin(), b.end());
-    ff::canonicalizeBatch(a.data(), a.size());
-    return a;
-}
-
-/**
- * One lazy-vs-strict differential: strict twin on the portable arm is
- * the oracle; the lazy program replays under every supported arm
- * (including portable -- lazy-portable vs strict-portable is the core
- * comparison). Greedy shrink and a replayable repro line on failure.
- */
-inline void
-fuzzFfLazyInstance(std::uint64_t seed, std::size_t size,
-                   FuzzReport &rep)
-{
-    namespace simd = ff::simd;
-    auto p = ffLazyProgram(size, seed);
-
-    auto diverges = [](const FfDispatchProgram &prog)
-        -> std::optional<std::string> {
-        std::vector<ff::Bn254Fr> ref;
-        {
-            detail::ScopedIsa g(simd::Isa::Portable);
-            ref = runFfLazy(prog, /*lazy=*/false);
-        }
-        for (simd::Isa isa : simd::supportedIsas()) {
-            detail::ScopedIsa g(isa);
-            auto got = runFfLazy(prog, /*lazy=*/true);
-            for (std::size_t i = 0; i < ref.size(); ++i) {
-                if (!(got[i] == ref[i])) {
-                    std::ostringstream os;
-                    os << "lazy on " << simd::name(isa)
-                       << " diverges from strict portable at element "
-                       << i;
-                    return os.str();
-                }
-            }
-        }
-        return std::nullopt;
-    };
-
-    if (!diverges(p))
-        return;
-    for (std::size_t i = 0; i < p.ops.size();) {
-        FfDispatchProgram cand = p;
-        cand.ops.erase(cand.ops.begin() + i);
-        if (diverges(cand))
-            p = std::move(cand);
-        else
-            ++i;
-    }
-    while (p.init.size() > 1) {
-        FfDispatchProgram cand = p;
-        cand.init.resize(p.init.size() / 2);
-        if (!diverges(cand))
-            break;
-        p = std::move(cand);
-    }
-    auto msg = diverges(p);
-    std::ostringstream detail;
-    detail << (msg ? *msg : std::string("divergence"))
-           << "; shrunk to n=" << p.init.size() << ", "
-           << p.ops.size() << " op(s)";
-    rep.failures.push_back(
-        {"fflazy", ffLazyRepro(seed, size), detail.str()});
-}
-
 // ------------------------------------------------------------- gpusim
 
 /**
@@ -1119,12 +962,6 @@ fuzzAll(const FuzzOptions &opt,
                 1 + deriveSeed(opt.seed, i, 12) % 96;
             fuzzFfDispatchInstance(deriveSeed(opt.seed, i, 11), fsz,
                                    rep);
-        }
-        // Also cheap; staggered against ffdispatch's slot.
-        if (opt.fflazy && i % 4 == 0) {
-            std::size_t fsz =
-                1 + deriveSeed(opt.seed, i, 14) % 96;
-            fuzzFfLazyInstance(deriveSeed(opt.seed, i, 13), fsz, rep);
         }
 
         ++rep.iterations;

@@ -10,7 +10,8 @@
  * contract against the portable reference on biased inputs (0, 1,
  * p-1, p +/- small, digit-boundary and Montgomery-boundary raw
  * values), then push the invariant end to end: a Poseidon-Merkle
- * Groth16 proof must serialize to the same bytes under every arm.
+ * Groth16 proof must serialize to the same bytes under every arm and
+ * thread count.
  */
 
 #include <gtest/gtest.h>
@@ -21,10 +22,8 @@
 
 #include "ff/field_tags.hh"
 #include "ff/fp.hh"
-#include "ff/lazy.hh"
 #include "ff/simd/dispatch.hh"
 #include "msm/batch_affine.hh"
-#include "ntt/butterfly.hh"
 #include "testkit/generators.hh"
 #include "workload/workloads.hh"
 #include "zkp/families.hh"
@@ -46,12 +45,6 @@ namespace {
 struct IsaGuard {
     explicit IsaGuard(Isa isa) { ff::simd::setActiveIsa(isa); }
     ~IsaGuard() { ff::simd::clearActiveIsa(); }
-};
-
-/** Pin the lazy tier for a scope; restores Auto (env) on exit. */
-struct LazyGuard {
-    explicit LazyGuard(ff::LazyTier t) { ff::setDefaultLazyTier(t); }
-    ~LazyGuard() { ff::setDefaultLazyTier(ff::LazyTier::Auto); }
 };
 
 /**
@@ -205,118 +198,6 @@ expectArmMatchesPortable(Isa isa, std::uint64_t seed)
     }
 }
 
-/**
- * Lift a canonical pool into the lazy range: odd elements get p added
- * to their raw limbs (the non-canonical representative of the same
- * residue, still < 2p), and the extreme raw 2p-1 is planted at the
- * pool's midpoint. Even elements stay canonical -- the lazy entry
- * points accept any mix of the two representatives.
- */
-template <typename FpT>
-std::vector<FpT>
-lazyLift(std::vector<FpT> pool)
-{
-    using Repr = typename FpT::Repr;
-    const Repr &p = FpT::modulus();
-    for (std::size_t i = 1; i < pool.size(); i += 2) {
-        Repr r;
-        Repr::add(pool[i].raw(), p, r);
-        pool[i] = FpT::fromRaw(r);
-    }
-    if (!pool.empty()) {
-        // raw = 2p - 1: the largest legal lazy value (residue -1*R').
-        Repr r, pm1;
-        Repr::sub(p, Repr::one(), pm1);
-        Repr::add(p, pm1, r);
-        pool[pool.size() / 2] = FpT::fromRaw(r);
-    }
-    return pool;
-}
-
-/**
- * The lazy contract is *congruence*, not bit-identity: a lazy kernel
- * may return either representative of the correct residue. So the
- * oracle canonicalizes the lazy outputs and compares limbs against
- * the strict portable result on the canonicalized inputs.
- */
-template <typename FpT>
-void
-expectLazyMatchesStrict(Isa isa, std::uint64_t seed)
-{
-    // Ineligible fields degrade every lazy entry point to strict and
-    // by contract never see a non-canonical input, so the pools stay
-    // canonical there (and the expected results become bit-identity).
-    const bool lift = ff::lazyEligible<FpT>();
-    for (std::size_t n : {1, 3, 8, 15, 64, 257}) {
-        auto la = biasedPool<FpT>(n, seed);
-        auto lb = biasedPool<FpT>(n, seed + 1);
-        if (lift) {
-            la = lazyLift(std::move(la));
-            lb = lazyLift(std::move(lb));
-        }
-        // Canonical twins of the same residues, for the strict oracle.
-        std::vector<FpT> a = la, b = lb;
-        ff::canonicalizeBatch(a.data(), n);
-        ff::canonicalizeBatch(b.data(), n);
-        const FpT lc = la[n / 3];
-        FpT c = lc;
-        ff::canonicalizeBatch(&c, 1);
-
-        std::vector<FpT> mulS(n), sqrS(n), mulcS(n), addS(n), subS(n),
-            chainS(n);
-        {
-            IsaGuard g(Isa::Portable);
-            ff::mulBatch(mulS.data(), a.data(), b.data(), n);
-            ff::sqrBatch(sqrS.data(), a.data(), n);
-            ff::mulcBatch(mulcS.data(), a.data(), c, n);
-            ff::addBatch(addS.data(), a.data(), b.data(), n);
-            ff::subBatch(subS.data(), a.data(), b.data(), n);
-            // chain = (a*b + a - b)^2 * c, all strict.
-            ff::mulBatch(chainS.data(), a.data(), b.data(), n);
-            ff::addBatch(chainS.data(), chainS.data(), a.data(), n);
-            ff::subBatch(chainS.data(), chainS.data(), b.data(), n);
-            ff::sqrBatch(chainS.data(), chainS.data(), n);
-            ff::mulcBatch(chainS.data(), chainS.data(), c, n);
-        }
-
-        IsaGuard g(isa);
-        auto check = [&](std::vector<FpT> &out,
-                         const std::vector<FpT> &want, const char *op) {
-            ff::canonicalizeBatch(out.data(), n);
-            for (std::size_t i = 0; i < n; ++i)
-                EXPECT_TRUE(limbsEqual(out[i], want[i]))
-                    << op << " n=" << n << " i=" << i;
-        };
-        std::vector<FpT> out(n);
-        ff::mulBatchLazy(out.data(), la.data(), lb.data(), n);
-        check(out, mulS, "mulLazy");
-        ff::sqrBatchLazy(out.data(), la.data(), n);
-        check(out, sqrS, "sqrLazy");
-        ff::mulcBatchLazy(out.data(), la.data(), lc, n);
-        check(out, mulcS, "mulcLazy");
-        ff::addBatchLazy(out.data(), la.data(), lb.data(), n);
-        check(out, addS, "addLazy");
-        ff::subBatchLazy(out.data(), la.data(), lb.data(), n);
-        check(out, subS, "subLazy");
-
-        // Chained lazy ops: values stay in [0, 2p) across the whole
-        // chain, one canonicalize at the end.
-        ff::mulBatchLazy(out.data(), la.data(), lb.data(), n);
-        ff::addBatchLazy(out.data(), out.data(), la.data(), n);
-        ff::subBatchLazy(out.data(), out.data(), lb.data(), n);
-        ff::sqrBatchLazy(out.data(), out.data(), n);
-        ff::mulcBatchLazy(out.data(), out.data(), lc, n);
-        check(out, chainS, "chainLazy");
-
-        // A strict multiply absorbs lazy operands: no canonicalize
-        // pass needed, the result is bit-canonical directly.
-        ff::mulBatch(out.data(), la.data(), lb.data(), n);
-        for (std::size_t i = 0; i < n; ++i)
-            EXPECT_TRUE(limbsEqual(out[i], mulS[i]))
-                << "strict-absorbs n=" << n << " i=" << i;
-    }
-}
-
 } // namespace
 
 // ----------------------------------------------- dispatch mechanics
@@ -406,109 +287,6 @@ TEST(FfDispatchDifferential, BlockedBatchInverseMatchesSerial)
     }
 }
 
-// ------------------------------------------- lazy-tier differential
-
-TEST(FfLazyDifferential, LazyMatchesStrictOnEveryArmBn254Fr)
-{
-    for (Isa isa : ff::simd::supportedIsas())
-        expectLazyMatchesStrict<Fr>(isa, 0x1a2b);
-}
-
-TEST(FfLazyDifferential, LazyMatchesStrictOnEveryArmBn254Fq)
-{
-    for (Isa isa : ff::simd::supportedIsas())
-        expectLazyMatchesStrict<Fq>(isa, 0x3c4d);
-}
-
-TEST(FfLazyDifferential, IneligibleFieldsDegradeToStrict)
-{
-    // 6-limb / 255-bit fields have no lazy headroom; the *Lazy entry
-    // points must silently be the strict ops (and since strict never
-    // produces a value >= p, the chain stays canonical end to end).
-    EXPECT_FALSE(ff::lazyEligible<WideFq>());
-    EXPECT_FALSE(ff::lazyEligible<ff::Bls381Fr>()); // 255 bits: 4p >= 2^256
-    EXPECT_TRUE(ff::lazyEligible<Fr>());
-    EXPECT_TRUE(ff::lazyEligible<Fq>());
-    for (Isa isa : ff::simd::supportedIsas())
-        expectLazyMatchesStrict<WideFq>(isa, 0x5e6f);
-}
-
-TEST(FfLazyDifferential, ScalarFpLazyOpsMatchStrict)
-{
-    using L = ff::FpLazy<ff::Bn254FrTag>;
-    auto pool = biasedPool<Fr>(64, 0x7788);
-    for (std::size_t i = 0; i + 1 < pool.size(); ++i) {
-        Fr a = pool[i], b = pool[i + 1];
-        // Both representatives of a: canonical and +p.
-        typename Fr::Repr ar;
-        Fr::Repr::add(a.raw(), Fr::modulus(), ar);
-        for (const L &la : {L(a), L::fromRaw(ar)}) {
-            L lb(b);
-            EXPECT_TRUE(
-                limbsEqual(ff::addLazy(la, lb).canonicalize(), a + b));
-            EXPECT_TRUE(
-                limbsEqual(ff::subLazy(la, lb).canonicalize(), a - b));
-            EXPECT_TRUE(
-                limbsEqual(ff::mulLazy(la, lb).canonicalize(), a * b));
-        }
-    }
-}
-
-TEST(FfLazyDifferential, LazyButterflyRowsMatchStrict)
-{
-    // Chain several butterfly iterations with values riding lazy the
-    // whole way; canonicalize once at the end. Mirrors what the NTT
-    // inner loop does across iterations.
-    for (Isa isa : ff::simd::supportedIsas()) {
-        IsaGuard g(isa);
-        const std::size_t n = 128;
-        auto u0 = biasedPool<Fr>(n, 0x99aa);
-        auto v0 = biasedPool<Fr>(n, 0xbbcc);
-        auto w = biasedPool<Fr>(n, 0xddee); // canonical twiddles
-        std::vector<Fr> scratch(n);
-
-        std::vector<Fr> us = u0, vs = v0;
-        for (int it = 0; it < 4; ++it)
-            ntt::butterflyRows(us.data(), vs.data(), w.data(), n,
-                               scratch.data());
-
-        std::vector<Fr> ul = u0, vl = v0;
-        for (int it = 0; it < 4; ++it)
-            ntt::butterflyRowsLazy(ul.data(), vl.data(), w.data(), n,
-                                   scratch.data());
-        // Scalar lazy butterfly on the first few pairs, interleaved
-        // with the batched ones, as the group kernels do.
-        for (std::size_t i = 0; i < 8; ++i)
-            ntt::butterflyLazy(ul[i], vl[i], w[i]);
-        for (std::size_t i = 0; i < 8; ++i)
-            ntt::butterflyLazy(us[i], vs[i], w[i]);
-
-        ff::canonicalizeBatch(ul.data(), n);
-        ff::canonicalizeBatch(vl.data(), n);
-        ff::canonicalizeBatch(us.data(), n);
-        ff::canonicalizeBatch(vs.data(), n);
-        for (std::size_t i = 0; i < n; ++i) {
-            EXPECT_TRUE(limbsEqual(ul[i], us[i])) << "u i=" << i;
-            EXPECT_TRUE(limbsEqual(vl[i], vs[i])) << "v i=" << i;
-        }
-    }
-}
-
-TEST(FfLazyDifferential, TierSelectionFollowsPinnedDefault)
-{
-    {
-        LazyGuard g(ff::LazyTier::Strict);
-        EXPECT_FALSE(ff::lazyEnabled());
-        EXPECT_EQ(ff::defaultLazyTier(), ff::LazyTier::Strict);
-    }
-    {
-        LazyGuard g(ff::LazyTier::Lazy);
-        EXPECT_TRUE(ff::lazyEnabled());
-    }
-    // Auto resolves from the environment and never returns Auto.
-    EXPECT_NE(ff::defaultLazyTier(), ff::LazyTier::Auto);
-}
-
 // ------------------------------------------------ end-to-end proofs
 
 TEST(FfDispatchProofs, PoseidonMerkleProofBytesIdenticalPerArm)
@@ -521,63 +299,25 @@ TEST(FfDispatchProofs, PoseidonMerkleProofBytesIdenticalPerArm)
     testkit::Rng srng(testkit::deriveSeed(61, 1));
     auto keys = G16::setup(b.cs(), srng);
 
+    // Cross arm x thread count, every byte sequence must match.
     std::string base;
     for (Isa isa : ff::simd::supportedIsas()) {
         IsaGuard g(isa);
-        testkit::Rng prng(testkit::deriveSeed(61, 2));
-        auto proof = G16::prove(keys.pk, b.cs(), b.assignment(), prng,
-                                nullptr, zkp::CpuNttEngine<Fr>(), 1);
-        auto text = zkp::serializeProof<Family>(proof);
-        if (base.empty()) {
-            base = text;
-            std::vector<Fr> pub(b.assignment().begin() + 1,
-                                b.assignment().begin() + 1 +
-                                    b.cs().numPublic());
-            EXPECT_TRUE(zkp::verifyBn254(keys.vk, proof, pub));
-        } else {
-            EXPECT_EQ(text, base) << "isa=" << ff::simd::name(isa);
-        }
-    }
-}
-
-TEST(FfDispatchProofs, ProofBytesIdenticalAcrossLazyTiers)
-{
-    using Family = zkp::Bn254Family;
-    using G16 = zkp::Groth16<Family>;
-
-    testkit::Rng crng(62);
-    auto b = workload::makePoseidonMerkleCircuit<Fr>(2, 2, 1, crng);
-    testkit::Rng srng(testkit::deriveSeed(62, 1));
-    auto keys = G16::setup(b.cs(), srng);
-
-    // The lazy tier must not change a single proof byte: canonical
-    // form is restored at every boundary the serializer can see, and
-    // the canonical representative is unique. Cross tier x arm x
-    // thread count, every byte sequence must match.
-    std::string base;
-    for (ff::LazyTier tier : {ff::LazyTier::Strict, ff::LazyTier::Lazy}) {
-        LazyGuard lg(tier);
-        for (Isa isa : ff::simd::supportedIsas()) {
-            IsaGuard g(isa);
-            for (int threads : {1, 2}) {
-                testkit::Rng prng(testkit::deriveSeed(62, 2));
-                auto proof =
-                    G16::prove(keys.pk, b.cs(), b.assignment(), prng,
-                               nullptr, zkp::CpuNttEngine<Fr>(), threads);
-                auto text = zkp::serializeProof<Family>(proof);
-                if (base.empty()) {
-                    base = text;
-                    std::vector<Fr> pub(b.assignment().begin() + 1,
-                                        b.assignment().begin() + 1 +
-                                            b.cs().numPublic());
-                    EXPECT_TRUE(zkp::verifyBn254(keys.vk, proof, pub));
-                } else {
-                    EXPECT_EQ(text, base)
-                        << "tier="
-                        << (tier == ff::LazyTier::Lazy ? "lazy" : "strict")
-                        << " isa=" << ff::simd::name(isa)
-                        << " threads=" << threads;
-                }
+        for (int threads : {1, 2}) {
+            testkit::Rng prng(testkit::deriveSeed(61, 2));
+            auto proof =
+                G16::prove(keys.pk, b.cs(), b.assignment(), prng,
+                           nullptr, zkp::CpuNttEngine<Fr>(), threads);
+            auto text = zkp::serializeProof<Family>(proof);
+            if (base.empty()) {
+                base = text;
+                std::vector<Fr> pub(b.assignment().begin() + 1,
+                                    b.assignment().begin() + 1 +
+                                        b.cs().numPublic());
+                EXPECT_TRUE(zkp::verifyBn254(keys.vk, proof, pub));
+            } else {
+                EXPECT_EQ(text, base) << "isa=" << ff::simd::name(isa)
+                                      << " threads=" << threads;
             }
         }
     }

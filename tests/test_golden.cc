@@ -10,10 +10,11 @@
  * tuple, the serialized verifying key and proof. Each tuple is
  * re-proved with the serial and GZKP MSM policies at 1 and 4 threads
  * and through SelfCheckingProver over cached Algorithm-1 artifacts;
- * the BN254 tuples also go through ProofService, single-lane and on
- * a cpu:2 device topology. Every output must equal the committed
- * text. The suite is in the `fast` tier, so the CI ISA x lazy-tier
- * matrix runs it on every arm.
+ * the small BN254 tuples also go through ProofService, single-lane
+ * and on a cpu:2 device topology. The 2^12 chain is re-proved at 4
+ * threads only and pins that its hQuery MSM reaches the batch-affine
+ * chord flush. Every output must equal the committed text. The suite
+ * is in the `fast` tier, so the CI ISA matrix runs it on every arm.
  *
  * Regenerating the corpus changes what every later version is held
  * to; do it only for a deliberate format or protocol change:
@@ -29,7 +30,9 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
+#include "msm/msm_gzkp.hh"
 #include "ntt/domain.hh"
 #include "service/proof_service.hh"
 #include "testkit/testkit.hh"
@@ -54,6 +57,10 @@ struct GoldenTuple {
 // A 2-link BN254 Poseidon chain (489 constraints, 2^9 domain).
 constexpr GoldenTuple kBn254Chain = {"bn254_poseidon_chain2", 0x601D1,
                                      0x601D2, 0x601D3};
+// A 16-link BN254 Poseidon chain (3905 constraints, 2^12 domain): the
+// smallest chain whose hQuery MSM reaches the batch-affine chord flush.
+constexpr GoldenTuple kBn254Chain16 = {"bn254_poseidon_chain16", 0x601DA,
+                                       0x601DB, 0x601DC};
 // testkit::randomCircuit at 24 constraints on each family.
 constexpr GoldenTuple kBn254Random = {"bn254_random24", 0x601D4,
                                       0x601D5, 0x601D6};
@@ -85,10 +92,10 @@ writeFile(const std::string &path, const std::string &text)
 }
 
 workload::Builder<ff::Bn254Fr>
-bn254Chain()
+bn254Chain(const GoldenTuple &t, std::size_t links)
 {
-    testkit::Rng rng(kBn254Chain.witnessSeed);
-    return workload::makePoseidonChainCircuit<ff::Bn254Fr>(2, rng);
+    testkit::Rng rng(t.witnessSeed);
+    return workload::makePoseidonChainCircuit<ff::Bn254Fr>(links, rng);
 }
 
 template <typename Family>
@@ -133,14 +140,15 @@ selfCheckingProver(typename zkp::SelfCheckingProver<Family>::Options opt)
 }
 
 /**
- * Re-prove `t` on every CPU engine and path and compare each output
- * with the committed vk and proof text.
+ * Re-prove `t` on every CPU engine and path at each of `threadCounts`
+ * and compare each output with the committed vk and proof text.
  */
 template <typename Family>
 void
 expectMatchesCorpus(const GoldenTuple &t,
                     const workload::Builder<typename Family::Fr> &b,
-                    const typename zkp::Groth16<Family>::Keys &keys)
+                    const typename zkp::Groth16<Family>::Keys &keys,
+                    const std::vector<std::size_t> &threadCounts = {1, 4})
 {
     using G16 = zkp::Groth16<Family>;
     using Fr = typename Family::Fr;
@@ -159,13 +167,13 @@ expectMatchesCorpus(const GoldenTuple &t,
         EXPECT_EQ(zkp::serializeProof<Family>(proof), golden)
             << t.name << ": " << policy << " threads=" << threads;
     };
-    for (std::size_t threads : {1, 4}) {
+    for (std::size_t threads : threadCounts) {
         check("serial", zkp::SerialMsmPolicy{}, threads);
         check("gzkp", zkp::GzkpMsmPolicy{}, threads);
     }
 
     // The serving path's prover: cached Algorithm-1 tables + domain.
-    for (std::size_t threads : {1, 4}) {
+    for (std::size_t threads : threadCounts) {
         auto art = zkp::buildMsmArtifacts<Family>(keys.pk, threads);
         ASSERT_TRUE(art.isOk()) << art.status().toString();
         ntt::Domain<Fr> dom(keys.pk.domainLog);
@@ -218,10 +226,30 @@ expectServiceMatchesCorpus(
 
 TEST(GoldenCorpus, Bn254PoseidonChain)
 {
-    auto b = bn254Chain();
+    auto b = bn254Chain(kBn254Chain, 2);
     auto keys = setupTuple<zkp::Bn254Family>(kBn254Chain, b);
     expectMatchesCorpus<zkp::Bn254Family>(kBn254Chain, b, keys);
     expectServiceMatchesCorpus(kBn254Chain, b, keys);
+}
+
+TEST(GoldenCorpus, Bn254PoseidonChain16)
+{
+    auto b = bn254Chain(kBn254Chain16, 16);
+    auto keys = setupTuple<zkp::Bn254Family>(kBn254Chain16, b);
+    expectMatchesCorpus<zkp::Bn254Family>(kBn254Chain16, b, keys, {4});
+
+    // The tuple exists to cover the batch-affine chord flush: its
+    // hQuery MSM, as the GZKP policy runs it, must resolve rounds
+    // through shared inversions.
+    using G1Cfg = zkp::Bn254Family::G1Cfg;
+    ntt::Domain<ff::Bn254Fr> dom(keys.pk.domainLog);
+    auto h = zkp::Groth16<zkp::Bn254Family>::polyStage(
+        keys.pk, b.cs(), b.assignment(), dom);
+    msm::GzkpMsm<G1Cfg>::Options o;
+    o.threads = 4;
+    msm::GzkpMsm<G1Cfg> engine(o);
+    engine.run(keys.pk.hQuery, h);
+    EXPECT_GT(engine.lastDrainStats().inversions, 0u);
 }
 
 TEST(GoldenCorpus, Bn254RandomCircuit)
@@ -250,7 +278,9 @@ TEST(GoldenCorpus, DISABLED_Regenerate)
         writeFile(goldenPath(t, ".proof.txt"),
                   referenceProof<Family>(t, b, keys));
     };
-    write(kBn254Chain, bn254Chain(), zkp::Bn254Family{});
+    write(kBn254Chain, bn254Chain(kBn254Chain, 2), zkp::Bn254Family{});
+    write(kBn254Chain16, bn254Chain(kBn254Chain16, 16),
+          zkp::Bn254Family{});
     write(kBn254Random, randomTuple<zkp::Bn254Family>(kBn254Random),
           zkp::Bn254Family{});
     write(kBls381Random, randomTuple<zkp::Bls381Family>(kBls381Random),

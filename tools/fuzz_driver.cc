@@ -4,7 +4,8 @@
  *
  * Sweep mode (default):
  *     fuzz_driver --iterations=1000 --seed=1 [--seconds=60]
- *                 [--only=msm|ntt|groth16] [--max-size=40] [--verbose]
+ *                 [--only=msm|ntt|groth16|fault|workload|ffdispatch]
+ *                 [--max-size=40] [--verbose]
  * runs the bounded fuzz loop over MSM, NTT, Groth16 and the gpusim
  * accounting invariants, printing a shrunk repro line for every
  * divergence and exiting nonzero if any was found.
@@ -13,14 +14,22 @@
  *     fuzz_driver --seed=S --size=N --kind=K
  * and the driver rebuilds exactly that instance and runs the full
  * differential registry on it.
+ *
+ * Numeric flags must parse in full (--iterations as a positive
+ * integer, --seconds as a non-negative number) and --only must name
+ * a target. A bad value is a usage error (exit 2), not a run that
+ * checks nothing and still reports zero divergences.
  */
 
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <string>
 
 #include "gpusim/perf_model.hh"
+#include "parse_count.hh"
 #include "testkit/testkit.hh"
 
 namespace {
@@ -38,7 +47,37 @@ struct Args {
     bool verbose = false;
 };
 
-bool
+using tools::Parse;
+using tools::parseCount;
+
+/** The sweep targets --only can select, and the option each enables. */
+constexpr struct {
+    const char *name;
+    bool testkit::FuzzOptions::*enabled;
+} kOnlyTargets[] = {
+    {"msm", &testkit::FuzzOptions::msm},
+    {"ntt", &testkit::FuzzOptions::ntt},
+    {"groth16", &testkit::FuzzOptions::groth16},
+    {"fault", &testkit::FuzzOptions::fault},
+    {"workload", &testkit::FuzzOptions::workload},
+    {"ffdispatch", &testkit::FuzzOptions::ffdispatch},
+};
+
+/** Parse all of `v` as a finite, non-negative number of seconds. */
+Parse
+parseSeconds(const char *v, double &out)
+{
+    char *end = nullptr;
+    errno = 0;
+    double d = std::strtod(v, &end);
+    if (end == v || *end != '\0' || errno != 0 || !std::isfinite(d) ||
+        d < 0)
+        return Parse::BadValue;
+    out = d;
+    return Parse::Ok;
+}
+
+Parse
 parseOne(Args &a, const std::string &arg)
 {
     auto val = [&](const char *key) -> const char * {
@@ -49,24 +88,49 @@ parseOne(Args &a, const std::string &arg)
         return nullptr;
     };
     if (const char *v = val("--seed"))
-        a.seed = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--iterations"))
-        a.iterations = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--seconds"))
-        a.seconds = std::strtod(v, nullptr);
-    else if (const char *v = val("--max-size"))
-        a.maxSize = std::strtoull(v, nullptr, 0);
-    else if (const char *v = val("--size"))
-        a.replaySize = std::strtoll(v, nullptr, 0);
-    else if (const char *v = val("--kind"))
+        return parseCount(v, false, a.seed);
+    if (const char *v = val("--iterations"))
+        return parseCount(v, true, a.iterations);
+    if (const char *v = val("--seconds"))
+        return parseSeconds(v, a.seconds);
+    if (const char *v = val("--max-size"))
+        return parseCount(v, false, a.maxSize);
+    if (const char *v = val("--size"))
+        return parseCount(v, false, a.replaySize);
+    if (const char *v = val("--only")) {
+        for (const auto &t : kOnlyTargets) {
+            if (std::strcmp(v, t.name) == 0) {
+                a.only = v;
+                return Parse::Ok;
+            }
+        }
+        return Parse::BadValue;
+    }
+    if (const char *v = val("--kind"))
         a.kind = v;
-    else if (const char *v = val("--only"))
-        a.only = v;
     else if (arg == "--verbose")
         a.verbose = true;
     else
-        return false;
-    return true;
+        return Parse::Unknown;
+    return Parse::Ok;
+}
+
+void
+usage()
+{
+    std::fprintf(
+        stderr,
+        "usage: fuzz_driver [--iterations=N] [--seed=S] "
+        "[--seconds=T] [--max-size=N] "
+        "[--only=msm|ntt|groth16|fault|workload|ffdispatch] "
+        "[--verbose]\n       fuzz_driver --seed=S --size=N "
+        "--kind=K   (replay one instance; --kind=proofdet "
+        "replays a proof-determinism check; --kind=fault "
+        "sweeps N chaos plans; --kind=batchaffine sweeps "
+        "the accumulator/GLV cross-product; --kind=workload "
+        "sweeps N realistic-workload instances; "
+        "--kind=ffdispatch replays a cross-ISA field-op "
+        "program)\n");
 }
 
 int
@@ -128,22 +192,6 @@ replay(const Args &a)
             (unsigned long long)a.seed, n,
             gzkp::ff::simd::describeActiveIsa());
         testkit::fuzzFfDispatchInstance(a.seed, n, rep);
-        rep.iterations = 1;
-        return report(rep);
-    }
-    // --kind=fflazy replays one lazy-tier field-op program: the seeded
-    // program runs through the ff::*BatchLazy entry points under every
-    // compiled SIMD arm, canonicalizes, and must match its strict twin
-    // on the portable arm limb for limb.
-    if (a.kind == "fflazy") {
-        std::size_t n = std::max<std::size_t>(
-            a.replaySize > 0 ? std::size_t(a.replaySize) : 1, 1);
-        std::printf(
-            "replaying --seed=%llu --size=%zu --kind=fflazy "
-            "(arms: %s)\n",
-            (unsigned long long)a.seed, n,
-            gzkp::ff::simd::describeActiveIsa());
-        testkit::fuzzFfLazyInstance(a.seed, n, rep);
         rep.iterations = 1;
         return report(rep);
     }
@@ -210,23 +258,15 @@ main(int argc, char **argv)
 {
     Args a;
     for (int i = 1; i < argc; ++i) {
-        if (!parseOne(a, argv[i])) {
+        switch (parseOne(a, argv[i])) {
+        case Parse::Ok: break;
+        case Parse::Unknown:
             std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
-            std::fprintf(
-                stderr,
-                "usage: fuzz_driver [--iterations=N] [--seed=S] "
-                "[--seconds=T] [--max-size=N] "
-                "[--only=msm|ntt|groth16|fault|workload|ffdispatch|"
-                "fflazy] "
-                "[--verbose]\n       fuzz_driver --seed=S --size=N "
-                "--kind=K   (replay one instance; --kind=proofdet "
-                "replays a proof-determinism check; --kind=fault "
-                "sweeps N chaos plans; --kind=batchaffine sweeps "
-                "the accumulator/GLV cross-product; --kind=workload "
-                "sweeps N realistic-workload instances; "
-                "--kind=ffdispatch replays a cross-ISA field-op "
-                "program; --kind=fflazy replays a lazy-vs-strict "
-                "field-op program)\n");
+            usage();
+            return 2;
+        case Parse::BadValue:
+            std::fprintf(stderr, "bad value: %s\n", argv[i]);
+            usage();
             return 2;
         }
     }
@@ -253,13 +293,8 @@ main(int argc, char **argv)
     opt.maxMsmSize = a.maxSize;
     opt.verbose = a.verbose;
     if (!a.only.empty()) {
-        opt.msm = a.only == "msm";
-        opt.ntt = a.only == "ntt";
-        opt.groth16 = a.only == "groth16";
-        opt.fault = a.only == "fault";
-        opt.workload = a.only == "workload";
-        opt.ffdispatch = a.only == "ffdispatch";
-        opt.fflazy = a.only == "fflazy";
+        for (const auto &t : kOnlyTargets)
+            opt.*t.enabled = a.only == t.name;
         opt.gpusim = opt.msm;
         if (opt.fault)
             opt.faultEvery = 1; // dedicated chaos sweep: every iter

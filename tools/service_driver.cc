@@ -41,8 +41,6 @@
  * rejects), so the CI can run overloaded traces as smoke tests.
  */
 
-#include <cctype>
-#include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -54,6 +52,7 @@
 #include <vector>
 
 #include "faultsim/faultsim.hh"
+#include "parse_count.hh"
 #include "service/proof_service.hh"
 #include "testkit/testkit.hh"
 
@@ -88,27 +87,8 @@ deliberateShed(gzkp::StatusCode code)
         code == gzkp::StatusCode::kResourceExhausted;
 }
 
-enum class Parse { Ok, Unknown, BadValue };
-
-/**
- * Parse all of `v` as an unsigned integer into `out`. BadValue on an
- * empty, signed, partial or out-of-range value, or on 0 when
- * `positive`.
- */
-template <typename T>
-Parse
-parseCount(const char *v, bool positive, T &out)
-{
-    if (!std::isdigit(static_cast<unsigned char>(*v)))
-        return Parse::BadValue;
-    char *end = nullptr;
-    errno = 0;
-    unsigned long long n = std::strtoull(v, &end, 0);
-    if (errno != 0 || *end != '\0' || (positive && n == 0))
-        return Parse::BadValue;
-    out = T(n);
-    return Parse::Ok;
-}
+using tools::Parse;
+using tools::parseCount;
 
 Parse
 parseOne(Args &a, const std::string &arg)
