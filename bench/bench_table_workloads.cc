@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "bench_util.hh"
+#include "msm/msm_bellperson.hh"
 #include "msm/msm_gzkp.hh"
 #include "msm/msm_serial.hh"
 #include "testkit/testkit.hh"
@@ -40,6 +41,18 @@ using Fr = Family::Fr;
 namespace {
 
 std::vector<std::string> g_records;
+
+/** Groth16 MSM policy: the bellperson-like paper baseline. */
+struct BellpersonMsmPolicy {
+    template <typename C>
+    static ec::ECPoint<C>
+    msm(const std::vector<ec::AffinePoint<C>> &pts,
+        const std::vector<typename C::Scalar> &scs,
+        std::size_t threads = 0)
+    {
+        return msm::BellpersonMsm<C>(10, 0, threads).run(pts, scs);
+    }
+};
 
 void
 record(const std::string &line)
@@ -107,7 +120,7 @@ benchWorkload(const std::string &name, const workload::Builder<Fr> &b,
         keys, b, seed, threads, reps);
     emitProve(name, b.cs().numConstraints(), "serial", threads,
               serial_s * 1e9, serial_s * 1e9);
-    auto [bell_s, bell_bytes] = timeProve<zkp::BellpersonMsmPolicy>(
+    auto [bell_s, bell_bytes] = timeProve<BellpersonMsmPolicy>(
         keys, b, seed, threads, reps);
     auto [gzkp_s, gzkp_bytes] = timeProve<zkp::GzkpMsmPolicy>(
         keys, b, seed, threads, reps);

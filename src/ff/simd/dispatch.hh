@@ -18,12 +18,12 @@
  * Selection: GZKP_FF_ISA environment variable (auto | portable |
  * avx2 | avx512) resolved against CPUID once and cached; tests and
  * tools override programmatically with setActiveIsa() (the same
- * config pattern as runtime::setDefaultThreads and
- * msm::setDefaultAccumulator). Requesting an arm the build or the
- * host cannot run falls back to portable with a one-time stderr
- * notice -- CI runs the same test tier under explicit GZKP_FF_ISA
- * values and relies on that skip-with-notice behaviour on runners
- * without the ISA.
+ * config pattern as runtime::setDefaultThreads). The arm is
+ * process-wide because every field op in the binary dispatches
+ * through it. Requesting an arm the build or the host cannot run
+ * falls back to portable with a one-time stderr notice -- CI runs
+ * the same test tier under explicit GZKP_FF_ISA values and relies
+ * on that skip-with-notice behaviour on runners without the ISA.
  *
  * Bit-identity invariant (stronger than numeric equality): every arm
  * returns the fully-reduced canonical representation, which is a pure

@@ -51,49 +51,21 @@
 
 namespace gzkp::msm {
 
-/** Bucket accumulation strategy for the CPU MSM engines. */
+/**
+ * Bucket accumulation strategy for the CPU MSM engines. The engines
+ * default to BatchAffine; benches and tests pick Jacobian per engine
+ * through its options.
+ */
 enum class Accumulator {
-    Auto,        //!< GZKP_ACCUMULATOR env, default BatchAffine
     Jacobian,    //!< the original mixed-add path
     BatchAffine, //!< shared-inversion affine scheduler
 };
 
-/** GLV decomposition switch for GLV-capable curves. */
+/** GLV decomposition switch for GLV-capable curves (default On). */
 enum class GlvMode {
-    Auto, //!< GZKP_GLV env, default On (for capable curves)
     Off,
     On,
 };
-
-/**
- * Process-wide defaults behind Accumulator::Auto / GlvMode::Auto:
- * the GZKP_ACCUMULATOR ("jacobian" | "batchaffine") and GZKP_GLV
- * ("on"/"1" | "off"/"0") environment variables, both defaulting to
- * the fast path. setDefault*() overrides the environment (pass Auto
- * to drop back to it); used by tests and the differential registry.
- */
-Accumulator defaultAccumulator();
-void setDefaultAccumulator(Accumulator a);
-GlvMode defaultGlvMode();
-void setDefaultGlvMode(GlvMode m);
-
-/** Resolve an engine option against the process default. */
-inline bool
-useBatchAffine(Accumulator a)
-{
-    if (a == Accumulator::Auto)
-        a = defaultAccumulator();
-    return a == Accumulator::BatchAffine;
-}
-
-/** True when GLV should be used (the curve must also be capable). */
-inline bool
-useGlv(GlvMode m)
-{
-    if (m == GlvMode::Auto)
-        m = defaultGlvMode();
-    return m == GlvMode::On;
-}
 
 /**
  * The batch-add scheduler. Slots are bucket indices (or any engine-

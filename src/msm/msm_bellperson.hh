@@ -45,7 +45,7 @@ class BellpersonMsm
      */
     explicit BellpersonMsm(std::size_t k = 10, std::size_t sub_msms = 0,
                            std::size_t threads = 0,
-                           Accumulator accumulator = Accumulator::Auto)
+                           Accumulator accumulator = Accumulator::BatchAffine)
         : k_(k), subMsms_(sub_msms), threads_(threads),
           accumulator_(accumulator)
     {}
@@ -79,7 +79,7 @@ class BellpersonMsm
         std::size_t s = effectiveSubMsms(n, dev);
         std::size_t chunk = (n + s - 1) / s;
         std::size_t threads = runtime::resolveThreads(threads_);
-        bool ba = useBatchAffine(accumulator_);
+        bool ba = accumulator_ == Accumulator::BatchAffine;
         auto repr = scalarsToRepr(scalars, threads);
 
         // windowSums[t] accumulates W_t across sub-MSMs. Each window

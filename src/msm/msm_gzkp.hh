@@ -77,11 +77,11 @@ class GzkpMsm
         /** Bucket strategy for the functional CPU execution (Horner
          * mode only; PerPoint and the modeled GPU kernels stay
          * Jacobian). */
-        Accumulator accumulator = Accumulator::Auto;
+        Accumulator accumulator = Accumulator::BatchAffine;
         /** GLV preprocessing (GLV-capable curves only). The switch
          * acts at preprocess() time; run() follows what the table was
          * built with. */
-        GlvMode glv = GlvMode::Auto;
+        GlvMode glv = GlvMode::On;
         /**
          * Minimum average adds per bucket-delta slot before the
          * batch-affine drain engages; below it the drain falls back
@@ -216,7 +216,7 @@ class GzkpMsm
             pp.n = n;
             pp.k = window(n);
             pp.m = checkpointInterval(n);
-            pp.glv = ec::Glv<Cfg>::kEnabled && useGlv(opt_.glv);
+            pp.glv = ec::Glv<Cfg>::kEnabled && opt_.glv == GlvMode::On;
             std::size_t bits = pp.glv ? ec::Glv<Cfg>::kScalarBits
                                       : Scalar::bits();
             pp.windows = windowCount(bits, pp.k);
@@ -561,7 +561,7 @@ class GzkpMsm
         std::size_t groups =
             std::min(order.size(), runtime::kMaxChunks);
         bool ba = opt_.mode == CheckpointMode::Horner &&
-            useBatchAffine(opt_.accumulator);
+            opt_.accumulator == Accumulator::BatchAffine;
         // Occupancy routing (see Options::minDrainOccupancy): with
         // `pos` total entries spread over order.size() live buckets
         // of s delta slots each, an average slot sees pos / (live*s)

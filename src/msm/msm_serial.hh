@@ -55,9 +55,10 @@ class PippengerSerial
     using Affine = ec::AffinePoint<Cfg>;
     using Scalar = typename Cfg::Scalar;
 
-    explicit PippengerSerial(std::size_t k = 0, std::size_t threads = 0,
-                             Accumulator accumulator = Accumulator::Auto,
-                             GlvMode glv = GlvMode::Auto)
+    explicit PippengerSerial(
+        std::size_t k = 0, std::size_t threads = 0,
+        Accumulator accumulator = Accumulator::BatchAffine,
+        GlvMode glv = GlvMode::On)
         : k_(k), threads_(threads), accumulator_(accumulator), glv_(glv)
     {}
 
@@ -68,10 +69,10 @@ class PippengerSerial
         std::size_t n = points.size();
         std::size_t k = k_ ? k_ : pippengerWindow(n);
         std::size_t threads = runtime::resolveThreads(threads_);
-        bool ba = useBatchAffine(accumulator_);
+        bool ba = accumulator_ == Accumulator::BatchAffine;
 
         if constexpr (ec::Glv<Cfg>::kEnabled) {
-            if (useGlv(glv_))
+            if (glv_ == GlvMode::On)
                 return runGlv(points, scalars, k, threads, ba);
         }
 
@@ -105,7 +106,7 @@ class PippengerSerial
           GlvMode glv = GlvMode::Off) const
     {
         std::size_t k = k_ ? k_ : pippengerWindow(n);
-        bool use_glv = ec::Glv<Cfg>::kEnabled && useGlv(glv);
+        bool use_glv = ec::Glv<Cfg>::kEnabled && glv == GlvMode::On;
         std::size_t scalar_bits =
             use_glv ? ec::Glv<Cfg>::kScalarBits : Scalar::bits();
         double windows = double(windowCount(scalar_bits, k));
@@ -126,7 +127,7 @@ class PippengerSerial
 
         gpusim::CpuStats s;
         s.limbs = Cfg::Field::kLimbs;
-        if (useBatchAffine(accumulator)) {
+        if (accumulator == Accumulator::BatchAffine) {
             s.fieldMuls = inserts * kMulsPerBatchedAffineAdd +
                 full_adds * kMulsPerFullAdd + dbls * kMulsPerDbl;
             s.fieldAdds = inserts * kAddsPerBatchedAffineAdd +

@@ -14,7 +14,8 @@
  *  - keyed by pkContentHash(): two registrations of byte-identical
  *    proving keys share one entry; a different key never aliases;
  *  - memory-budgeted: total resident bytes() of Ready entries never
- *    exceeds the budget (GZKP_CACHE_BYTES, see service.cc). Inserting
+ *    exceeds the budget given at construction (ProofService passes
+ *    Options::cacheBytes, default kDefaultCacheBytes). Inserting
  *    past the budget evicts least-recently-used Ready entries first;
  *    in-flight readers keep evicted artifacts alive through their
  *    shared_ptr, so eviction never invalidates a running proof;
@@ -52,22 +53,17 @@
 
 namespace gzkp::service {
 
-// ------------------------------------------------ cache budget (env)
+// ------------------------------------------------------- cache budget
 
-/** Hard-coded fallback when GZKP_CACHE_BYTES is unset: 256 MiB. */
+/** The default artifact-cache budget: 256 MiB. */
 inline constexpr std::uint64_t kDefaultCacheBytes = 256ull << 20;
 
 /**
- * Parse a byte-count spec: a positive decimal with an optional k/m/g
- * suffix (binary multiples, case-insensitive). 0 on a malformed spec.
+ * Parse a byte-count spec (service_driver --cache-bytes): a positive
+ * decimal with an optional k/m/g suffix (binary multiples,
+ * case-insensitive). 0 on a malformed spec.
  */
 std::uint64_t parseCacheBytesSpec(const char *spec);
-
-/** GZKP_CACHE_BYTES, else kDefaultCacheBytes; cached after one read. */
-std::uint64_t defaultCacheBytes();
-
-/** Override the default budget (tests); 0 re-reads the environment. */
-void setDefaultCacheBytes(std::uint64_t bytes);
 
 // ------------------------------------------------ per-circuit bundle
 
@@ -247,9 +243,8 @@ class ArtifactCache
         std::size_t entries = 0;
     };
 
-    /** budget_bytes = 0 means defaultCacheBytes(). */
-    explicit ArtifactCache(std::uint64_t budget_bytes = 0)
-        : budget_(budget_bytes != 0 ? budget_bytes : defaultCacheBytes())
+    explicit ArtifactCache(std::uint64_t budget_bytes = kDefaultCacheBytes)
+        : budget_(budget_bytes)
     {}
 
     std::uint64_t budgetBytes() const { return budget_; }

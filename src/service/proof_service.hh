@@ -11,8 +11,7 @@
  *    priority; a per-tenant deficit-round-robin queue (fair_queue.hh)
  *    replaces the PR-4 FIFO, so a burst tenant can fill its own share
  *    of the queue but not starve the others. Weights come from
- *    Options::tenantWeights or the GZKP_TENANT_WEIGHTS environment
- *    variable;
+ *    Options::tenantWeights;
  *  - admission control & load shedding: a bounded queue rejects past
  *    the high-watermark with kResourceExhausted, and deadline-aware
  *    admission (admission.hh) rejects with kDeadlineExceeded when the
@@ -33,8 +32,8 @@
  *    tables are paid once per circuit, not once per proof. A cache
  *    miss-under-pressure downgrades to proving uncached -- never a
  *    failure;
- *  - multi-device scheduling: with a device topology (GZKP_DEVICES
- *    or Options::deviceSpec), each proof's POLY and MSM stages are
+ *  - multi-device scheduling: with a device topology
+ *    (Options::deviceSpec), each proof's POLY and MSM stages are
  *    placed onto a heterogeneous fleet of simulated GPUs and CPU
  *    workers and pipelined across requests
  *    (src/device/scheduler.hh); each device is its own quarantine
@@ -130,25 +129,22 @@ class ProofService
         /** Same-circuit requests coalesced per drain. */
         std::size_t maxBatch = 8;
         std::size_t threads = 0;       //!< 0 = GZKP_THREADS default
-        std::uint64_t cacheBytes = 0;  //!< 0 = GZKP_CACHE_BYTES default
+        std::uint64_t cacheBytes = kDefaultCacheBytes; //!< cache budget
 
         /** Cross-request backend health with circuit breakers. */
         bool healthTracking = true;
         BackendHealth::Options healthOptions;
 
-        /** Initial tenant weights; GZKP_TENANT_WEIGHTS overrides. */
+        /** Tenant weights; an absent tenant weighs 1. */
         std::map<std::uint64_t, std::uint64_t> tenantWeights;
 
         /**
          * Multi-device scheduling: a device topology spec in the
          * registry.hh grammar (e.g. "v100:2,1080ti:1,cpu:4t"). Empty
-         * falls back to the GZKP_DEVICES environment variable; when
-         * that is empty too, proofs run single-lane through
-         * SelfCheckingProver as before. A malformed explicit spec
-         * throws StatusError at construction (an env typo is lenient
-         * and just disables the device path). Proof bytes are
-         * identical on every topology -- placement never touches the
-         * (circuit, witness, seed) -> proof function.
+         * means proofs run single-lane through SelfCheckingProver. A
+         * malformed spec throws StatusError at construction. Proof
+         * bytes are identical on every topology -- placement never
+         * touches the (circuit, witness, seed) -> proof function.
          */
         std::string deviceSpec;
     };
@@ -227,21 +223,13 @@ class ProofService
             health_ = std::make_unique<BackendHealth>(opt_.healthOptions);
         for (const auto &[tenant, weight] : opt_.tenantWeights)
             queue_.setWeight(tenant, weight);
-        for (const auto &[tenant, weight] : tenantWeightsFromEnv())
-            queue_.setWeight(tenant, weight);
 
-        std::vector<device::DeviceSpec> devices;
         if (!opt_.deviceSpec.empty()) {
             auto parsed = device::parseTopology(opt_.deviceSpec);
             if (!parsed.isOk())
                 throw StatusError(parsed.status());
-            devices = std::move(*parsed);
-        } else {
-            devices = device::topologyFromEnv();
-        }
-        if (!devices.empty()) {
             typename Scheduler::Options sopt;
-            sopt.devices = std::move(devices);
+            sopt.devices = std::move(*parsed);
             scheduler_ =
                 std::make_unique<Scheduler>(std::move(sopt), verifier_);
         }

@@ -1,17 +1,11 @@
 #include "service/artifact_cache.hh"
 #include "service/fair_queue.hh"
 
-#include <atomic>
 #include <cctype>
 #include <cstdlib>
 #include <string>
 
 namespace gzkp::service {
-
-namespace {
-/** 0 = unresolved; re-read GZKP_CACHE_BYTES on the next call. */
-std::atomic<std::uint64_t> g_default_cache_bytes{0};
-} // namespace
 
 std::uint64_t
 parseCacheBytesSpec(const char *spec)
@@ -38,26 +32,6 @@ parseCacheBytesSpec(const char *spec)
     if (v > ~std::uint64_t(0) / mult)
         return 0; // overflow
     return std::uint64_t(v) * mult;
-}
-
-std::uint64_t
-defaultCacheBytes()
-{
-    std::uint64_t cur =
-        g_default_cache_bytes.load(std::memory_order_relaxed);
-    if (cur != 0)
-        return cur;
-    std::uint64_t v = parseCacheBytesSpec(std::getenv("GZKP_CACHE_BYTES"));
-    if (v == 0)
-        v = kDefaultCacheBytes;
-    g_default_cache_bytes.store(v, std::memory_order_relaxed);
-    return v;
-}
-
-void
-setDefaultCacheBytes(std::uint64_t bytes)
-{
-    g_default_cache_bytes.store(bytes, std::memory_order_relaxed);
 }
 
 StatusOr<std::map<std::uint64_t, std::uint64_t>>
@@ -104,15 +78,6 @@ parseTenantWeightsSpec(const char *spec)
         }
     }
     return out;
-}
-
-std::map<std::uint64_t, std::uint64_t>
-tenantWeightsFromEnv()
-{
-    auto parsed = parseTenantWeightsSpec(std::getenv("GZKP_TENANT_WEIGHTS"));
-    if (!parsed.isOk())
-        return {};
-    return std::move(*parsed);
 }
 
 } // namespace gzkp::service

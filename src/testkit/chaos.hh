@@ -20,6 +20,7 @@
 #define GZKP_TESTKIT_CHAOS_HH
 
 #include <cstdint>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -63,7 +64,10 @@ chaosFixture()
 
 /**
  * Probe sites that exist in the pipeline, used to bias generated
- * arms toward plans that actually fire. "*" and a never-matching
+ * arms toward plans that actually fire. One table serves every
+ * sweep: each draws from a prefix of it (see ChaosVocabulary), and
+ * new sites go at the end, so a sweep keeps generating the exact
+ * plans it always has for a given seed. "*" and a never-matching
  * site are included deliberately: the sweep must also cover
  * everything-fails and nothing-fires plans.
  */
@@ -71,6 +75,7 @@ inline const std::vector<std::string> &
 chaosSites()
 {
     static const std::vector<std::string> sites = {
+        // The prover; kProverChaos draws the first 12.
         "*",
         "msm.gzkp",
         "msm.gzkp.bucket",
@@ -83,38 +88,125 @@ chaosSites()
         "msm",
         "ntt",
         "no.such.site",
+        // The serving layer; kServiceChaos draws the first 17.
+        "service.queue",
+        "service.cache.build",
+        "service.cache.table",
+        "service.cache",
+        "service",
+        // Overload control (spurious sheds, a lying breaker);
+        // kOverloadChaos draws the first 19.
+        "service.shed",
+        "service.breaker",
+        // The multi-device scheduler; kDeviceChaos draws all 26.
+        "device.fail",
+        "device.mem",
+        "device.slow",
+        "device",
+        "device.fail.v100.0",
+        "device.slow.1080ti.0",
+        "device.mem.cpu.0",
     };
     return sites;
 }
 
+/** What one chaos sweep's plans are drawn from; see randomChaosPlan(). */
+struct ChaosVocabulary {
+    std::uint64_t salt = 0; //!< arm draws; the plan's own seed: salt + 1
+    std::size_t sites = 0;  //!< a prefix of chaosSites()
+    /** Half the arms target one of these sites directly. */
+    std::vector<std::string> bias = {};
+    /**
+     * Draw each arm's site before its kind, and give an arm on a
+     * device site the kind its probes check (device.mem is an
+     * allocation probe, fail/slow are launch probes), so biased arms
+     * really fire.
+     */
+    bool kindFromSite = false;
+};
+
+/** The prover sweep (runChaosPlan). */
+inline const ChaosVocabulary kProverChaos{.salt = 0xFA, .sites = 12};
+
+/** The service sweep (runServiceChaosPlan). */
+inline const ChaosVocabulary kServiceChaos{.salt = 0x5FA, .sites = 17};
+
 /**
- * A seeded, reproducible fault plan: 0-3 arms over the real site
- * vocabulary with skewed periods (small periods = hard plans) and a
- * mix of limited (transient) and unlimited (persistent) arms.
- * Seed 0 mod 16 yields the empty plan, so the sweep keeps covering
- * the probes-never-touch-data path too.
+ * The overload sweep (runOverloadChaosPlan, single-lane), biased
+ * toward the routing sites so it spends most of its seeds on
+ * shed/breaker interference. Its salt equals the prover sweep's.
+ */
+inline const ChaosVocabulary kOverloadChaos{
+    .salt = 0x0FA,
+    .sites = 19,
+    .bias = {"service.shed", "service.breaker"},
+};
+
+/**
+ * The fixed heterogeneous topology of the device chaos sweep: one
+ * V100-geometry GPU, one 1080 Ti-geometry GPU, two single-thread CPU
+ * workers -- instance names v100.0, 1080ti.0, cpu.0, cpu.1, which is
+ * what the per-instance fault sites of chaosSites() target.
+ */
+inline constexpr const char *kDeviceChaosTopology =
+    "v100:1,1080ti:1,cpu:2";
+
+/**
+ * The device sweep (runOverloadChaosPlan on kDeviceChaosTopology),
+ * biased toward the per-device sites.
+ */
+inline const ChaosVocabulary kDeviceChaos{
+    .salt = 0xDFA,
+    .sites = 26,
+    .bias = {"device.fail", "device.mem", "device.slow",
+             "device.fail.v100.0", "device.slow.1080ti.0",
+             "device.mem.cpu.0"},
+    .kindFromSite = true,
+};
+
+/**
+ * A seeded, reproducible fault plan over `v`: 0-3 arms with skewed
+ * periods (small periods = hard plans) and a mix of limited
+ * (transient) and unlimited (persistent) arms. Seed 0 mod 16 yields
+ * the empty plan, so each sweep keeps covering the
+ * probes-never-touch-data path too.
  */
 inline faultsim::FaultPlan
-randomFaultPlan(std::uint64_t seed)
+randomChaosPlan(const ChaosVocabulary &v, std::uint64_t seed)
 {
-    Rng rng(deriveSeed(seed, 0xFA));
+    Rng rng(deriveSeed(seed, v.salt));
     faultsim::FaultPlan plan;
-    plan.seed = deriveSeed(seed, 0xFB);
+    plan.seed = deriveSeed(seed, v.salt + 1);
     if (seed % 16 == 0)
         return plan; // empty: probes must not perturb anything
-    std::size_t arms = 1 + rng() % 3;
     static const std::uint64_t periods[] = {1, 1, 2, 3, 5, 17, 64};
     static const std::uint64_t limits[] = {0, 0, 1, 1, 2, 5};
     const auto &sites = chaosSites();
+    auto drawKind = [&] {
+        return faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
+    };
+    auto drawSite = [&] {
+        if (!v.bias.empty() && rng() % 2 == 0)
+            return v.bias[rng() % v.bias.size()];
+        return sites[rng() % v.sites];
+    };
+    std::size_t arms = 1 + rng() % 3;
     for (std::size_t i = 0; i < arms; ++i) {
         faultsim::FaultArm arm;
-        arm.kind =
-            faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
-        arm.site = sites[rng() % sites.size()];
-        arm.period = periods[rng() % (sizeof(periods) /
-                                      sizeof(periods[0]))];
-        arm.limit =
-            limits[rng() % (sizeof(limits) / sizeof(limits[0]))];
+        if (v.kindFromSite) {
+            arm.site = drawSite();
+            if (arm.site.rfind("device.mem", 0) == 0)
+                arm.kind = faultsim::FaultKind::Alloc;
+            else if (arm.site.rfind("device", 0) == 0)
+                arm.kind = faultsim::FaultKind::Launch;
+            else
+                arm.kind = drawKind();
+        } else {
+            arm.kind = drawKind();
+            arm.site = drawSite();
+        }
+        arm.period = periods[rng() % std::size(periods)];
+        arm.limit = limits[rng() % std::size(limits)];
         plan.arms.push_back(arm);
     }
     return plan;
@@ -180,72 +272,6 @@ runChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
 }
 
 // ------------------------------------------------------ service chaos
-
-/**
- * The serving layer's probe sites plus the prover vocabulary. A
- * separate list (rather than extending chaosSites()) so the existing
- * prover sweep keeps generating the exact plans it always has for a
- * given seed.
- */
-inline const std::vector<std::string> &
-serviceChaosSites()
-{
-    static const std::vector<std::string> sites = [] {
-        std::vector<std::string> s = chaosSites();
-        s.push_back("service.queue");
-        s.push_back("service.cache.build");
-        s.push_back("service.cache.table");
-        s.push_back("service.cache");
-        s.push_back("service");
-        return s;
-    }();
-    return sites;
-}
-
-/**
- * The overload-control probe sites on top of the service vocabulary:
- * spurious admission sheds and a lying circuit breaker. Again a
- * separate list so the existing service sweep keeps its per-seed
- * plans.
- */
-inline const std::vector<std::string> &
-overloadChaosSites()
-{
-    static const std::vector<std::string> sites = [] {
-        std::vector<std::string> s = serviceChaosSites();
-        s.push_back("service.shed");
-        s.push_back("service.breaker");
-        return s;
-    }();
-    return sites;
-}
-
-/** randomFaultPlan() over the service site vocabulary. */
-inline faultsim::FaultPlan
-randomServiceFaultPlan(std::uint64_t seed)
-{
-    Rng rng(deriveSeed(seed, 0x5FA));
-    faultsim::FaultPlan plan;
-    plan.seed = deriveSeed(seed, 0x5FB);
-    if (seed % 16 == 0)
-        return plan;
-    std::size_t arms = 1 + rng() % 3;
-    static const std::uint64_t periods[] = {1, 1, 2, 3, 5, 17, 64};
-    static const std::uint64_t limits[] = {0, 0, 1, 1, 2, 5};
-    const auto &sites = serviceChaosSites();
-    for (std::size_t i = 0; i < arms; ++i) {
-        faultsim::FaultArm arm;
-        arm.kind =
-            faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
-        arm.site = sites[rng() % sites.size()];
-        arm.period = periods[rng() % (sizeof(periods) /
-                                      sizeof(periods[0]))];
-        arm.limit =
-            limits[rng() % (sizeof(limits) / sizeof(limits[0]))];
-        plan.arms.push_back(arm);
-    }
-    return plan;
-}
 
 /** What one service chaos run ended as, over all its requests. */
 struct ServiceChaosOutcome {
@@ -353,41 +379,6 @@ overloadReferenceProofs()
     return refs;
 }
 
-/**
- * randomServiceFaultPlan() over the overload vocabulary, biased
- * toward the routing sites so the sweep spends most of its seeds on
- * shed/breaker interference.
- */
-inline faultsim::FaultPlan
-randomOverloadFaultPlan(std::uint64_t seed)
-{
-    Rng rng(deriveSeed(seed, 0x0FA));
-    faultsim::FaultPlan plan;
-    plan.seed = deriveSeed(seed, 0x0FB);
-    if (seed % 16 == 0)
-        return plan;
-    static const std::vector<std::string> bias = {"service.shed",
-                                                  "service.breaker"};
-    std::size_t arms = 1 + rng() % 3;
-    static const std::uint64_t periods[] = {1, 1, 2, 3, 5, 17, 64};
-    static const std::uint64_t limits[] = {0, 0, 1, 1, 2, 5};
-    const auto &sites = overloadChaosSites();
-    for (std::size_t i = 0; i < arms; ++i) {
-        faultsim::FaultArm arm;
-        arm.kind =
-            faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
-        // 50% of arms target the routing sites directly.
-        arm.site = rng() % 2 == 0 ? bias[rng() % bias.size()]
-                                  : sites[rng() % sites.size()];
-        arm.period = periods[rng() % (sizeof(periods) /
-                                      sizeof(periods[0]))];
-        arm.limit =
-            limits[rng() % (sizeof(limits) / sizeof(limits[0]))];
-        plan.arms.push_back(arm);
-    }
-    return plan;
-}
-
 /** What one overload chaos run ended as, over all its requests. */
 struct OverloadChaosOutcome {
     std::size_t proofsOk = 0;
@@ -493,82 +484,6 @@ runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
     }
     out.fires = faultsim::firedCount();
     return out;
-}
-
-// ------------------------------------------------------- device chaos
-
-/**
- * The fixed heterogeneous topology of the device chaos sweep: one
- * V100-geometry GPU, one 1080 Ti-geometry GPU, two single-thread CPU
- * workers -- instance names v100.0, 1080ti.0, cpu.0, cpu.1, which is
- * what the per-instance fault sites below target.
- */
-inline constexpr const char *kDeviceChaosTopology =
-    "v100:1,1080ti:1,cpu:2";
-
-/**
- * The multi-device scheduler's probe sites on top of the overload
- * vocabulary. Separate list again: earlier sweeps keep their
- * per-seed plans.
- */
-inline const std::vector<std::string> &
-deviceChaosSites()
-{
-    static const std::vector<std::string> sites = [] {
-        std::vector<std::string> s = overloadChaosSites();
-        s.push_back("device.fail");
-        s.push_back("device.mem");
-        s.push_back("device.slow");
-        s.push_back("device");
-        s.push_back("device.fail.v100.0");
-        s.push_back("device.slow.1080ti.0");
-        s.push_back("device.mem.cpu.0");
-        return s;
-    }();
-    return sites;
-}
-
-/**
- * randomOverloadFaultPlan() over the device vocabulary, biased
- * toward the per-device sites. Arms landing on a device site get
- * the kind its probes actually check (mem is an allocation probe,
- * fail/slow are launch probes), so biased arms really fire.
- */
-inline faultsim::FaultPlan
-randomDeviceFaultPlan(std::uint64_t seed)
-{
-    Rng rng(deriveSeed(seed, 0xDFA));
-    faultsim::FaultPlan plan;
-    plan.seed = deriveSeed(seed, 0xDFB);
-    if (seed % 16 == 0)
-        return plan;
-    static const std::vector<std::string> bias = {
-        "device.fail",        "device.mem",
-        "device.slow",        "device.fail.v100.0",
-        "device.slow.1080ti.0", "device.mem.cpu.0"};
-    std::size_t arms = 1 + rng() % 3;
-    static const std::uint64_t periods[] = {1, 1, 2, 3, 5, 17, 64};
-    static const std::uint64_t limits[] = {0, 0, 1, 1, 2, 5};
-    const auto &sites = deviceChaosSites();
-    for (std::size_t i = 0; i < arms; ++i) {
-        faultsim::FaultArm arm;
-        // 50% of arms target the device sites directly.
-        arm.site = rng() % 2 == 0 ? bias[rng() % bias.size()]
-                                  : sites[rng() % sites.size()];
-        if (arm.site.rfind("device.mem", 0) == 0)
-            arm.kind = faultsim::FaultKind::Alloc;
-        else if (arm.site.rfind("device", 0) == 0)
-            arm.kind = faultsim::FaultKind::Launch;
-        else
-            arm.kind =
-                faultsim::FaultKind(rng() % faultsim::kFaultKindCount);
-        arm.period = periods[rng() % (sizeof(periods) /
-                                      sizeof(periods[0]))];
-        arm.limit =
-            limits[rng() % (sizeof(limits) / sizeof(limits[0]))];
-        plan.arms.push_back(arm);
-    }
-    return plan;
 }
 
 } // namespace gzkp::testkit

@@ -132,10 +132,10 @@ msmDifferential(std::size_t threads = 0)
         return PippengerSerial<MsmCfg>(0, threads)
             .run(in.points, in.scalars);
     });
-    // The Accumulator/GlvMode defaults resolve to the batch-affine +
-    // GLV hot path, so the Auto entries above exercise the new code;
-    // this pins the original Jacobian/no-GLV path so both strategies
-    // stay under differential coverage regardless of the defaults.
+    // The engines default to the batch-affine + GLV hot path, so the
+    // default-constructed entries exercise it; this pins the original
+    // Jacobian/no-GLV path so both strategies stay under differential
+    // coverage.
     d.add("pippenger-serial-jacobian", [threads](const MsmIn &in) {
         return PippengerSerial<MsmCfg>(0, threads,
                                        Accumulator::Jacobian,
@@ -593,7 +593,7 @@ faultRepro(std::uint64_t seed)
 inline void
 fuzzFaultInstance(std::uint64_t seed, FuzzReport &rep)
 {
-    auto plan = randomFaultPlan(seed);
+    auto plan = randomChaosPlan(kProverChaos, seed);
     auto out = runChaosPlan(plan, seed);
     if (out.clean())
         return;

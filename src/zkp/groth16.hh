@@ -26,7 +26,6 @@
 
 #include "ec/fixed_base.hh"
 #include "faultsim/faultsim.hh"
-#include "msm/msm_bellperson.hh"
 #include "msm/msm_gzkp.hh"
 #include "msm/msm_serial.hh"
 #include "runtime/runtime.hh"
@@ -59,19 +58,6 @@ struct GzkpMsmPolicy {
         typename gzkp::msm::GzkpMsm<Cfg>::Options opt;
         opt.threads = threads;
         return gzkp::msm::GzkpMsm<Cfg>(opt).run(pts, scs);
-    }
-};
-
-/** MSM engine policy: the bellperson-like paper baseline. */
-struct BellpersonMsmPolicy {
-    template <typename Cfg>
-    static ec::ECPoint<Cfg>
-    msm(const std::vector<ec::AffinePoint<Cfg>> &pts,
-        const std::vector<typename Cfg::Scalar> &scs,
-        std::size_t threads = 0)
-    {
-        return gzkp::msm::BellpersonMsm<Cfg>(10, 0, threads)
-            .run(pts, scs);
     }
 };
 
@@ -343,9 +329,8 @@ class Groth16
      * point tables for all five proving-key queries. A proving key
      * never changes per application (Section 4.1), so these are the
      * dominant one-time cost the serving layer amortizes across
-     * proofs -- build once (preprocessMsm() here, or
-     * buildMsmArtifacts() in prover_pipeline.hh for the
-     * checkpoint/resume variant), then hand the same tables to every
+     * proofs -- build once (buildMsmArtifacts() in
+     * prover_pipeline.hh), then hand the same tables to every
      * proveWithArtifacts() call for that circuit.
      */
     struct MsmArtifacts {
@@ -378,25 +363,6 @@ class Groth16
                 h.bytes();
         }
     };
-
-    /** One-time Algorithm-1 preprocessing of all five MSM queries. */
-    static MsmArtifacts
-    preprocessMsm(const ProvingKey &pk, std::size_t threads = 0)
-    {
-        typename msm::GzkpMsm<typename Family::G1Cfg>::Options o1;
-        o1.threads = threads;
-        typename msm::GzkpMsm<typename Family::G2Cfg>::Options o2;
-        o2.threads = threads;
-        msm::GzkpMsm<typename Family::G1Cfg> e1(o1);
-        msm::GzkpMsm<typename Family::G2Cfg> e2(o2);
-        MsmArtifacts art;
-        art.a = e1.preprocess(pk.aQuery);
-        art.b2 = e2.preprocess(pk.b2Query);
-        art.b1 = e1.preprocess(pk.b1Query);
-        art.l = e1.preprocess(pk.lQuery);
-        art.h = e1.preprocess(pk.hQuery);
-        return art;
-    }
 
     /**
      * prove() over cached MSM artifacts and a cached NTT domain: the

@@ -5,8 +5,8 @@
  * reference, the GLV split's algebraic identities on random and
  * boundary scalars, the engine cross-product (every engine at every
  * accumulator x GLV combination, every thread count) against the
- * naive oracle, and byte-identical Groth16 proofs regardless of the
- * process-wide accumulator/GLV defaults.
+ * naive oracle, and byte-identical Groth16 proofs under every
+ * accumulator x GLV pair.
  */
 
 #include <gtest/gtest.h>
@@ -22,6 +22,8 @@
 #include "runtime/runtime.hh"
 #include "testkit/fuzz.hh"
 #include "testkit/generators.hh"
+
+#include "strategy_policies.hh"
 
 using namespace gzkp;
 using namespace gzkp::ec;
@@ -42,15 +44,6 @@ randomAffine(std::size_t n, std::uint64_t seed)
                                        seed);
     return in.points;
 }
-
-/** Restores the process-wide strategy defaults on scope exit. */
-struct DefaultsGuard {
-    ~DefaultsGuard()
-    {
-        setDefaultAccumulator(Accumulator::Auto);
-        setDefaultGlvMode(GlvMode::Auto);
-    }
-};
 
 } // namespace
 
@@ -377,34 +370,29 @@ TEST(BatchAffineProofs, ProofBytesIdenticalAcrossStrategyDefaults)
     using Family = zkp::Bn254Family;
     using G16 = zkp::Groth16<Family>;
 
-    DefaultsGuard guard;
     auto b = testkit::randomCircuit<Fr>(53);
     testkit::Rng rng(testkit::deriveSeed(53, 1));
     auto keys = G16::setup(b.cs(), rng);
 
     std::string base;
-    for (Accumulator acc :
-         {Accumulator::Jacobian, Accumulator::BatchAffine}) {
-        for (GlvMode glv : {GlvMode::Off, GlvMode::On}) {
-            setDefaultAccumulator(acc);
-            setDefaultGlvMode(glv);
-            for (std::size_t t : {1, 4}) {
-                // Identically-seeded prover randomness: only the
-                // bucket strategy and schedule may differ.
-                testkit::Rng prng(testkit::deriveSeed(53, 2));
-                auto proof =
-                    G16::prove(keys.pk, b.cs(), b.assignment(), prng,
-                               nullptr, zkp::CpuNttEngine<Fr>(), t);
-                auto text = zkp::serializeProof<Family>(proof);
-                if (base.empty())
-                    base = text;
-                else
-                    EXPECT_EQ(text, base)
-                        << "acc=" << int(acc) << " glv=" << int(glv)
-                        << " threads=" << t;
-            }
+    zkp::strategy::forEachStrategy([&](auto strategy) {
+        using S = decltype(strategy);
+        for (std::size_t t : {1, 4}) {
+            // Identically-seeded prover randomness: only the bucket
+            // strategy and schedule may differ.
+            testkit::Rng prng(testkit::deriveSeed(53, 2));
+            auto proof = G16::prove<typename S::Gzkp>(
+                keys.pk, b.cs(), b.assignment(), prng, nullptr,
+                zkp::CpuNttEngine<Fr>(), t);
+            auto text = zkp::serializeProof<Family>(proof);
+            if (base.empty())
+                base = text;
+            else
+                EXPECT_EQ(text, base)
+                    << "acc=" << int(S::accumulator)
+                    << " glv=" << int(S::glv) << " threads=" << t;
         }
-    }
+    });
 }
 
 TEST(BatchAffineProofs, GlvTableRejectsNonGlvRun)

@@ -298,7 +298,7 @@ TEST(Chaos, ChaosSweep)
 {
     std::size_t proofs = 0, errors = 0, demoted = 0;
     for (std::uint64_t seed = 1; seed <= 240; ++seed) {
-        auto plan = testkit::randomFaultPlan(seed);
+        auto plan = testkit::randomChaosPlan(testkit::kProverChaos, seed);
         auto out = testkit::runChaosPlan(plan, seed);
         ASSERT_TRUE(out.clean())
             << "seed " << seed << " plan \"" << plan.toString()
@@ -435,7 +435,7 @@ TEST(ServiceChaos, ServiceChaosSweep)
 {
     std::size_t proofs = 0, errors = 0;
     for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-        auto plan = testkit::randomServiceFaultPlan(seed);
+        auto plan = testkit::randomChaosPlan(testkit::kServiceChaos, seed);
         auto out = testkit::runServiceChaosPlan(plan, seed);
         ASSERT_TRUE(out.clean())
             << "seed " << seed << " plan \"" << plan.toString()
@@ -458,7 +458,7 @@ TEST(ServiceChaos, OverloadChaosSweep)
 {
     std::size_t proofs = 0, errors = 0;
     for (std::uint64_t seed = 1; seed <= 44; ++seed) {
-        auto plan = testkit::randomOverloadFaultPlan(seed);
+        auto plan = testkit::randomChaosPlan(testkit::kOverloadChaos, seed);
         auto out = testkit::runOverloadChaosPlan(plan, seed);
         ASSERT_TRUE(out.clean())
             << "seed " << seed << " plan \"" << plan.toString()
@@ -486,7 +486,7 @@ TEST(ServiceChaos, DeviceChaosSweep)
 {
     std::size_t proofs = 0, errors = 0;
     for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-        auto plan = testkit::randomDeviceFaultPlan(seed);
+        auto plan = testkit::randomChaosPlan(testkit::kDeviceChaos, seed);
         auto out = testkit::runOverloadChaosPlan(
             plan, seed, testkit::kDeviceChaosTopology);
         ASSERT_TRUE(out.clean())

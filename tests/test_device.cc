@@ -1,6 +1,6 @@
 /**
  * @file
- * Multi-device scheduler suite (`ctest -L device`): the GZKP_DEVICES
+ * Multi-device scheduler suite (`ctest -L device`): the device
  * topology grammar, the seeded stage-cost model's device ranking,
  * pipelined placement (NTT of proof k+1 overlapping the MSM of proof
  * k), and the subsystem's acceptance gates:
@@ -230,8 +230,9 @@ TEST(DeviceScheduler, SubmitValidatesJobs)
 
     ntt::Domain<Fr> dom(f.keys.pk.domainLog);
     Scheduler::Job noDomain = jobFor(f, 1);
-    auto art = G16::preprocessMsm(f.keys.pk);
-    noDomain.artifacts = &art;
+    auto art = zkp::buildMsmArtifacts<Bn254Family>(f.keys.pk);
+    ASSERT_TRUE(art.isOk()) << art.status().toString();
+    noDomain.artifacts = &*art;
     auto r3 = sched.submit(std::move(noDomain));
     ASSERT_FALSE(r3.isOk());
     EXPECT_EQ(r3.status().code(), StatusCode::kInvalidArgument);

@@ -205,7 +205,7 @@ expectServiceMatchesCorpus(
         opt.deviceSpec = topology;
         auto svc = service::makeBn254ProofService(opt);
         EXPECT_EQ(svc->deviceScheduler() != nullptr, *topology != '\0')
-            << "GZKP_DEVICES in the environment changes the path";
+            << "the device path does not follow Options::deviceSpec";
         auto id = svc->registerCircuit(keys.pk, keys.vk, b.cs());
         Service::Request req;
         req.circuit = id;

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <future>
 #include <map>
 #include <string>
@@ -129,7 +130,9 @@ TEST(ServiceBytes, DomainBytesMatchesTwiddleTables)
 
 TEST(ServiceBytes, MsmArtifactsBytesIsSumOfTables)
 {
-    auto art = G16::preprocessMsm(fx().k1.pk, 2);
+    auto built = zkp::buildMsmArtifacts<Bn254Family>(fx().k1.pk, 2);
+    ASSERT_TRUE(built.isOk()) << built.status().toString();
+    const auto &art = *built;
     EXPECT_EQ(art.bytes(), art.a.bytes() + art.b2.bytes() +
                                art.b1.bytes() + art.l.bytes() +
                                art.h.bytes());
@@ -137,7 +140,7 @@ TEST(ServiceBytes, MsmArtifactsBytesIsSumOfTables)
     EXPECT_FALSE(art.matches(fx().k2.pk));
 }
 
-// ------------------------------------------------ env budget parsing
+// ------------------------------------------------ flag spec parsing
 
 TEST(ServiceEnv, ParseCacheBytesSpec)
 {
@@ -153,14 +156,39 @@ TEST(ServiceEnv, ParseCacheBytesSpec)
     EXPECT_EQ(service::parseCacheBytesSpec("-1"), 0u);
 }
 
-TEST(ServiceEnv, DefaultCacheBytesOverride)
+// The MSM strategy, the device topology and the cache budget reach
+// the code only through Options: the environment variables that once
+// set them process-wide must change nothing.
+TEST(ServiceEnv, RetiredSwitchesAreIgnored)
 {
-    service::setDefaultCacheBytes(12345);
-    EXPECT_EQ(service::defaultCacheBytes(), 12345u);
-    Cache cache; // budget 0 = default
-    EXPECT_EQ(cache.budgetBytes(), 12345u);
-    service::setDefaultCacheBytes(0); // back to env/default
-    EXPECT_EQ(service::defaultCacheBytes(), service::kDefaultCacheBytes);
+    static const char *const kRetired[][2] = {
+        {"GZKP_ACCUMULATOR", "bogus"},
+        {"GZKP_GLV", "off"},
+        {"GZKP_DEVICES", "v100:1"},
+        {"GZKP_CACHE_BYTES", "1k"},
+    };
+    struct Unset {
+        ~Unset()
+        {
+            for (const auto &kv : kRetired)
+                ::unsetenv(kv[0]);
+        }
+    } unset;
+    for (const auto &kv : kRetired)
+        ::setenv(kv[0], kv[1], 1);
+
+    auto in = testkit::msmInstance<G1Cfg>(
+        64, testkit::ScalarMix::Dense, 0xE17);
+    msm::GzkpMsm<G1Cfg> engine;
+    EXPECT_NO_THROW(EXPECT_EQ(engine.run(in.points, in.scalars),
+                              msm::msmNaive<G1Cfg>(in.points,
+                                                   in.scalars)));
+    EXPECT_TRUE(engine.preprocess(in.points).glv);
+
+    Service svc;
+    EXPECT_EQ(svc.deviceScheduler(), nullptr);
+    Cache cache;
+    EXPECT_EQ(cache.budgetBytes(), service::kDefaultCacheBytes);
 }
 
 // ------------------------------------------------------- content hash

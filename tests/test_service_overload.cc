@@ -21,7 +21,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <future>
 #include <string>
 #include <thread>
@@ -205,18 +204,6 @@ TEST(FairShareQueueTest, ParseTenantWeightsSpec)
         EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument)
             << bad;
     }
-}
-
-TEST(FairShareQueueTest, TenantWeightsFromEnv)
-{
-    ::setenv("GZKP_TENANT_WEIGHTS", "2:9,5:4", 1);
-    auto w = service::tenantWeightsFromEnv();
-    EXPECT_EQ(w[2], 9u);
-    EXPECT_EQ(w[5], 4u);
-    ::setenv("GZKP_TENANT_WEIGHTS", "garbage", 1);
-    EXPECT_TRUE(service::tenantWeightsFromEnv().empty());
-    ::unsetenv("GZKP_TENANT_WEIGHTS");
-    EXPECT_TRUE(service::tenantWeightsFromEnv().empty());
 }
 
 // ------------------------------------------------------ cost estimator

@@ -36,6 +36,8 @@
 #include "zkp/prover_pipeline.hh"
 #include "zkp/serialize.hh"
 
+#include "strategy_policies.hh"
+
 using namespace gzkp;
 using namespace gzkp::msm;
 
@@ -45,15 +47,6 @@ using Fr = Family::Fr;
 using G1Cfg = ec::Bn254G1Cfg;
 
 namespace {
-
-/** Restores the process-wide strategy defaults on scope exit. */
-struct DefaultsGuard {
-    ~DefaultsGuard()
-    {
-        setDefaultAccumulator(Accumulator::Auto);
-        setDefaultGlvMode(GlvMode::Auto);
-    }
-};
 
 std::vector<Fr>
 publicInputs(const workload::Builder<Fr> &b)
@@ -72,7 +65,6 @@ void
 expectBytesIdenticalAcrossRegistry(const workload::Builder<Fr> &b,
                                    std::uint64_t seed)
 {
-    DefaultsGuard guard;
     testkit::Rng rng(testkit::deriveSeed(seed, 1));
     auto keys = G16::setup(b.cs(), rng);
 
@@ -80,8 +72,6 @@ expectBytesIdenticalAcrossRegistry(const workload::Builder<Fr> &b,
     auto check = [&](const char *policy, auto tag, Accumulator acc,
                      GlvMode glv, std::size_t threads) {
         using Policy = decltype(tag);
-        setDefaultAccumulator(acc);
-        setDefaultGlvMode(glv);
         testkit::Rng prng(testkit::deriveSeed(seed, 2));
         auto proof = G16::prove<Policy>(keys.pk, b.cs(),
                                         b.assignment(), prng, nullptr,
@@ -100,17 +90,17 @@ expectBytesIdenticalAcrossRegistry(const workload::Builder<Fr> &b,
         }
     };
 
-    for (Accumulator acc :
-         {Accumulator::Jacobian, Accumulator::BatchAffine}) {
-        for (GlvMode glv : {GlvMode::Off, GlvMode::On}) {
-            for (std::size_t t : {1, 4}) {
-                check("serial", zkp::SerialMsmPolicy{}, acc, glv, t);
-                check("bellperson", zkp::BellpersonMsmPolicy{}, acc,
-                      glv, t);
-                check("gzkp", zkp::GzkpMsmPolicy{}, acc, glv, t);
-            }
+    zkp::strategy::forEachStrategy([&](auto strategy) {
+        using S = decltype(strategy);
+        for (std::size_t t : {1, 4}) {
+            check("serial", typename S::Serial{}, S::accumulator,
+                  S::glv, t);
+            check("bellperson", typename S::Bellperson{},
+                  S::accumulator, S::glv, t);
+            check("gzkp", typename S::Gzkp{}, S::accumulator, S::glv,
+                  t);
         }
-    }
+    });
 }
 
 } // namespace
