@@ -15,20 +15,29 @@
  * inverse) under every SIMD ISA arm this host supports, reporting
  * medianSeconds and the speedup over the portable arm. Before an arm
  * is timed its output is compared limb-for-limb against portable, so
- * a speedup can never come from a wrong answer. The committed
- * BENCH_ff_dispatch.json at the repo root is an --out run.
+ * a speedup can never come from a wrong answer. It then times the
+ * scalar ops under every curve operation -- BN254 Fq mul, squared and
+ * inverse, G1 and G2 dbl and addMixed, and Glv::decompose -- as
+ * dependent chains, interleaved: each rep runs every op once, so
+ * host drift lands on all ops alike, and the row is the median over
+ * reps. The committed BENCH_ff_dispatch.json at the repo root is an
+ * --out run.
  */
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
+#include <functional>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
 
 #include "bench_util.hh"
 #include "ec/curves.hh"
+#include "ec/glv.hh"
 #include "ff/field_tags.hh"
 #include "ff/fpu_backend.hh"
 #include "ff/simd/dispatch.hh"
@@ -239,6 +248,114 @@ limbsEqual(const std::vector<TFr> &x, const std::vector<TFr> &y)
     return true;
 }
 
+/** One scalar op, timed as a chain of `iters` dependent applications. */
+struct ScalarOp {
+    const char *name;
+    std::size_t iters;
+    std::function<void(std::size_t)> run;
+};
+
+/** The dbl and addMixed chains for `Cfg`. */
+template <typename Cfg>
+std::vector<ScalarOp>
+pointOps(const char *dbl_name, const char *madd_name, std::size_t iters)
+{
+    using Pt = ec::ECPoint<Cfg>;
+    auto p = std::make_shared<Pt>(Pt::generator().mul(std::uint64_t(5)));
+    auto q = Pt::generator().mul(std::uint64_t(7)).toAffine();
+    return {
+        {dbl_name, iters,
+         [p](std::size_t n) {
+             for (std::size_t i = 0; i < n; ++i)
+                 *p = p->dbl();
+             benchmark::DoNotOptimize(*p);
+         }},
+        {madd_name, iters,
+         [p, q](std::size_t n) {
+             for (std::size_t i = 0; i < n; ++i)
+                 *p = p->addMixed(q);
+             benchmark::DoNotOptimize(*p);
+         }},
+    };
+}
+
+void
+emitScalar(const char *op, std::size_t reps, double median_s,
+           std::size_t iters)
+{
+    char buf[256];
+    std::snprintf(buf, sizeof(buf),
+                  "{\"bench\":\"scalar-ops\",\"op\":\"%s\","
+                  "\"reps\":%zu,\"ns_per_op\":%.2f}",
+                  op, reps, median_s * 1e9 / double(iters));
+    std::printf("%s\n", buf);
+    std::fflush(stdout);
+    g_records.push_back(buf);
+}
+
+void
+scalarRows(std::size_t reps)
+{
+    using Fq = Bn254Fq;
+    std::mt19937_64 rng(9);
+    auto a = std::make_shared<Fq>(Fq::random(rng));
+    Fq b = Fq::random(rng);
+    std::vector<ScalarOp> ops = {
+        {"fq.mul", 1 << 16,
+         [a, b](std::size_t n) {
+             for (std::size_t i = 0; i < n; ++i)
+                 *a = *a * b;
+             benchmark::DoNotOptimize(*a);
+         }},
+        {"fq.squared", 1 << 16,
+         [a](std::size_t n) {
+             for (std::size_t i = 0; i < n; ++i)
+                 *a = a->squared();
+             benchmark::DoNotOptimize(*a);
+         }},
+        {"fq.inverse", 1 << 8,
+         [a](std::size_t n) {
+             for (std::size_t i = 0; i < n; ++i)
+                 *a = (*a + Fq::one()).inverse();
+             benchmark::DoNotOptimize(*a);
+         }},
+    };
+    for (auto &op : pointOps<ec::Bn254G1Cfg>("g1.dbl", "g1.addMixed",
+                                             1 << 12))
+        ops.push_back(op);
+    for (auto &op : pointOps<ec::Bn254G2Cfg>("g2.dbl", "g2.addMixed",
+                                             1 << 10))
+        ops.push_back(op);
+    // Each scalar depends on the previous decomposition.
+    auto k = std::make_shared<TFr>(TFr::random(rng));
+    ops.push_back({"glv.decompose", 1 << 12, [k](std::size_t n) {
+                       for (std::size_t i = 0; i < n; ++i) {
+                           auto d = ec::Glv<ec::Bn254G1Cfg>::decompose(*k);
+                           *k += TFr::fromUint64(d.k1.limbs[0] | 1);
+                       }
+                       benchmark::DoNotOptimize(*k);
+                   }});
+
+    std::size_t r = std::max<std::size_t>(reps, 1);
+    std::vector<std::vector<double>> t(ops.size(),
+                                       std::vector<double>(r));
+    for (auto &op : ops) // warm-up
+        op.run(op.iters);
+    for (std::size_t i = 0; i < r; ++i) {
+        for (std::size_t o = 0; o < ops.size(); ++o) {
+            gzkp::bench::Timer tm;
+            ops[o].run(ops[o].iters);
+            t[o][i] = tm.seconds();
+        }
+    }
+    for (std::size_t o = 0; o < ops.size(); ++o) {
+        std::sort(t[o].begin(), t[o].end());
+        double med = r % 2 ? t[o][r / 2]
+                           : 0.5 * (t[o][r / 2 - 1] + t[o][r / 2]);
+        emitScalar(ops[o].name, r, med, ops[o].iters);
+    }
+}
+
 int
 run(std::size_t reps, const std::string &out_path)
 {
@@ -279,6 +396,8 @@ run(std::size_t reps, const std::string &out_path)
             }
         }
     }
+
+    scalarRows(reps);
 
     if (!out_path.empty()) {
         std::FILE *f = std::fopen(out_path.c_str(), "w");

@@ -6,17 +6,23 @@
  * without GLV decomposition. One JSON line per (engine, accumulator,
  * glv, size, threads) with the median-of-N nanoseconds and the
  * speedup against that engine's Jacobian/no-GLV baseline at the same
- * (size, threads).
+ * (size, threads). Preprocess rows time GzkpMsm::preprocess(), the
+ * Algorithm-1 table build, at 2^13 on 1 and 4 threads with the
+ * engine's default window and checkpoint interval (the tables the
+ * prover caches).
  *
  *     bench_msm_hotpath [--smoke|--full] [--reps=N]
  *                       [--out=BENCH_msm_hotpath.json]
  *
- * --smoke runs one small size for CI; --full covers 2^14..2^16 at
- * threads {1, 8}. --out additionally writes the emitted records as a
- * JSON array (the committed BENCH_msm_hotpath.json at the repo root
- * is a --full run). Every timed configuration is also checked for
- * result equality against the baseline, so a speedup can never come
- * from a wrong answer.
+ * --smoke runs one small size and the BN254 G2 preprocess rows for
+ * CI; --full covers 2^14..2^16 at threads {1, 8} plus the BN254 G1
+ * and G2 preprocess rows. --out additionally writes the emitted
+ * records as a JSON array (the committed BENCH_msm_hotpath.json at
+ * the repo root is a --full run). Every timed configuration is also
+ * checked for result equality against the baseline, and every
+ * preprocessed GLV table for the layout
+ * pre[c*nb + n + j] == phi(pre[c*nb + j]) in each block c, so a
+ * speedup can never come from a wrong answer.
  */
 
 #include <cstdio>
@@ -160,6 +166,61 @@ benchGzkp(std::size_t log_n, std::size_t threads, std::size_t reps)
     }
 }
 
+void
+emitPreprocess(const char *curve, std::size_t log_n, std::size_t threads,
+               std::size_t entries, double ns)
+{
+    char buf[320];
+    std::snprintf(
+        buf, sizeof(buf),
+        "{\"bench\":\"msm-hotpath\",\"engine\":\"gzkp\","
+        "\"op\":\"preprocess\",\"curve\":\"%s\",\"glv\":\"on\","
+        "\"isa\":\"%s\",\"log_n\":%zu,\"threads\":%zu,"
+        "\"entries\":%zu,\"ns\":%.0f}",
+        curve, ff::simd::name(ff::simd::activeIsa()), log_n, threads,
+        entries, ns);
+    std::printf("%s\n", buf);
+    std::fflush(stdout);
+    g_records.push_back(buf);
+}
+
+/**
+ * Preprocess rows for one curve. The table's cost depends only on the
+ * point count, so the bases are the cheap multiples G, 2G, ..., nG.
+ */
+template <typename C>
+void
+benchPreprocess(std::size_t log_n, std::size_t reps)
+{
+    std::size_t n = std::size_t(1) << log_n;
+    std::vector<ec::ECPoint<C>> jac(n);
+    jac[0] = ec::ECPoint<C>::generator();
+    for (std::size_t i = 1; i < n; ++i)
+        jac[i] = jac[i - 1] + jac[0];
+    auto points = ec::batchToAffine<C>(jac);
+
+    for (std::size_t threads : {1, 4}) {
+        typename msm::GzkpMsm<C>::Options opt;
+        opt.threads = threads;
+        msm::GzkpMsm<C> engine(opt);
+        auto pp = engine.preprocess(points);
+        bool ok = pp.glv && pp.pre.size() == pp.checkpoints * pp.nb();
+        for (std::size_t c = 0; ok && c < pp.checkpoints; ++c)
+            for (std::size_t j = 0; ok && j < n; ++j)
+                ok = pp.pre[c * pp.nb() + n + j] ==
+                    ec::Glv<C>::endo(pp.pre[c * pp.nb() + j]);
+        if (!ok) {
+            std::fprintf(stderr, "%s preprocess table layout broken\n",
+                         C::name());
+            std::exit(1);
+        }
+        double s = bench::medianSeconds(
+            [&] { engine.preprocess(points); }, reps, 0);
+        emitPreprocess(C::name(), log_n, threads, pp.pre.size(),
+                       s * 1e9);
+    }
+}
+
 } // namespace
 
 int
@@ -200,6 +261,9 @@ main(int argc, char **argv)
             benchGzkp(log_n, t, reps);
         }
     }
+    if (full)
+        benchPreprocess<ec::Bn254G1Cfg>(13, reps);
+    benchPreprocess<ec::Bn254G2Cfg>(13, reps);
 
     if (!out.empty()) {
         std::FILE *f = std::fopen(out.c_str(), "w");

@@ -22,6 +22,7 @@ namespace gzkp::ec {
 struct Bn254G1Cfg {
     using Field = ff::Bn254Fq;
     using Scalar = ff::Bn254Fr;
+    static constexpr bool kAZero = true;
     static Field a() { return Field::zero(); }
     static Field b() { return Field::fromUint64(3); }
     static Field genX() { return Field::one(); }
@@ -38,6 +39,7 @@ using Bn254G1Affine = AffinePoint<Bn254G1Cfg>;
 struct Bn254G2Cfg {
     using Field = ff::Bn254Fp2;
     using Scalar = ff::Bn254Fr;
+    static constexpr bool kAZero = true;
     static Field a() { return Field::zero(); }
     static Field
     b()
@@ -76,6 +78,7 @@ using Bn254G2Affine = AffinePoint<Bn254G2Cfg>;
 struct Bls381G1Cfg {
     using Field = ff::Bls381Fq;
     using Scalar = ff::Bls381Fr;
+    static constexpr bool kAZero = true;
     static Field a() { return Field::zero(); }
     static Field b() { return Field::fromUint64(4); }
     static Field
@@ -107,6 +110,7 @@ using Bls381G1Affine = AffinePoint<Bls381G1Cfg>;
 struct Mnt4753G1Cfg {
     using Field = ff::Mnt4753Fq;
     using Scalar = ff::Mnt4753Fr;
+    static constexpr bool kAZero = false;
     static Field a() { return Field::fromUint64(2); }
     static Field b() { return Field::fromUint64(5); }
     static Field genX() { return Field::fromUint64(4); }

@@ -1,15 +1,25 @@
 /**
  * @file
- * GLV endomorphism scalar decomposition (BN254 G1).
+ * GLV endomorphism scalar decomposition (BN254 G1 and G2).
  *
- * BN curves carry the cheap curve endomorphism phi(x, y) = (beta*x, y)
- * with beta a primitive cube root of unity in Fq; on the order-r
- * subgroup phi acts as multiplication by lambda, a cube root of unity
- * in Fr. Splitting a 254-bit scalar k into k1 + lambda * k2 with
- * |k1|, |k2| ~ sqrt(r) lets every windowed MSM digitize half-length
- * scalars over the doubled point set {P, phi(P)} -- the window count
- * halves while the insertion count stays put, so the Horner/doubling
- * and bucket-reduction phases shrink roughly 2x.
+ * Both BN254 groups lie on a = 0 curves, so phi(x, y) = (beta*x, y),
+ * with beta a primitive cube root of unity in Fq, maps each curve to
+ * itself: the G1 curve over Fq and the G2 twist over Fp2 (there x is
+ * in Fp2 and beta scales both of its coordinates). Each group is the
+ * cyclic order-r subgroup of its curve, so phi acts on it as
+ * multiplication by lambda, a cube root of unity in Fr. Which of the
+ * two cube roots in Fq pairs with a given lambda differs per group;
+ * findBeta() tests both against phi(G) == lambda * G. Splitting a
+ * 254-bit scalar k into k1 + lambda * k2 with |k1|, |k2| ~ sqrt(r)
+ * lets every windowed MSM digitize half-length scalars over the
+ * doubled point set {P, phi(P)} -- the window count halves while the
+ * insertion count stays put, so the Horner/doubling and
+ * bucket-reduction phases shrink roughly 2x.
+ *
+ * Both groups have order r, so the scalar side -- lambda, the lattice
+ * basis, the reciprocals and decompose() -- is one Bn254GlvLattice
+ * that Glv<Bn254G1Cfg> and Glv<Bn254G2Cfg> share; they differ only in
+ * beta and the coordinate field endo() scales.
  *
  * The lattice L = {(a, b) : a + lambda*b = 0 mod r} has the short
  * basis (derived from the BN parameter u, verified at startup):
@@ -20,16 +30,17 @@
  * Babai round-off against that basis gives the decomposition: the
  * lattice coordinates of (k, 0) are c1 = -k*b2/r and c2 = k*b1/r
  * (det = -r), so with n1 ~ floor(k*b2/r) and n2 ~ floor(k*b1/r) the
- * residual is k1 = k + n1*a1 - n2*a2, k2 = n1*b1 - n2*b2, computed in
- * Fr field arithmetic. The per-scalar work is division-free: the
- * precomputed reciprocals g_i = floor(2^384 * b_i / r) turn each
- * quotient into a mulWide and a shift, off by at most 2 from the true
- * floor (absorbed by the size margin). A residual with more than
- * kScalarBits bits encodes a negative component as r - |value|.
+ * residual is k1 = k + n1*a1 - n2*a2, k2 = n1*b1 - n2*b2. The
+ * per-scalar work is division-free: the precomputed reciprocals
+ * g_i = floor(2^384 * b_i / r) fit five limbs, so each quotient is one
+ * 4x5-limb product and a shift, off by at most 2 from the true floor
+ * (absorbed by the size margin). The residuals are exact integers
+ * below 2^kScalarBits in magnitude, so they are computed in wrapping
+ * 256-bit two's complement, and the top bit is the sign.
  *
- * Curves without a specialization (BN254 G2 over Fp2, BLS12-381,
- * MNT4753-sim) keep Glv<Cfg>::kEnabled == false and are untouched by
- * every GLV-aware code path.
+ * Curves without a specialization (BLS12-381, MNT4753-sim) keep
+ * Glv<Cfg>::kEnabled == false and are untouched by every GLV-aware
+ * code path.
  */
 
 #ifndef GZKP_EC_GLV_HH
@@ -39,6 +50,7 @@
 #include <initializer_list>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 
 #include "ec/curves.hh"
 #include "ec/point.hh"
@@ -99,17 +111,11 @@ struct Glv {
     static constexpr std::size_t kScalarBits = 0;
 };
 
-/** BN254 G1: the only GLV-capable curve in this repo's Table 1 set. */
-template <>
-struct Glv<Bn254G1Cfg> {
-    static constexpr bool kEnabled = true;
-
-    using Cfg = Bn254G1Cfg;
-    using Field = Cfg::Field;   // Fq
-    using Scalar = Cfg::Scalar; // Fr
-    using Repr = Scalar::Repr;  // BigInt<4>
-    using Affine = AffinePoint<Cfg>;
-    using Wide = ff::BigInt<8>;
+/** The scalar side of BN254 GLV, shared by G1 and G2. */
+struct Bn254GlvLattice {
+    using Scalar = ff::Bn254Fr;
+    using Repr = Scalar::Repr; // BigInt<4>
+    using Recip = ff::BigInt<5>;
 
     /**
      * Bit bound on |k1| and |k2|: floor rounding plus the reciprocal
@@ -122,12 +128,10 @@ struct Glv<Bn254G1Cfg> {
     static constexpr std::uint64_t kBnU = 4965661367192848881ull;
 
     struct Params {
-        Field beta;          //!< cube root of unity in Fq
         Scalar lambda;       //!< cube root of unity in Fr
         Repr lambdaRepr;
         Repr a1, b1, a2, b2; //!< short lattice basis (all positive)
-        Scalar a1F, b1F, a2F, b2F;
-        Wide g1, g2;         //!< floor(2^384 * b_i / r)
+        Recip g1, g2;        //!< floor(2^384 * b_i / r)
     };
 
     /** One signed half-scalar of a decomposition. */
@@ -143,15 +147,6 @@ struct Glv<Bn254G1Cfg> {
         return p;
     }
 
-    /** phi(x, y) = (beta * x, y); one field multiplication. */
-    static Affine
-    endo(const Affine &p)
-    {
-        if (p.infinity)
-            return p;
-        return Affine(params().beta * p.x, p.y);
-    }
-
     /** Split k = k1 + lambda * k2 (mod r) with short signed halves. */
     static Decomposed
     decompose(const Scalar &k)
@@ -161,33 +156,69 @@ struct Glv<Bn254G1Cfg> {
         // Babai coefficients via the shifted reciprocals: v1's
         // multiplier comes from b2 and v2's from b1 (the inverse of
         // the basis matrix swaps the b column).
-        Wide kw = kr.resize<8>();
-        Repr n1 = Wide::mulWide(kw, p.g2).shr(384).resize<4>();
-        Repr n2 = Wide::mulWide(kw, p.g1).shr(384).resize<4>();
+        Repr n1 = mulShr384(kr, p.g2);
+        Repr n2 = mulShr384(kr, p.g1);
 
-        // Residual in Fr: both n_i and the basis entries are < r.
-        Scalar n1F = Scalar::fromBigInt(n1);
-        Scalar n2F = Scalar::fromBigInt(n2);
-        Scalar k1F = k + n1F * p.a1F - n2F * p.a2F;
-        Scalar k2F = n1F * p.b1F - n2F * p.b2F;
+        // Residuals mod 2^256; their true values are short.
+        Repr k1, k2;
+        Repr::add(kr, mulLow(n1, p.a1), k1);
+        Repr::sub(k1, mulLow(n2, p.a2), k1);
+        Repr::sub(mulLow(n1, p.b1), mulLow(n2, p.b2), k2);
 
         Decomposed d;
-        toSigned(k1F, d.k1, d.neg1);
-        toSigned(k2F, d.k2, d.neg2);
+        toSigned(k1, d.k1, d.neg1);
+        toSigned(k2, d.k2, d.neg2);
         return d;
     }
 
   private:
-    /** Map an Fr residual to (magnitude, sign) with a short magnitude. */
-    static void
-    toSigned(const Scalar &v, Repr &mag, bool &neg)
+    /** floor(k * g / 2^384): 20 limb products, top three limbs kept. */
+    static Repr
+    mulShr384(const Repr &k, const Recip &g)
     {
-        Repr repr = v.toBigInt();
-        neg = repr.numBits() > kScalarBits;
+        std::uint64_t prod[9] = {};
+        for (std::size_t i = 0; i < 4; ++i) {
+            std::uint64_t carry = 0;
+            for (std::size_t j = 0; j < 5; ++j) {
+                ff::uint128 t = ff::uint128(k.limbs[i]) * g.limbs[j] +
+                    prod[i + j] + carry;
+                prod[i + j] = std::uint64_t(t);
+                carry = std::uint64_t(t >> 64);
+            }
+            prod[i + 5] = carry;
+        }
+        Repr q;
+        for (std::size_t i = 0; i < 3; ++i)
+            q.limbs[i] = prod[6 + i];
+        return q;
+    }
+
+    /** a * b mod 2^256. */
+    static Repr
+    mulLow(const Repr &a, const Repr &b)
+    {
+        Repr out;
+        for (std::size_t i = 0; i < 4; ++i) {
+            std::uint64_t carry = 0;
+            for (std::size_t j = 0; i + j < 4; ++j) {
+                ff::uint128 t = ff::uint128(a.limbs[i]) * b.limbs[j] +
+                    out.limbs[i + j] + carry;
+                out.limbs[i + j] = std::uint64_t(t);
+                carry = std::uint64_t(t >> 64);
+            }
+        }
+        return out;
+    }
+
+    /** Map a two's complement residual to (magnitude, sign). */
+    static void
+    toSigned(const Repr &v, Repr &mag, bool &neg)
+    {
+        neg = v.limbs[3] >> 63;
         if (neg)
-            Repr::sub(Scalar::modulus(), repr, mag);
+            Repr::sub(Repr::zero(), v, mag);
         else
-            mag = repr;
+            mag = v;
         if (mag.numBits() > kScalarBits)
             throw std::logic_error(
                 "Glv::decompose: component exceeds kScalarBits");
@@ -223,74 +254,127 @@ struct Glv<Bn254G1Cfg> {
         p.b1 = sum({mulSmall(u2, 6), mulSmall(u, 4), Repr::one()});
         p.a2 = p.b1;
         p.b2 = sum({mulSmall(u, 2), Repr::one()});
-        p.a1F = Scalar::fromBigInt(p.a1);
-        p.b1F = Scalar::fromBigInt(p.b1);
-        p.a2F = Scalar::fromBigInt(p.a2);
-        p.b2F = Scalar::fromBigInt(p.b2);
 
         // Reciprocals g_i = floor(2^384 * b_i / r).
+        using Wide = ff::BigInt<8>;
         Wide r = Scalar::modulus().resize<8>();
-        p.g1 = glv_detail::divFloor(p.b1.resize<8>().shl(384), r);
-        p.g2 = glv_detail::divFloor(p.b2.resize<8>().shl(384), r);
+        Wide g1 = glv_detail::divFloor(p.b1.resize<8>().shl(384), r);
+        Wide g2 = glv_detail::divFloor(p.b2.resize<8>().shl(384), r);
+        p.g1 = g1.resize<5>();
+        p.g2 = g2.resize<5>();
 
-        // beta = zeta or zeta^2 for a primitive cube root zeta in Fq,
-        // picked so phi really is multiplication by this lambda.
-        Field zeta = Field::zero();
-        auto exp = glv_detail::divSmall(
-            [] {
-                Repr qm1;
-                Repr::sub(Field::modulus().resize<4>(),
-                          Repr::one(), qm1);
-                return qm1;
-            }(),
-            3);
-        for (std::uint64_t h = 2; h < 100; ++h) {
-            Field c = Field::fromUint64(h).pow(exp);
-            if (!(c == Field::one())) {
-                zeta = c;
-                break;
-            }
-        }
-
-        verify(p, zeta);
+        verify(p, g1, g2);
         return p;
     }
 
     /**
      * Startup self-check: every derived constant is re-validated
-     * against its defining identity so a bad basis or beta can never
-     * silently corrupt an MSM.
+     * against its defining identity so a bad basis can never silently
+     * corrupt an MSM.
      */
     static void
-    verify(Params &p, const Field &zeta)
+    verify(const Params &p, const ff::BigInt<8> &g1,
+           const ff::BigInt<8> &g2)
     {
         auto fail = [](const char *what) {
             throw std::logic_error(std::string("Glv<Bn254>: ") + what);
         };
-        if (zeta.isZero() || !(zeta.squared() * zeta == Field::one()))
-            fail("no cube root of unity found in Fq");
         Scalar l = p.lambda;
         if (!((l.squared() + l + Scalar::one()).isZero()))
             fail("lambda^2 + lambda + 1 != 0 in Fr");
-        if (!((p.a1F + l * p.b1F).isZero()) ||
-            !((p.a2F + l * p.b2F).isZero()))
+        auto f = [](const Repr &x) { return Scalar::fromBigInt(x); };
+        if (!((f(p.a1) + l * f(p.b1)).isZero()) ||
+            !((f(p.a2) + l * f(p.b2)).isZero()))
             fail("lattice basis not in ker(a + lambda*b)");
-
-        // phi(G) must equal lambda * G; zeta vs zeta^2 selects which
-        // of the two non-trivial cube roots matches this lambda.
-        // (endo() is not callable here: params() is mid-construction.)
-        ECPoint<Cfg> lg =
-            ECPoint<Cfg>::generator().mul(p.lambdaRepr);
-        Affine gen = ECPoint<Cfg>::generatorAffine();
-        for (const Field &cand : {zeta, zeta.squared()}) {
-            p.beta = cand;
-            Affine mapped(cand * gen.x, gen.y);
-            if (lg == ECPoint<Cfg>::fromAffine(mapped))
-                return;
-        }
-        fail("neither cube root satisfies phi(G) == lambda * G");
+        if (g1.resize<5>().resize<8>() != g1 ||
+            g2.resize<5>().resize<8>() != g2)
+            fail("reciprocal wider than five limbs");
     }
 };
+
+/**
+ * Glv<Cfg> for a BN254 group (G1 over Fq, G2 over Fp2): the shared
+ * lattice plus this group's beta.
+ */
+template <typename GroupCfg>
+struct Bn254Glv : Bn254GlvLattice {
+    static constexpr bool kEnabled = true;
+
+    using Cfg = GroupCfg;
+    using Field = typename Cfg::Field; // Fq on G1, Fp2 on G2
+    using Fq = ff::Bn254Fq;
+    using Affine = AffinePoint<Cfg>;
+
+    /** The cube root of unity in Fq for which phi acts as lambda. */
+    static const Fq &
+    beta()
+    {
+        static const Fq b = findBeta();
+        return b;
+    }
+
+    /** phi(x, y) = (beta * x, y): one Fq multiply per x coordinate. */
+    static Affine
+    endo(const Affine &p)
+    {
+        if (p.infinity)
+            return p;
+        return Affine(scale(p.x, beta()), p.y);
+    }
+
+  private:
+    static Field
+    scale(const Field &x, const Fq &b)
+    {
+        if constexpr (std::is_same_v<Field, Fq>)
+            return b * x;
+        else
+            return x.scale(b);
+    }
+
+    /**
+     * beta = zeta or zeta^2 for a primitive cube root zeta in Fq,
+     * picked so phi(G) == lambda * G on this group's generator.
+     */
+    static Fq
+    findBeta()
+    {
+        auto fail = [](const char *what) {
+            throw std::logic_error(std::string("Glv<") + Cfg::name() +
+                                   ">: " + what);
+        };
+        Repr qm1;
+        Repr::sub(Fq::modulus().resize<4>(), Repr::one(), qm1);
+        auto exp = glv_detail::divSmall(qm1, 3);
+        Fq zeta = Fq::zero();
+        for (std::uint64_t h = 2; h < 100; ++h) {
+            Fq c = Fq::fromUint64(h).pow(exp);
+            if (!(c == Fq::one())) {
+                zeta = c;
+                break;
+            }
+        }
+        if (zeta.isZero() || !(zeta.squared() * zeta == Fq::one()))
+            fail("no cube root of unity found in Fq");
+
+        ECPoint<Cfg> lg =
+            ECPoint<Cfg>::generator().mul(params().lambdaRepr);
+        Affine gen = ECPoint<Cfg>::generatorAffine();
+        for (const Fq &cand : {zeta, zeta.squared()}) {
+            Affine mapped(scale(gen.x, cand), gen.y);
+            if (lg == ECPoint<Cfg>::fromAffine(mapped))
+                return cand;
+        }
+        fail("neither cube root satisfies phi(G) == lambda * G");
+        return zeta; // unreachable
+    }
+};
+
+template <>
+struct Glv<Bn254G1Cfg> : Bn254Glv<Bn254G1Cfg> {};
+
+template <>
+struct Glv<Bn254G2Cfg> : Bn254Glv<Bn254G2Cfg> {};
 
 } // namespace gzkp::ec
 

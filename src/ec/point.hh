@@ -13,12 +13,19 @@
  *   struct SomeCurveCfg {
  *       using Field  = ...;  // coordinate field
  *       using Scalar = ...;  // scalar field Fr
+ *       static constexpr bool kAZero = ...; // a() == 0
  *       static Field a();    // short Weierstrass a4
  *       static Field b();    // short Weierstrass a6
  *       static Field genX(); // affine generator
  *       static Field genY();
  *       static const char *name();
  *   };
+ *
+ * Doubling picks its formula at compile time from kAZero: dbl-2009-l
+ * (2M + 5S) on a = 0 curves (BN254 G1 and G2, BLS12-381 G1), and
+ * dbl-2007-bl (1M + 8S plus the multiply by a) otherwise
+ * (MNT4753-sim). On an a = 0 curve both return the same Jacobian
+ * coordinates.
  */
 
 #ifndef GZKP_EC_POINT_HH
@@ -160,16 +167,23 @@ class ECPoint
     {
         if (isZero() || Y.isZero())
             return identity();
-        // dbl-2007-bl, general a4.
         Field xx = X.squared();
         Field yy = Y.squared();
         Field yyyy = yy.squared();
-        Field zz = Z.squared();
         Field s = ((X + yy).squared() - xx - yyyy).dbl();
-        Field m = xx + xx + xx + Cfg::a() * zz.squared();
+        Field m = xx + xx + xx;
+        Field z3;
+        if constexpr (Cfg::kAZero) {
+            // dbl-2009-l: Z3 = 2YZ, and the a*Z^4 term vanishes.
+            z3 = (Y * Z).dbl();
+        } else {
+            // dbl-2007-bl, general a4.
+            Field zz = Z.squared();
+            m += Cfg::a() * zz.squared();
+            z3 = (Y + Z).squared() - yy - zz;
+        }
         Field x3 = m.squared() - s - s;
         Field y3 = m * (s - x3) - yyyy.dbl().dbl().dbl();
-        Field z3 = (Y + Z).squared() - yy - zz;
         return ECPoint(x3, y3, z3);
     }
 
@@ -292,28 +306,39 @@ inPrimeSubgroup(const AffinePoint<Cfg> &p)
 }
 
 /**
- * Batch-normalise Jacobian points to affine with a single inversion.
- * Identity points (Z == 0) map to affine identity -- exactly the
- * skip-and-preserve zero semantics ff::batchInverse guarantees.
+ * Batch-normalise n Jacobian points to affine with a single inversion,
+ * writing out[0..n). Identity points (Z == 0) map to affine identity
+ * -- exactly the skip-and-preserve zero semantics ff::batchInverse
+ * guarantees.
  */
 template <typename Cfg>
-std::vector<AffinePoint<Cfg>>
-batchToAffine(const std::vector<ECPoint<Cfg>> &pts)
+void
+batchToAffine(const ECPoint<Cfg> *pts, std::size_t n,
+              AffinePoint<Cfg> *out)
 {
     using Field = typename Cfg::Field;
-    std::vector<Field> zs(pts.size());
-    for (std::size_t i = 0; i < pts.size(); ++i)
+    std::vector<Field> zs(n);
+    for (std::size_t i = 0; i < n; ++i)
         zs[i] = pts[i].Z;
     gzkp::ff::batchInverse(zs);
 
-    std::vector<AffinePoint<Cfg>> out(pts.size());
-    for (std::size_t i = 0; i < pts.size(); ++i) {
-        if (pts[i].isZero())
+    for (std::size_t i = 0; i < n; ++i) {
+        if (pts[i].isZero()) {
+            out[i] = AffinePoint<Cfg>::identity();
             continue;
+        }
         Field zinv2 = zs[i].squared();
         out[i] = AffinePoint<Cfg>(pts[i].X * zinv2,
                                   pts[i].Y * zinv2 * zs[i]);
     }
+}
+
+template <typename Cfg>
+std::vector<AffinePoint<Cfg>>
+batchToAffine(const std::vector<ECPoint<Cfg>> &pts)
+{
+    std::vector<AffinePoint<Cfg>> out(pts.size());
+    batchToAffine<Cfg>(pts.data(), pts.size(), out.data());
     return out;
 }
 

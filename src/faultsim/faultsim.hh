@@ -298,10 +298,13 @@ maybeFlip(FpT &x, const char *site, std::uint64_t index)
 }
 
 /**
- * Corrupt a curve point (Jacobian or affine X displaced by one).
+ * Corrupt a Jacobian curve point: X is displaced by one, and an
+ * identity (Z == 0) first gets Z = 1, so the result is never the
+ * identity. X keeps moving until the point is off the curve (at most
+ * three X values solve the curve equation for a fixed Y and Z).
  * Field-agnostic (works for Fp and Fp2 coordinates), so it serves as
- * the Bucket / Butterfly corruption primitive on points. Returns
- * true if corruption happened.
+ * the Bucket corruption primitive on points. Returns true if
+ * corruption happened.
  */
 template <typename PointT>
 bool
@@ -313,7 +316,11 @@ maybeCorruptPoint(FaultKind kind, PointT &p, const char *site,
     if (!decide(kind, site, index).fire)
         return false;
     using Field = typename PointT::Field;
-    p.X += Field::one();
+    if (p.Z.isZero())
+        p.Z = Field::one();
+    do
+        p.X += Field::one();
+    while (p.toAffine().onCurve());
     return true;
 }
 

@@ -112,7 +112,8 @@ class GzkpMsm
          * the 132-bit decomposed halves instead of the full scalar
          * width -- scalar-independent (the per-scalar signs are
          * applied at bucket-insertion time), so the table is as
-         * reusable as the plain one.
+         * reusable as the plain one. Within each checkpoint block the
+         * phi half is the endomorphism of the base half.
          */
         bool glv = false;
         /** Base count: entries per checkpoint block. */
@@ -181,15 +182,18 @@ class GzkpMsm
     /**
      * Resumable state for the Algorithm-1 weighted-point
      * preprocessing. Each checkpoint block (a chain of M*k doublings
-     * plus a batch affine conversion) is committed into `pp` as it
-     * completes, so a fault thrown mid-preprocess loses at most the
-     * in-flight block: the recovery layer re-calls
-     * preprocessResumable() with the same progress object and work
-     * restarts at block `done`, not at block 0.
+     * per base point, a chunked affine conversion and, on a GLV
+     * table, the phi half) is committed into `pp` as it completes, so
+     * a fault thrown mid-preprocess loses at most the in-flight
+     * block: the recovery layer re-calls preprocessResumable() with
+     * the same progress object and work restarts at block `done`,
+     * not at block 0.
      */
     struct PreprocessProgress {
         Preprocessed pp;
-        std::vector<Point> cur; //!< doubling-chain state per point
+        /** Doubling-chain state of the n base points; a GLV table's
+         * phi half is derived from each block, never doubled. */
+        std::vector<Point> cur;
         std::size_t done = 0;   //!< checkpoint blocks committed
         bool started = false;
     };
@@ -223,22 +227,11 @@ class GzkpMsm
             pp.checkpoints = (pp.windows + pp.m - 1) / pp.m;
 
             faultsim::checkAlloc("msm.gzkp.preprocess", 0);
-            std::size_t nb = pp.nb();
-            progress.cur.resize(nb);
-            runtime::parallelFor(opt_.threads, nb, [&](std::size_t j) {
-                if (j < n) {
-                    progress.cur[j] = Point::fromAffine(points[j]);
-                    return;
-                }
-                // GLV half of the table: phi(P_{j-n}). Guarded so the
-                // branch never instantiates for non-GLV curves (their
-                // nb() == n and this lambda body is j < n only).
-                if constexpr (ec::Glv<Cfg>::kEnabled) {
-                    progress.cur[j] = Point::fromAffine(
-                        ec::Glv<Cfg>::endo(points[j - n]));
-                }
+            progress.cur.resize(n);
+            runtime::parallelFor(opt_.threads, n, [&](std::size_t j) {
+                progress.cur[j] = Point::fromAffine(points[j]);
             });
-            pp.pre.reserve(pp.checkpoints * nb);
+            pp.pre.reserve(pp.checkpoints * pp.nb());
             progress.started = true;
         }
         Preprocessed &pp = progress.pp;
@@ -247,23 +240,33 @@ class GzkpMsm
             // Work on a copy of the chain state and commit it only
             // once the whole block lands, so a fault thrown anywhere
             // inside the block leaves `progress` at block c exactly.
-            std::vector<Point> next;
-            const std::vector<Point> *src = &progress.cur;
-            if (c != 0) {
-                // Advance every point by M*k doublings (points are
-                // independent, so the doubling chains parallelise).
-                next = progress.cur;
-                runtime::parallelFor(
-                    opt_.threads, pp.nb(), [&](std::size_t i) {
-                        for (std::size_t d = 0; d < pp.m * pp.k; ++d)
+            std::vector<Point> next = progress.cur;
+            std::vector<Affine> block(pp.nb());
+            std::size_t doublings = c == 0 ? 0 : pp.m * pp.k;
+            // Chains are independent: each chunk advances its points
+            // by M*k doublings and converts them to affine with one
+            // shared inversion. Affine coordinates are canonical, so
+            // the chunking cannot move a byte of the table.
+            runtime::parallelForChunks(
+                opt_.threads, n,
+                [&](std::size_t lo, std::size_t hi, std::size_t) {
+                    for (std::size_t i = lo; i < hi; ++i)
+                        for (std::size_t d = 0; d < doublings; ++d)
                             next[i] = next[i].dbl();
-                    });
-                src = &next;
-            }
-            auto aff = ec::batchToAffine<Cfg>(*src);
-            pp.pre.insert(pp.pre.end(), aff.begin(), aff.end());
-            if (c != 0)
-                progress.cur = std::move(next);
+                    ec::batchToAffine<Cfg>(next.data() + lo, hi - lo,
+                                           block.data() + lo);
+                    // phi commutes with doubling, so the phi half of
+                    // the block is phi of its base half. Guarded so
+                    // it never instantiates for non-GLV curves.
+                    if constexpr (ec::Glv<Cfg>::kEnabled) {
+                        if (pp.glv)
+                            for (std::size_t i = lo; i < hi; ++i)
+                                block[n + i] =
+                                    ec::Glv<Cfg>::endo(block[i]);
+                    }
+                });
+            pp.pre.insert(pp.pre.end(), block.begin(), block.end());
+            progress.cur = std::move(next);
             progress.done = c + 1; // commit the block
         }
         return pp;

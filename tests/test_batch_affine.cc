@@ -3,10 +3,12 @@
  * Batch-affine scheduler and GLV decomposition tests: the scheduler's
  * collision/doubling/cancellation handling against a plain Jacobian
  * reference, the GLV split's algebraic identities on random and
- * boundary scalars, the engine cross-product (every engine at every
- * accumulator x GLV combination, every thread count) against the
- * naive oracle, and byte-identical Groth16 proofs under every
- * accumulator x GLV pair.
+ * boundary scalars (G1 and G2) and its agreement with the previous
+ * Fr-arithmetic decomposition, the GLV table layout against a table
+ * that doubles both halves, the engine cross-product (every engine at
+ * every accumulator x GLV combination, every thread count, G1 and G2)
+ * against the naive oracle, and byte-identical Groth16 proofs under
+ * every accumulator x GLV pair.
  */
 
 #include <gtest/gtest.h>
@@ -34,6 +36,7 @@ using Fr = ff::Bn254Fr;
 using Pt = Bn254G1;
 using Aff = AffinePoint<Cfg>;
 using G = Glv<Bn254G1Cfg>;
+using G2Cfg = Bn254G2Cfg;
 
 namespace {
 
@@ -43,6 +46,96 @@ randomAffine(std::size_t n, std::uint64_t seed)
     auto in = testkit::msmInstance<Cfg>(n, testkit::ScalarMix::Dense,
                                        seed);
     return in.points;
+}
+
+/**
+ * Glv::decompose as it was before the 4x5-limb quotients: 8x8-limb
+ * quotient products and the residuals in Fr. The current decompose()
+ * must return the same halves and signs.
+ */
+G::Decomposed
+decomposeReference(const Fr &k)
+{
+    using Repr = Fr::Repr;
+    using Wide = ff::BigInt<8>;
+    const auto &p = G::params();
+    Wide kw = k.toBigInt().resize<8>();
+    Repr n1 = Wide::mulWide(kw, p.g2.resize<8>()).shr(384).resize<4>();
+    Repr n2 = Wide::mulWide(kw, p.g1.resize<8>()).shr(384).resize<4>();
+    auto f = [](const Repr &x) { return Fr::fromBigInt(x); };
+    Fr k1 = k + f(n1) * f(p.a1) - f(n2) * f(p.a2);
+    Fr k2 = f(n1) * f(p.b1) - f(n2) * f(p.b2);
+    auto toSigned = [](const Fr &v, Repr &mag, bool &neg) {
+        Repr repr = v.toBigInt();
+        neg = repr.numBits() > G::kScalarBits;
+        if (neg)
+            Repr::sub(Fr::modulus(), repr, mag);
+        else
+            mag = repr;
+    };
+    G::Decomposed d;
+    toSigned(k1, d.k1, d.neg1);
+    toSigned(k2, d.k2, d.neg2);
+    return d;
+}
+
+/**
+ * A GLV table built as GzkpMsm built it before deriving the phi half:
+ * all 2n chains [P, phi(P)] doubled, one batch affine conversion per
+ * block.
+ */
+template <typename C>
+std::vector<AffinePoint<C>>
+referenceGlvTable(const std::vector<AffinePoint<C>> &points,
+                  std::size_t blocks, std::size_t doublings)
+{
+    std::vector<ECPoint<C>> cur;
+    for (const auto &p : points)
+        cur.push_back(ECPoint<C>::fromAffine(p));
+    for (const auto &p : points)
+        cur.push_back(ECPoint<C>::fromAffine(Glv<C>::endo(p)));
+    std::vector<AffinePoint<C>> pre;
+    for (std::size_t c = 0; c < blocks; ++c) {
+        if (c != 0)
+            for (auto &q : cur)
+                for (std::size_t d = 0; d < doublings; ++d)
+                    q = q.dbl();
+        auto aff = batchToAffine<C>(cur);
+        pre.insert(pre.end(), aff.begin(), aff.end());
+    }
+    return pre;
+}
+
+/**
+ * Every block of a GLV table is [B, phi(B)], and the table equals
+ * referenceGlvTable() entry for entry.
+ */
+template <typename C>
+void
+expectGlvTableLayout(const std::vector<AffinePoint<C>> &points,
+                     std::size_t threads)
+{
+    typename GzkpMsm<C>::Options o;
+    o.k = 5;
+    o.checkpointM = 2; // 14 blocks of 10 doublings
+    o.threads = threads;
+    auto pp = GzkpMsm<C>(o).preprocess(points);
+    ASSERT_TRUE(pp.glv);
+    std::size_t n = pp.n, nb = pp.nb();
+    ASSERT_EQ(pp.pre.size(), pp.checkpoints * nb);
+    for (std::size_t c = 0; c < pp.checkpoints; ++c)
+        for (std::size_t j = 0; j < n; ++j)
+            EXPECT_EQ(pp.pre[c * nb + n + j],
+                      Glv<C>::endo(pp.pre[c * nb + j]))
+                << C::name() << " block " << c << " entry " << j;
+    auto ref = referenceGlvTable<C>(points, pp.checkpoints,
+                                    pp.m * pp.k);
+    ASSERT_EQ(ref.size(), pp.pre.size());
+    for (std::size_t i = 0; i < ref.size(); ++i) {
+        const auto &a = pp.pre[i], &b = ref[i];
+        EXPECT_TRUE(a.infinity == b.infinity && a.x == b.x && a.y == b.y)
+            << C::name() << " entry " << i << " threads=" << threads;
+    }
 }
 
 } // namespace
@@ -273,29 +366,83 @@ TEST(Glv, DecomposeReconstructsScalarWithShortHalves)
     }
 }
 
-TEST(Glv, EndomorphismActsAsLambda)
+TEST(Glv, DecomposeMatchesPreviousArithmetic)
 {
     const auto &p = G::params();
-    EXPECT_EQ(Pt::fromAffine(G::endo(Pt::generatorAffine())),
-              Pt::generator().mul(p.lambdaRepr));
-    for (const Aff &a : randomAffine(8, 29))
-        EXPECT_EQ(Pt::fromAffine(G::endo(a)),
-                  Pt::fromAffine(a).mul(p.lambdaRepr));
-    EXPECT_TRUE(G::endo(Aff::identity()).infinity);
+    testkit::Rng rng(71);
+    std::vector<Fr> scalars;
+    for (int i = 0; i < 2000; ++i)
+        scalars.push_back(Fr::random(rng));
+    for (const Fr &k : {Fr::zero(), Fr::one(), p.lambda, -Fr::one(),
+                        -p.lambda})
+        scalars.push_back(k);
+    // Around the kScalarBits guard: 2^131, 2^132 and 2^133, each
+    // -1, +0 and +1, and negated.
+    for (std::size_t bits : {131, 132, 133}) {
+        Fr::Repr pow2;
+        pow2.setBit(bits);
+        Fr t = Fr::fromBigInt(pow2);
+        for (const Fr &k : {t - Fr::one(), t, t + Fr::one()}) {
+            scalars.push_back(k);
+            scalars.push_back(-k);
+        }
+    }
+    for (const Fr &k : scalars) {
+        auto got = G::decompose(k);
+        auto want = decomposeReference(k);
+        EXPECT_EQ(got.k1, want.k1) << k.toHex();
+        EXPECT_EQ(got.k2, want.k2) << k.toHex();
+        EXPECT_EQ(got.neg1, want.neg1) << k.toHex();
+        EXPECT_EQ(got.neg2, want.neg2) << k.toHex();
+    }
 }
 
-TEST(Glv, DecomposedMulMatchesDirectMul)
+/** The endomorphism and the decomposition, on both BN254 groups. */
+template <typename C>
+class GlvGroup : public ::testing::Test
+{};
+using GlvGroups = ::testing::Types<Bn254G1Cfg, Bn254G2Cfg>;
+TYPED_TEST_SUITE(GlvGroup, GlvGroups);
+
+TYPED_TEST(GlvGroup, EndomorphismActsAsLambda)
 {
+    using C = TypeParam;
+    using P = ECPoint<C>;
+    using GC = Glv<C>;
+    const auto &p = GC::params();
+    EXPECT_EQ(&p, &G::params()); // one lattice for both groups
+    // beta is a primitive cube root of unity in Fq.
+    const ff::Bn254Fq one = ff::Bn254Fq::one();
+    EXPECT_EQ(GC::beta().squared() * GC::beta(), one);
+    EXPECT_NE(GC::beta(), one);
+    EXPECT_EQ(P::fromAffine(GC::endo(P::generatorAffine())),
+              P::generator().mul(p.lambdaRepr));
+    auto pts =
+        testkit::msmInstance<C>(16, testkit::ScalarMix::Dense, 29).points;
+    for (const auto &a : pts) {
+        ASSERT_TRUE(inPrimeSubgroup(a));
+        EXPECT_EQ(P::fromAffine(GC::endo(a)),
+                  P::fromAffine(a).mul(p.lambdaRepr));
+    }
+    EXPECT_TRUE(GC::endo(AffinePoint<C>::identity()).infinity);
+}
+
+TYPED_TEST(GlvGroup, DecomposedMulMatchesDirectMul)
+{
+    using C = TypeParam;
+    using P = ECPoint<C>;
+    using GC = Glv<C>;
     testkit::Rng rng(31);
-    auto pts = randomAffine(6, 37);
-    for (const Aff &a : pts) {
+    auto pts =
+        testkit::msmInstance<C>(6, testkit::ScalarMix::Dense, 37).points;
+    for (const auto &a : pts) {
         Fr k = Fr::random(rng);
-        auto d = G::decompose(k);
-        Pt base = Pt::fromAffine(a);
-        Pt t1 = base.mul(d.k1);
+        auto d = GC::decompose(k);
+        P base = P::fromAffine(a);
+        P t1 = base.mul(d.k1);
         if (d.neg1)
             t1 = t1.negate();
-        Pt t2 = Pt::fromAffine(G::endo(a)).mul(d.k2);
+        P t2 = P::fromAffine(GC::endo(a)).mul(d.k2);
         if (d.neg2)
             t2 = t2.negate();
         EXPECT_EQ(t1 + t2, base.mul(k));
@@ -361,6 +508,62 @@ TEST(BatchAffineDifferential, ResultsAreThreadCountInvariant)
                       .run(in.points, in.scalars),
                   base)
             << "threads=" << t;
+}
+
+TEST(BatchAffineDifferential, G2EnginesAgreeWithAndWithoutGlv)
+{
+    // k = 6, M = 2: a bucket-delta slot averages ~nb/32 adds, so the
+    // minDrainOccupancy threshold (8) routes n = 12 to the Jacobian
+    // drain and n = 48 to the affine one, with GLV on and off.
+    for (std::size_t n : {12, 48}) {
+        auto in = testkit::msmInstance<G2Cfg>(
+            n, testkit::ScalarMix::Dense, 101 + n);
+        auto expect = msmNaive<G2Cfg>(in.points, in.scalars);
+        for (std::size_t threads : {1, 4}) {
+            for (GlvMode glv : {GlvMode::Off, GlvMode::On}) {
+                for (Accumulator acc :
+                     {Accumulator::Jacobian, Accumulator::BatchAffine}) {
+                    std::string what = "n=" + std::to_string(n) +
+                        " threads=" + std::to_string(threads) +
+                        " glv=" + std::to_string(int(glv)) +
+                        " acc=" + std::to_string(int(acc));
+                    typename GzkpMsm<G2Cfg>::Options o;
+                    o.k = 6;
+                    o.checkpointM = 2;
+                    o.threads = threads;
+                    o.accumulator = acc;
+                    o.glv = glv;
+                    GzkpMsm<G2Cfg> engine(o);
+                    auto pp = engine.preprocess(in.points);
+                    EXPECT_EQ(pp.glv, glv == GlvMode::On) << what;
+                    EXPECT_EQ(engine.run(pp, in.scalars), expect)
+                        << "gzkp " << what;
+                    EXPECT_EQ(engine.lastDrainStats().affineAdds > 0,
+                              acc == Accumulator::BatchAffine &&
+                                  n == 48)
+                        << what;
+                    EXPECT_EQ(PippengerSerial<G2Cfg>(0, threads, acc,
+                                                     glv)
+                                  .run(in.points, in.scalars),
+                              expect)
+                        << "serial " << what;
+                }
+            }
+        }
+    }
+}
+
+TEST(GlvTable, PhiHalfIsEndoOfBaseHalf)
+{
+    // Adversarial points: identities and duplicates in the blocks.
+    auto g1 = testkit::msmInstance<Cfg>(
+        40, testkit::ScalarMix::Adversarial, 107);
+    auto g2 = testkit::msmInstance<G2Cfg>(
+        24, testkit::ScalarMix::Adversarial, 109);
+    for (std::size_t threads : {1, 4}) {
+        expectGlvTableLayout<Cfg>(g1.points, threads);
+        expectGlvTableLayout<G2Cfg>(g2.points, threads);
+    }
 }
 
 // --------------------------------------------------- end-to-end proofs

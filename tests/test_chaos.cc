@@ -250,6 +250,37 @@ TEST(Chaos, PreprocessResumesFromCheckpoint)
     EXPECT_EQ(engine.run(*pp, in.scalars), expect);
 }
 
+/**
+ * The same on a G2 GLV table, with the fault in the middle of the
+ * build: the blocks committed before it are kept, and the resumed
+ * table equals a fault-free one entry for entry.
+ */
+TEST(Chaos, G2GlvPreprocessResumesFromCheckpoint)
+{
+    using Cfg = ec::Bn254G2Cfg;
+    using Engine = msm::GzkpMsm<Cfg>;
+    auto in = testkit::msmInstance<Cfg>(24, testkit::ScalarMix::Dense,
+                                        2028);
+    Engine::Options mo;
+    mo.threads = 2;
+    mo.k = 6;
+    mo.checkpointM = 2; // 11 checkpoint blocks
+    Engine engine(mo);
+    auto clean = engine.preprocess(in.points);
+    ASSERT_TRUE(clean.glv);
+
+    faultsim::ScopedFaultPlan guard(
+        "seed=16;launch@msm.gzkp.preprocess:4#1"); // fires at block 5
+    Engine::PreprocessProgress progress;
+    EXPECT_THROW(engine.preprocessResumable(in.points, progress),
+                 StatusError);
+    EXPECT_GT(progress.done, 0u);
+    EXPECT_LT(progress.done, clean.checkpoints);
+    auto pp = engine.preprocessResumable(in.points, progress);
+    EXPECT_TRUE(pp.pre == clean.pre);
+    EXPECT_EQ(engine.run(pp, in.scalars), engine.run(clean, in.scalars));
+}
+
 /** Persistent preprocess faults exhaust the bounded retries. */
 TEST(Chaos, PreprocessRetriesAreBounded)
 {

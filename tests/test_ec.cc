@@ -33,6 +33,64 @@ using AllCurves = ::testing::Types<Bn254G1Cfg, Bn254G2Cfg, Bls381G1Cfg,
                                    Mnt4753G1Cfg>;
 TYPED_TEST_SUITE(EcTest, AllCurves);
 
+namespace {
+
+/**
+ * dbl-2007-bl for general a, as ECPoint::dbl() ran it on every curve
+ * before the a = 0 formula: on an a = 0 curve dbl() must return the
+ * same Jacobian coordinates.
+ */
+template <typename Cfg>
+ECPoint<Cfg>
+dblGeneralA(const ECPoint<Cfg> &p)
+{
+    using F = typename Cfg::Field;
+    if (p.isZero() || p.Y.isZero())
+        return ECPoint<Cfg>();
+    F xx = p.X.squared();
+    F yy = p.Y.squared();
+    F yyyy = yy.squared();
+    F zz = p.Z.squared();
+    F s = ((p.X + yy).squared() - xx - yyyy).dbl();
+    F m = xx + xx + xx + Cfg::a() * zz.squared();
+    F x3 = m.squared() - s - s;
+    F y3 = m * (s - x3) - yyyy.dbl().dbl().dbl();
+    F z3 = (p.Y + p.Z).squared() - yy - zz;
+    return ECPoint<Cfg>(x3, y3, z3);
+}
+
+/** Affine tangent doubling: slope (3x^2 + a) / 2y. */
+template <typename Cfg>
+AffinePoint<Cfg>
+dblAffine(const AffinePoint<Cfg> &p)
+{
+    using F = typename Cfg::Field;
+    F slope = (p.x.squared() + p.x.squared() + p.x.squared() + Cfg::a()) *
+        p.y.dbl().inverse();
+    F x3 = slope.squared() - p.x.dbl();
+    return AffinePoint<Cfg>(x3, slope * (p.x - x3) - p.y);
+}
+
+} // namespace
+
+TYPED_TEST(EcTest, DoublingMatchesAdditionAndReferences)
+{
+    using Pt = ECPoint<TypeParam>;
+    EXPECT_EQ(TypeParam::kAZero, TypeParam::a().isZero());
+    Pt id;
+    EXPECT_TRUE(id.dbl().isZero());
+    EXPECT_EQ(id.dbl(), id.add(id));
+    for (int i = 0; i < 8; ++i) {
+        Pt p = this->randomPoint();
+        Pt d = p.dbl();
+        EXPECT_EQ(d, p.add(p));
+        EXPECT_EQ(d.toAffine(), dblAffine<TypeParam>(p.toAffine()));
+        Pt ref = dblGeneralA(p);
+        EXPECT_TRUE(d.X == ref.X && d.Y == ref.Y && d.Z == ref.Z)
+            << TypeParam::name() << ": Jacobian coordinates moved";
+    }
+}
+
 TYPED_TEST(EcTest, GeneratorOnCurve)
 {
     using Pt = ECPoint<TypeParam>;

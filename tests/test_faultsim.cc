@@ -3,13 +3,14 @@
  * Unit tests for the deterministic fault-injection framework: plan
  * parsing and round-tripping, fire-decision determinism, epoch and
  * limit semantics, scoped installation, and the corruption
- * primitives' field invariants.
+ * primitives' field and curve invariants.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 
+#include "ec/curves.hh"
 #include "faultsim/faultsim.hh"
 #include "ff/field_tags.hh"
 
@@ -236,6 +237,34 @@ TEST(FaultSim, MaybeCorruptElementHitsExactlyOneElement)
                                      data.size(), "ntt.cpu", 1));
     for (std::size_t i = 0; i < data.size(); ++i)
         EXPECT_EQ(data[i], after[i]);
+}
+
+/**
+ * A corrupted bucket is never a silent no-op: an identity input (the
+ * first bucket of a sparse MSM often is one) and an on-curve input
+ * both come back as non-identity, off-curve points.
+ */
+template <typename Point>
+void
+expectCorruptionLeavesCurve()
+{
+    ScopedFaultPlan guard("seed=8;bucket@msm:1");
+    Point id;
+    ASSERT_TRUE(maybeCorruptPoint(FaultKind::Bucket, id,
+                                  "msm.gzkp.bucket", 17));
+    EXPECT_FALSE(id.isZero());
+    EXPECT_FALSE(id.toAffine().onCurve());
+    Point p = Point::generator().dbl();
+    ASSERT_TRUE(maybeCorruptPoint(FaultKind::Bucket, p,
+                                  "msm.gzkp.bucket", 18));
+    EXPECT_FALSE(p.isZero());
+    EXPECT_FALSE(p.toAffine().onCurve());
+}
+
+TEST(FaultSim, MaybeCorruptPointNeverLeavesAValidPoint)
+{
+    expectCorruptionLeavesCurve<ec::Bn254G1>();
+    expectCorruptionLeavesCurve<ec::Bn254G2>();
 }
 
 } // namespace

@@ -10,11 +10,16 @@
  * tuple, the serialized verifying key and proof. Each tuple is
  * re-proved with the serial and GZKP MSM policies at 1 and 4 threads
  * and through SelfCheckingProver over cached Algorithm-1 artifacts;
- * the small BN254 tuples also go through ProofService, single-lane
- * and on a cpu:2 device topology. The 2^12 chain is re-proved at 4
+ * the small BN254 tuples also go through ProofService, single-lane,
+ * on a cpu:2 device topology and on the heterogeneous
+ * v100:1,1080ti:1,cpu:2 fleet. The 2^12 chain is re-proved at 4
  * threads only and pins that its hQuery MSM reaches the batch-affine
- * chord flush. Every output must equal the committed text. The suite
- * is in the `fast` tier, so the CI ISA matrix runs it on every arm.
+ * chord flush. The 2^13 chain (the sapling circuit) is re-proved at 4
+ * threads through SelfCheckingProver over cached artifacts and pins
+ * that its G2 b2Query MSM reaches the chord flush; it takes about ten
+ * seconds, so ctest runs it as the `slow` test_golden_slow. Every
+ * output must equal the committed text. The rest of the suite is in
+ * the `fast` tier, so the CI ISA matrix runs it on every arm.
  *
  * Regenerating the corpus changes what every later version is held
  * to; do it only for a deliberate format or protocol change:
@@ -61,6 +66,9 @@ constexpr GoldenTuple kBn254Chain = {"bn254_poseidon_chain2", 0x601D1,
 // smallest chain whose hQuery MSM reaches the batch-affine chord flush.
 constexpr GoldenTuple kBn254Chain16 = {"bn254_poseidon_chain16", 0x601DA,
                                        0x601DB, 0x601DC};
+// A 33-link BN254 Poseidon chain (2^13 domain): the sapling circuit.
+constexpr GoldenTuple kBn254Chain33 = {"bn254_poseidon_chain33", 0x601DD,
+                                       0x601DE, 0x601DF};
 // testkit::randomCircuit at 24 constraints on each family.
 constexpr GoldenTuple kBn254Random = {"bn254_random24", 0x601D4,
                                       0x601D5, 0x601D6};
@@ -191,7 +199,10 @@ expectMatchesCorpus(const GoldenTuple &t,
     }
 }
 
-/** The BN254 tuples through the service, single-lane and on cpu:2. */
+/**
+ * The BN254 tuples through the service: single-lane, on cpu:2 and on
+ * the heterogeneous fleet.
+ */
 void
 expectServiceMatchesCorpus(
     const GoldenTuple &t, const workload::Builder<ff::Bn254Fr> &b,
@@ -199,7 +210,7 @@ expectServiceMatchesCorpus(
 {
     using Service = service::ProofService<zkp::Bn254Family>;
     const std::string golden = readFile(goldenPath(t, ".proof.txt"));
-    for (const char *topology : {"", "cpu:2"}) {
+    for (const char *topology : {"", "cpu:2", "v100:1,1080ti:1,cpu:2"}) {
         Service::Options opt;
         opt.threads = 2;
         opt.deviceSpec = topology;
@@ -252,6 +263,44 @@ TEST(GoldenCorpus, Bn254PoseidonChain16)
     EXPECT_GT(engine.lastDrainStats().inversions, 0u);
 }
 
+TEST(GoldenCorpus, Bn254PoseidonChain33)
+{
+    using Family = zkp::Bn254Family;
+    const GoldenTuple &t = kBn254Chain33;
+    auto b = bn254Chain(t, 33);
+    auto keys = setupTuple<Family>(t, b);
+    ASSERT_EQ(keys.pk.domainLog, 13u);
+    EXPECT_EQ(zkp::serializeVerifyingKey<Family>(keys.vk),
+              readFile(goldenPath(t, ".vk.txt")))
+        << t.name << ": verifying key moved";
+
+    // The serving path only: the per-call table builds of the other
+    // engines cost seconds each at this size.
+    auto art = zkp::buildMsmArtifacts<Family>(keys.pk, 4);
+    ASSERT_TRUE(art.isOk()) << art.status().toString();
+    ntt::Domain<ff::Bn254Fr> dom(keys.pk.domainLog);
+    zkp::SelfCheckingProver<Family>::Options opt;
+    opt.threads = 4;
+    opt.artifacts = &*art;
+    opt.domain = &dom;
+    auto prover = zkp::makeBn254SelfCheckingProver(opt);
+    service::ProofRng rng(t.proveSeed);
+    auto r = prover.prove(keys.pk, keys.vk, b.cs(), b.assignment(), rng);
+    ASSERT_TRUE(r.isOk()) << r.status().toString();
+    EXPECT_EQ(zkp::serializeProof<Family>(*r),
+              readFile(goldenPath(t, ".proof.txt")))
+        << t.name << ": SelfCheckingProver threads=4";
+
+    // The tuple exists to cover the G2 chord flush: the b2Query MSM,
+    // run over its cached table, must resolve rounds through shared
+    // inversions.
+    msm::GzkpMsm<Family::G2Cfg>::Options o;
+    o.threads = 4;
+    msm::GzkpMsm<Family::G2Cfg> engine(o);
+    engine.run(art->b2, b.assignment());
+    EXPECT_GT(engine.lastDrainStats().inversions, 0u);
+}
+
 TEST(GoldenCorpus, Bn254RandomCircuit)
 {
     auto b = randomTuple<zkp::Bn254Family>(kBn254Random);
@@ -280,6 +329,8 @@ TEST(GoldenCorpus, DISABLED_Regenerate)
     };
     write(kBn254Chain, bn254Chain(kBn254Chain, 2), zkp::Bn254Family{});
     write(kBn254Chain16, bn254Chain(kBn254Chain16, 16),
+          zkp::Bn254Family{});
+    write(kBn254Chain33, bn254Chain(kBn254Chain33, 33),
           zkp::Bn254Family{});
     write(kBn254Random, randomTuple<zkp::Bn254Family>(kBn254Random),
           zkp::Bn254Family{});
