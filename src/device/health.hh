@@ -10,9 +10,9 @@
  * deterministic denial-counted cooldown the breaker half-opens and
  * the next placement probes the device again.
  *
- * Same neutrality rule as the backend registry: cooperative stops
- * and caller bugs (kCancelled, kDeadlineExceeded, kInvalidArgument,
- * kFailedPrecondition) never indict the device.
+ * Same neutrality rule as the backend registry
+ * (service::neutralStatus): cooperative stops and caller bugs never
+ * indict the device.
  */
 
 #ifndef GZKP_DEVICE_HEALTH_HH
@@ -52,7 +52,7 @@ class DeviceHealth
         std::lock_guard<std::mutex> lk(mu_);
         service::SlidingBreaker &b = b_[d];
         b.countAttempt();
-        if (neutral(status.code()))
+        if (service::neutralStatus(status.code()))
             return;
         b.record(status.isOk(), seconds);
     }
@@ -98,20 +98,6 @@ class DeviceHealth
     }
 
   private:
-    static bool
-    neutral(StatusCode code)
-    {
-        switch (code) {
-        case StatusCode::kCancelled:
-        case StatusCode::kDeadlineExceeded:
-        case StatusCode::kInvalidArgument:
-        case StatusCode::kFailedPrecondition:
-            return true;
-        default:
-            return false;
-        }
-    }
-
     mutable std::mutex mu_;
     std::vector<service::SlidingBreaker> b_;
 };

@@ -108,8 +108,8 @@ class StageScheduler
     using ProvingKey = typename G16::ProvingKey;
     using VerifyingKey = typename G16::VerifyingKey;
     using MsmArtifacts = typename G16::MsmArtifacts;
-    using Verifier = std::function<bool(
-        const VerifyingKey &, const Proof &, const std::vector<Fr> &)>;
+    using Prover = zkp::SelfCheckingProver<Family>;
+    using Verifier = typename Prover::Verifier;
 
     struct Options {
         std::vector<DeviceSpec> devices;
@@ -487,32 +487,15 @@ class StageScheduler
                         *js.job.pk, js.job.witness, js.h, spec.threads);
                 }
                 Proof p = G16::assembleProof(*js.job.pk, m, js.r, js.s);
-                Status chk = selfCheck(js, p);
+                Status chk = Prover::selfCheck(
+                    "device.selfcheck", verifier_, js.job.vk, p,
+                    Prover::publicInputs(*js.job.pk, js.job.witness));
                 if (!chk.isOk())
                     throw StatusError(chk);
                 js.result.proof = std::move(p);
             }
         });
         return st;
-    }
-
-    Status
-    selfCheck(const JobState &js, const Proof &p) const
-    {
-        if (!ec::inPrimeSubgroup(p.a) || !ec::inPrimeSubgroup(p.b) ||
-            !ec::inPrimeSubgroup(p.c))
-            return dataLossError(
-                "device.selfcheck: proof point off curve or outside "
-                "prime-order subgroup");
-        if (verifier_ && js.job.vk != nullptr) {
-            std::vector<Fr> pub(
-                js.job.witness.begin() + 1,
-                js.job.witness.begin() + 1 + js.job.pk->numPublic);
-            if (!verifier_(*js.job.vk, p, pub))
-                return dataLossError(
-                    "device.selfcheck: proof failed verification");
-        }
-        return Status();
     }
 
     /**

@@ -134,25 +134,20 @@ pkContentHash(const typename zkp::Groth16<Family>::ProvingKey &pk)
 
 /**
  * Everything the prover needs per circuit beyond the proving key:
- * the five Algorithm-1 MSM tables, the NTT domain with its twiddle
- * tables, and the QAP shape metadata. Immutable once built; shared
- * across every request for the circuit.
+ * the five Algorithm-1 MSM tables and the NTT domain with its
+ * twiddle tables. Immutable once built; shared across every request
+ * for the circuit.
  */
 template <typename Family>
 struct CircuitArtifacts {
     using G16 = zkp::Groth16<Family>;
     using Fr = typename Family::Fr;
 
-    /** QAP shape metadata (what qap::domainLogFor derived). */
-    std::size_t numVars = 0;
-    std::size_t numPublic = 0;
-    std::size_t domainLog = 0;
-
     typename G16::MsmArtifacts msm;
     ntt::Domain<Fr> domain;
 
     explicit CircuitArtifacts(std::size_t domain_log)
-        : domainLog(domain_log), domain(domain_log)
+        : domain(domain_log)
     {}
 
     /** Host-resident size charged against the cache budget. */
@@ -208,8 +203,6 @@ buildCircuitArtifacts(const typename zkp::Groth16<Family>::ProvingKey &pk,
     });
     GZKP_RETURN_IF_ERROR(probe);
     auto art = std::make_shared<CircuitArtifacts<Family>>(pk.domainLog);
-    art->numVars = pk.numVars;
-    art->numPublic = pk.numPublic;
     GZKP_ASSIGN_OR_RETURN(
         art->msm, zkp::buildMsmArtifacts<Family>(pk, threads, max_attempts));
     maybeCorruptCachedTable(*art, key);

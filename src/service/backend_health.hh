@@ -108,7 +108,7 @@ class BackendHealth final : public zkp::BackendMonitor
         std::lock_guard<std::mutex> lk(mu_);
         SlidingBreaker &b = b_[std::size_t(backend)];
         b.countAttempt();
-        if (neutral(status.code()))
+        if (neutralStatus(status.code()))
             return; // don't blame the backend for the caller's stop
         b.record(status.isOk(), seconds);
     }
@@ -154,21 +154,6 @@ class BackendHealth final : public zkp::BackendMonitor
     }
 
   private:
-    /** Statuses that don't indict the backend. */
-    static bool
-    neutral(StatusCode code)
-    {
-        switch (code) {
-        case StatusCode::kCancelled:
-        case StatusCode::kDeadlineExceeded:
-        case StatusCode::kInvalidArgument:
-        case StatusCode::kFailedPrecondition:
-            return true;
-        default:
-            return false;
-        }
-    }
-
     mutable std::mutex mu_;
     std::array<SlidingBreaker, zkp::kProverBackendCount> b_{};
     std::uint64_t allowSeq_ = 0;

@@ -30,6 +30,8 @@
 #include <deque>
 #include <vector>
 
+#include "status/status.hh"
+
 namespace gzkp::service {
 
 enum class BreakerState { Closed = 0, Open = 1, HalfOpen = 2 };
@@ -214,6 +216,25 @@ class SlidingBreaker
     std::uint64_t cooldownTarget_ = 0;
     std::size_t probeOk_ = 0;
 };
+
+/**
+ * Outcomes that do not indict the backend or device they ran on:
+ * cooperative stops and caller bugs. Breaker owners count the attempt
+ * but record only the other outcomes.
+ */
+inline bool
+neutralStatus(StatusCode code)
+{
+    switch (code) {
+    case StatusCode::kCancelled:
+    case StatusCode::kDeadlineExceeded:
+    case StatusCode::kInvalidArgument:
+    case StatusCode::kFailedPrecondition:
+        return true;
+    default:
+        return false;
+    }
+}
 
 } // namespace gzkp::service
 

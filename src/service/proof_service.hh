@@ -633,7 +633,6 @@ class ProofService
             ++t.failed;
             ++t.shed;
             stats_.queueSecondsTotal += res.queueSeconds;
-            inFlightCost_ = std::max(0.0, inFlightCost_);
         }
         p.promise.set_value(std::move(res));
     }
@@ -837,18 +836,6 @@ class ProofService
     std::unique_ptr<Scheduler> scheduler_;
 };
 
-/** The BN254 verifier callback for the service's self-check. */
-inline typename zkp::SelfCheckingProver<zkp::Bn254Family>::Verifier
-bn254ServiceVerifier()
-{
-    using P = zkp::SelfCheckingProver<zkp::Bn254Family>;
-    return [](const typename P::VerifyingKey &vk,
-              const typename P::Proof &proof,
-              const std::vector<typename P::Fr> &pub) {
-        return zkp::verifyBn254(vk, proof, pub);
-    };
-}
-
 /**
  * The production configuration: a BN254 service whose self-check is
  * the real pairing verifier. (unique_ptr because the service owns a
@@ -859,7 +846,7 @@ makeBn254ProofService(
     typename ProofService<zkp::Bn254Family>::Options opt = {})
 {
     return std::make_unique<ProofService<zkp::Bn254Family>>(
-        opt, bn254ServiceVerifier());
+        opt, zkp::verifyBn254);
 }
 
 } // namespace gzkp::service

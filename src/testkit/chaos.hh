@@ -9,17 +9,20 @@
  *
  * The harness generates random-but-reproducible plans over the real
  * probe-site vocabulary (so arms actually hit the pipeline rather
- * than matching nothing), runs the self-checking BN254 prover under
- * each, and classifies the outcome. tests/test_chaos.cc sweeps
- * hundreds of seeds through runChaosPlan() and asserts the invariant
- * on every one; the CI chaos job replays a slice of the same sweep
- * through the GZKP_FAULTS environment path.
+ * than matching nothing), runs the self-checking BN254 prover
+ * (runChaosPlan) or a whole proving service over a request list
+ * (runServiceChaosPlan) under each, and classifies the outcome.
+ * tests/test_chaos.cc sweeps hundreds of seeds through both and
+ * asserts the invariant on every one; fuzz_driver --kind=fault
+ * replays prover plans by seed.
  */
 
 #ifndef GZKP_TESTKIT_CHAOS_HH
 #define GZKP_TESTKIT_CHAOS_HH
 
+#include <chrono>
 #include <cstdint>
+#include <future>
 #include <iterator>
 #include <string>
 #include <vector>
@@ -128,13 +131,14 @@ struct ChaosVocabulary {
 /** The prover sweep (runChaosPlan). */
 inline const ChaosVocabulary kProverChaos{.salt = 0xFA, .sites = 12};
 
-/** The service sweep (runServiceChaosPlan). */
+/** The service sweep (runServiceChaosPlan, serviceChaosRequests). */
 inline const ChaosVocabulary kServiceChaos{.salt = 0x5FA, .sites = 17};
 
 /**
- * The overload sweep (runOverloadChaosPlan, single-lane), biased
- * toward the routing sites so it spends most of its seeds on
- * shed/breaker interference. Its salt equals the prover sweep's.
+ * The overload sweep (runServiceChaosPlan single-lane over
+ * overloadChaosRequests), biased toward the routing sites so it
+ * spends most of its seeds on shed/breaker interference. Its salt
+ * equals the prover sweep's.
  */
 inline const ChaosVocabulary kOverloadChaos{
     .salt = 0x0FA,
@@ -152,7 +156,7 @@ inline constexpr const char *kDeviceChaosTopology =
     "v100:1,1080ti:1,cpu:2";
 
 /**
- * The device sweep (runOverloadChaosPlan on kDeviceChaosTopology),
+ * The device sweep (the overload requests on kDeviceChaosTopology),
  * biased toward the per-device sites.
  */
 inline const ChaosVocabulary kDeviceChaos{
@@ -219,7 +223,6 @@ struct ChaosOutcome {
         outcome the subsystem exists to make impossible. */
     bool releasedBadProof = false;
     Status status;          //!< the typed error otherwise
-    std::uint64_t fires = 0; //!< probe fires during the run
     zkp::SelfCheckingProver<zkp::Bn254Family>::Report report;
 
     /** The chaos invariant. */
@@ -252,7 +255,6 @@ runChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
     Rng rng(deriveSeed(seed, 0xFC));
     auto r = prover.prove(fx.keys.pk, fx.keys.vk, fx.builder.cs(),
                           fx.builder.assignment(), rng, &out.report);
-    out.fires = faultsim::firedCount();
     if (r.isOk()) {
         // Independent acceptance check: the pipeline must never
         // release a proof the *verifier* (which carries no probes)
@@ -273,92 +275,35 @@ runChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
 
 // ------------------------------------------------------ service chaos
 
-/** What one service chaos run ended as, over all its requests. */
-struct ServiceChaosOutcome {
-    std::size_t proofsOk = 0;     //!< released AND independently verified
-    std::size_t typedErrors = 0;  //!< completed with a non-OK Status
-    std::size_t rejectedAtQueue = 0; //!< submit() itself rejected
-    /** The one forbidden outcome (see ChaosOutcome). */
-    bool releasedBadProof = false;
-    std::uint64_t fires = 0;
-
-    /** The chaos invariant, lifted to the whole request set. */
-    bool clean() const { return !releasedBadProof; }
+/** One request of a service chaos run. */
+struct ChaosRequest {
+    std::uint64_t seed = 0; //!< seeds the proof's (r, s) draw
+    std::uint64_t tenant = 0;
+    int priority = 0;
+    std::chrono::milliseconds timeout{0}; //!< 0 = no deadline
+    /** Fault-free proof bytes for `seed`; empty = not compared. */
+    std::string reference;
 };
 
-/**
- * Run a ProofService end to end under `plan`: register the chaos
- * circuit, submit `requests` seeded requests (the plan is live for
- * the whole run, so queue admission, the cache build under
- * single-flight, the cached tables, and every proof attempt are all
- * in the blast radius), drain synchronously, and classify every
- * result. Released proofs are re-verified with the independent
- * pairing verifier, exactly as runChaosPlan() does.
- */
-inline ServiceChaosOutcome
-runServiceChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
-                    std::size_t requests = 4)
+/** The service sweep's requests: four seeded single-tenant requests. */
+inline std::vector<ChaosRequest>
+serviceChaosRequests(std::uint64_t seed)
 {
-    using Service = service::ProofService<zkp::Bn254Family>;
-    const ChaosFixture &fx = chaosFixture();
-    ServiceChaosOutcome out;
-
-    faultsim::ScopedFaultPlan guard(plan);
-    typename Service::Options opt;
-    opt.threads = 2;
-    opt.maxQueueDepth = requests;
-    opt.cacheBytes = 64ull << 20;
-    auto svc = service::makeBn254ProofService(opt);
-    auto cid = svc->registerCircuit(fx.keys.pk, fx.keys.vk,
-                                    fx.builder.cs());
-
-    std::vector<std::future<typename Service::Result>> futures;
-    for (std::size_t i = 0; i < requests; ++i) {
-        typename Service::Request req;
-        req.circuit = cid;
-        req.witness = fx.builder.assignment();
-        req.seed = deriveSeed(seed, 0xFC00 + i);
-        auto admitted = svc->submit(std::move(req));
-        if (!admitted.isOk()) {
-            ++out.rejectedAtQueue;
-            continue;
-        }
-        futures.push_back(std::move(*admitted));
-    }
-    svc->drain();
-
-    for (auto &f : futures) {
-        typename Service::Result res = f.get();
-        if (res.status.isOk() && res.proof.has_value()) {
-            if (zkp::verifyBn254(fx.keys.vk, *res.proof,
-                                 fx.publicInputs))
-                ++out.proofsOk;
-            else
-                out.releasedBadProof = true;
-        } else if (!res.status.isOk()) {
-            ++out.typedErrors;
-        } else {
-            // OK status without a proof is also a contract violation.
-            out.releasedBadProof = true;
-        }
-    }
-    out.fires = faultsim::firedCount();
+    std::vector<ChaosRequest> out(4);
+    for (std::size_t i = 0; i < out.size(); ++i)
+        out[i].seed = deriveSeed(seed, 0xFC00 + i);
     return out;
 }
 
-// ----------------------------------------------------- overload chaos
-
-/** Requests per overload chaos run (fixed: reference proofs). */
-inline constexpr std::size_t kOverloadChaosRequests = 6;
-
 /**
- * Fault-free reference proofs for the overload sweep's fixed request
- * seeds. Computed once, before any plan is installed (callers must
- * touch this BEFORE constructing their ScopedFaultPlan): the bytes a
- * request must deliver whenever no fault perturbed its rng draws.
+ * The overload and device sweeps' requests: six fixed seeds over
+ * three tenants and two priorities, with mixed deadlines (none /
+ * generous / hopeless) that rotate with the plan seed, each carrying
+ * its fault-free reference proof. The references are proved once,
+ * by the first call, which must come before any plan is installed.
  */
-inline const std::vector<std::string> &
-overloadReferenceProofs()
+inline std::vector<ChaosRequest>
+overloadChaosRequests(std::uint64_t seed)
 {
     static const std::vector<std::string> refs = [] {
         const ChaosFixture &fx = chaosFixture();
@@ -366,7 +311,7 @@ overloadReferenceProofs()
         opt.threads = 2;
         auto prover = zkp::makeBn254SelfCheckingProver(opt);
         std::vector<std::string> out;
-        for (std::size_t i = 0; i < kOverloadChaosRequests; ++i) {
+        for (std::size_t i = 0; i < 6; ++i) {
             service::ProofRng rng(deriveSeed(0xB17E, i));
             auto r = prover.prove(fx.keys.pk, fx.keys.vk,
                                   fx.builder.cs(),
@@ -376,45 +321,63 @@ overloadReferenceProofs()
         }
         return out;
     }();
-    return refs;
+    std::vector<ChaosRequest> out(refs.size());
+    for (std::size_t i = 0; i < out.size(); ++i) {
+        ChaosRequest &r = out[i];
+        r.seed = deriveSeed(0xB17E, i);
+        r.tenant = i % 3;
+        r.priority = int(i % 2);
+        switch ((seed + i) % 4) {
+        case 1: r.timeout = std::chrono::milliseconds(5000); break;
+        case 2: r.timeout = std::chrono::milliseconds(1); break;
+        default: break; // no deadline
+        }
+        r.reference = refs[i];
+    }
+    return out;
 }
 
-/** What one overload chaos run ended as, over all its requests. */
-struct OverloadChaosOutcome {
-    std::size_t proofsOk = 0;
-    std::size_t typedErrors = 0;    //!< futures with a non-OK Status
+/** What one service chaos run ended as, over all its requests. */
+struct ServiceChaosOutcome {
+    std::size_t proofsOk = 0;     //!< released AND independently verified
+    std::size_t typedErrors = 0;  //!< completed with a non-OK Status
     std::size_t rejectedAtQueue = 0; //!< submit() itself rejected
+    /** The one forbidden outcome (see ChaosOutcome). */
     bool releasedBadProof = false;
-    /** A delivered proof whose bytes differ from the fault-free
+    /** A delivered proof whose bytes differ from its request's
         reference on a run where only routing sites could fire. */
     bool byteMismatch = false;
-    std::uint64_t fires = 0;
 
+    /** The chaos invariant, lifted to the whole request set. */
     bool clean() const { return !releasedBadProof && !byteMismatch; }
 };
 
 /**
- * Run a ProofService with the full overload stack live -- fair-share
- * tenants with skewed weights, mixed deadlines (none / generous /
- * hopeless), deadline admission and health tracking -- under `plan`,
- * and classify every outcome. An empty `topology` proves single-lane;
- * otherwise every proof goes through the device scheduler on that
- * fleet (placement, pipelining, per-device breakers and inline stage
- * retries all live). The invariant is the prover's, lifted to the
- * service: a valid proof or a clean typed error, never a bad proof.
- * On plans whose arms touch only routing sites -- shed/breaker/queue
- * and every device.* site (a failed stage is recomputed bit-
- * identically on a re-placed device) -- delivered bytes must equal
- * the fault-free single-lane reference.
+ * Run a ProofService end to end under `plan` with the full overload
+ * stack live -- fair-share tenants weighted 0:4, 1:1, 2:1, deadline
+ * admission and health tracking: register the chaos circuit, submit
+ * `requests` (the queue holds exactly that many), drain synchronously,
+ * and classify every result. The plan is live for the whole run, so
+ * queue admission, the cache build under single-flight, the cached
+ * tables and every proof attempt are in the blast radius. An empty
+ * `topology` proves single-lane; otherwise every proof goes through
+ * the device scheduler on that fleet (placement, pipelining,
+ * per-device breakers and inline stage retries all live).
+ *
+ * Released proofs are re-verified with the independent pairing
+ * verifier, exactly as runChaosPlan() does. On plans whose arms touch
+ * only routing sites -- shed/breaker/queue and every device.* site (a
+ * failed stage is recomputed bit-identically on a re-placed device)
+ * -- a delivered proof must also equal its request's reference bytes.
  */
-inline OverloadChaosOutcome
-runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
-                     const std::string &topology = "")
+inline ServiceChaosOutcome
+runServiceChaosPlan(const faultsim::FaultPlan &plan,
+                    const std::vector<ChaosRequest> &requests,
+                    const std::string &topology = "")
 {
     using Service = service::ProofService<zkp::Bn254Family>;
     const ChaosFixture &fx = chaosFixture();
-    const auto &refs = overloadReferenceProofs(); // before the guard
-    OverloadChaosOutcome out;
+    ServiceChaosOutcome out;
 
     bool routingOnly = true;
     for (const auto &arm : plan.arms) {
@@ -429,7 +392,7 @@ runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
     faultsim::ScopedFaultPlan guard(plan);
     typename Service::Options opt;
     opt.threads = 2;
-    opt.maxQueueDepth = kOverloadChaosRequests;
+    opt.maxQueueDepth = requests.size();
     opt.cacheBytes = 64ull << 20;
     opt.deviceSpec = topology;
     opt.tenantWeights = {{0, 4}, {1, 1}, {2, 1}};
@@ -439,27 +402,23 @@ runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
 
     struct Slot {
         std::future<typename Service::Result> fut;
-        std::size_t idx;
+        const ChaosRequest *req;
     };
     std::vector<Slot> slots;
-    for (std::size_t i = 0; i < kOverloadChaosRequests; ++i) {
+    for (const ChaosRequest &c : requests) {
         typename Service::Request req;
         req.circuit = cid;
         req.witness = fx.builder.assignment();
-        req.seed = deriveSeed(0xB17E, i); // fixed: matches refs
-        req.tenant = i % 3;
-        req.priority = int(i % 2);
-        switch ((seed + i) % 4) {
-        case 1: req.timeout = std::chrono::milliseconds(5000); break;
-        case 2: req.timeout = std::chrono::milliseconds(1); break;
-        default: break; // no deadline
-        }
+        req.seed = c.seed;
+        req.tenant = c.tenant;
+        req.priority = c.priority;
+        req.timeout = c.timeout;
         auto admitted = svc->submit(std::move(req));
         if (!admitted.isOk()) {
             ++out.rejectedAtQueue;
             continue;
         }
-        slots.push_back(Slot{std::move(*admitted), i});
+        slots.push_back(Slot{std::move(*admitted), &c});
     }
     svc->drain();
 
@@ -469,9 +428,9 @@ runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
             if (zkp::verifyBn254(fx.keys.vk, *res.proof,
                                  fx.publicInputs)) {
                 ++out.proofsOk;
-                if (routingOnly &&
+                if (routingOnly && !s.req->reference.empty() &&
                     zkp::serializeProof<zkp::Bn254Family>(
-                        *res.proof) != refs[s.idx])
+                        *res.proof) != s.req->reference)
                     out.byteMismatch = true;
             } else {
                 out.releasedBadProof = true;
@@ -479,10 +438,10 @@ runOverloadChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed,
         } else if (!res.status.isOk()) {
             ++out.typedErrors;
         } else {
+            // OK status without a proof is also a contract violation.
             out.releasedBadProof = true;
         }
     }
-    out.fires = faultsim::firedCount();
     return out;
 }
 

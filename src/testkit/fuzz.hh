@@ -2,44 +2,55 @@
  * @file
  * The deterministic differential-fuzzing loop.
  *
- * One fuzz iteration derives a sub-seed, generates a biased instance,
- * and runs a differential registry over it:
+ * Every check the fuzzer runs is one row of fuzzTargets(), in
+ * schedule order:
  *
- *  - MSM: serial Pippenger (two windows), Straus, bellperson-like,
+ *  - msm: serial Pippenger (two windows), Straus, bellperson-like,
  *    and GZKP (Horner and PerPoint checkpoint modes) against the
  *    naive PMUL-sum oracle, on BN254 G1;
- *  - NTT: shuffled (BG-like), GZKP shuffle-less (two block shapes),
- *    and batched execution against the canonical radix-2 flow, plus
- *    forward/inverse round-trips against the identity;
- *  - Groth16: end-to-end setup/prove/verify on random small circuits,
- *    including negative soundness checks (a proof built from a
- *    mutated witness, or a tampered proof, must be rejected), and
- *    cross-thread-count proof determinism (identical proof bytes at
- *    runtime threads 1/2/4/8);
  *  - gpusim: the accounting invariants of every variant's reported
  *    KernelStats (see gpusim::invariantViolations), so the perf
  *    model is fuzzed as a checked contract too;
+ *  - batchaffine: every engine at every (accumulator, GLV) setting
+ *    against the naive oracle;
+ *  - ntt / nttroundtrip: shuffled (BG-like), GZKP shuffle-less (two
+ *    block shapes) and batched execution against the canonical
+ *    radix-2 flow, and forward/inverse round-trips against the
+ *    identity;
+ *  - groth16: end-to-end setup/prove/verify on random small circuits,
+ *    including negative soundness checks (a proof built from a
+ *    mutated witness, or a tampered proof, must be rejected);
+ *  - proofdet: identical proof bytes at runtime threads 1/2/4/8;
  *  - fault: seeded chaos plans (testkit/chaos.hh) driven through the
  *    self-checking prover pipeline; every run must end in a verifying
  *    proof or a typed gzkp::Status -- never a bad proof;
+ *  - workload: random Poseidon Merkle shapes through the same
+ *    pipeline, under the same invariant;
  *  - ffdispatch: random field-op programs (batch mul/sqr/mulc/add/
  *    sub/pow/inverse over ff/fp.hh entry points) replayed under every
  *    compiled SIMD ISA arm; results must be limb-identical to the
  *    portable arm, pinning the field core's bit-identity invariant.
  *
- * On divergence the failing instance is greedily shrunk and the
- * report carries a self-contained repro line (--seed=S --size=N
- * --kind=K) that replays from the fuzz_driver CLI.
+ * A row is a name, a schedule slot and a run function over one
+ * FuzzInstance. On divergence the run function shrinks the failing
+ * instance, and the report carries the repro line of the row that
+ * failed (--seed=S --size=N --kind=K), which replays exactly that
+ * check from the fuzz_driver CLI (replayInstances()).
  */
 
 #ifndef GZKP_TESTKIT_FUZZ_HH
 #define GZKP_TESTKIT_FUZZ_HH
 
+#include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cstdio>
 #include <optional>
+#include <span>
 #include <sstream>
+#include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ec/curves.hh"
@@ -68,22 +79,13 @@ struct FuzzOptions {
     std::uint64_t iterations = 100;
     double maxSeconds = 0;      //!< 0 = no time bound
     std::size_t maxMsmSize = 40;
-    std::size_t maxNttLog = 7;
-    bool msm = true;
-    bool ntt = true;
-    bool groth16 = true;
-    bool gpusim = true;
-    bool fault = true;
-    bool workload = true;
-    bool ffdispatch = true;
-    std::uint64_t groth16Every = 40; //!< proofs are expensive
-    std::uint64_t faultEvery = 16;   //!< chaos runs prove repeatedly
-    std::uint64_t workloadEvery = 64; //!< full Merkle prove per hit
+    /** Rows to run, by name, each at its own slot; empty = all. */
+    std::vector<std::string> only;
     bool verbose = false;
 };
 
 struct FuzzFailure {
-    std::string target; //!< "msm", "ntt", "groth16", "gpusim"
+    std::string target; //!< the name of the row that failed
     std::string repro;  //!< replayable CLI fragment
     std::string detail; //!< variant + shrunk-instance description
 };
@@ -95,15 +97,18 @@ struct FuzzReport {
     bool ok() const { return failures.empty(); }
 };
 
-/** The self-contained repro fragment for one generated instance. */
-inline std::string
-reproLine(std::uint64_t seed, std::size_t size, ScalarMix kind)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=" << size << " --kind="
-       << name(kind);
-    return os.str();
-}
+/**
+ * One generated instance. Every check is a pure function of it, so a
+ * repro line that records it rebuilds the check exactly.
+ */
+struct FuzzInstance {
+    std::uint64_t seed = 0;
+    std::size_t size = 0;
+    ScalarMix mix = ScalarMix::Dense;
+};
+
+/** What a check found wrong with one instance (empty: it passed). */
+using Failures = std::vector<std::string>;
 
 // ---------------------------------------------------------------- MSM
 
@@ -188,28 +193,6 @@ msmDifferential(std::size_t threads = 0)
 }
 
 /**
- * Run one MSM differential + shrink-on-failure. Exposed so tests can
- * replay specific instances and inject broken variants (pass a
- * custom differential).
- */
-inline void
-fuzzMsmInstance(const MsmDifferential &d, std::uint64_t seed,
-                std::size_t size, ScalarMix kind, FuzzReport &rep)
-{
-    auto in = msmInstance<MsmCfg>(size, kind, seed);
-    auto div = d.run(in);
-    if (!div)
-        return;
-    auto shrunk = shrinkMsm<MsmCfg>(
-        in, [&](const MsmIn &cand) { return d.run(cand).has_value(); });
-    std::ostringstream detail;
-    detail << div->variant << ": " << div->detail << "; shrunk to n="
-           << shrunk.size();
-    rep.failures.push_back(
-        {"msm", reproLine(seed, size, kind), detail.str()});
-}
-
-/**
  * The batch-affine / GLV cross-product registry: every engine at
  * every (accumulator, glv) combination it supports, against the
  * naive oracle -- the focused differential for the CPU hot path.
@@ -265,33 +248,23 @@ batchAffineDifferential(std::size_t threads = 0)
     return d;
 }
 
-/** Repro fragment for a batch-affine differential instance. */
-inline std::string
-batchAffineRepro(std::uint64_t seed, std::size_t size)
+/**
+ * One MSM differential over a (size, mix, seed) instance; on
+ * divergence the instance is shrunk and the shrunk size reported.
+ */
+inline Failures
+msmFailures(const MsmDifferential &d, const FuzzInstance &fi)
 {
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=" << size
-       << " --kind=batchaffine";
-    return os.str();
-}
-
-/** One batch-affine cross-product differential + shrink-on-failure. */
-inline void
-fuzzBatchAffineInstance(std::uint64_t seed, std::size_t size,
-                        ScalarMix kind, FuzzReport &rep)
-{
-    static const MsmDifferential d = batchAffineDifferential();
-    auto in = msmInstance<MsmCfg>(size, kind, seed);
+    auto in = msmInstance<MsmCfg>(fi.size, fi.mix, fi.seed);
     auto div = d.run(in);
     if (!div)
-        return;
+        return {};
     auto shrunk = shrinkMsm<MsmCfg>(
         in, [&](const MsmIn &cand) { return d.run(cand).has_value(); });
     std::ostringstream detail;
     detail << div->variant << ": " << div->detail << "; shrunk to n="
            << shrunk.size();
-    rep.failures.push_back(
-        {"batchaffine", batchAffineRepro(seed, size), detail.str()});
+    return {detail.str()};
 }
 
 // ---------------------------------------------------------------- NTT
@@ -403,15 +376,22 @@ nttInput(std::size_t log_n, ScalarMix kind, bool invert,
     return in;
 }
 
-inline void
-fuzzNttInstance(const NttDifferential &d, std::uint64_t seed,
-                std::size_t log_n, ScalarMix kind, bool invert,
-                FuzzReport &rep)
+/**
+ * One NTT differential over a 2^k-point instance, k >= 1. Any other
+ * size checks nothing: a scalar-mix repro line from an MSM failure
+ * also replays the NTT rows, which only have power-of-two instances.
+ */
+inline Failures
+nttFailures(const NttDifferential &d, const FuzzInstance &fi,
+            bool invert)
 {
-    auto in = nttInput(log_n, kind, invert, seed);
+    if (fi.size < 2 || !std::has_single_bit(fi.size))
+        return {};
+    auto in = nttInput(std::countr_zero(fi.size), fi.mix, invert,
+                       fi.seed);
     auto div = d.run(in);
     if (!div)
-        return;
+        return {};
     // Shrink: halve the domain while the divergence persists, then
     // zero out data entries (keeping the power-of-two length).
     auto fails = [&](const NttInput &cand) {
@@ -438,9 +418,7 @@ fuzzNttInstance(const NttDifferential &d, std::uint64_t seed,
     detail << div->variant << ": " << div->detail
            << "; shrunk to 2^" << in.logN
            << (in.invert ? " (inverse)" : " (forward)");
-    rep.failures.push_back(
-        {"ntt", reproLine(seed, std::size_t(1) << log_n, kind),
-         detail.str()});
+    return {detail.str()};
 }
 
 // ------------------------------------------------------------ Groth16
@@ -451,27 +429,19 @@ fuzzNttInstance(const NttDifferential &d, std::uint64_t seed,
  * a tampered honest proof must both be rejected; serialization must
  * round-trip.
  */
-inline void
-fuzzGroth16Instance(std::uint64_t seed, FuzzReport &rep)
+inline Failures
+groth16Failures(const FuzzInstance &fi)
 {
     using Family = zkp::Bn254Family;
     using G16 = zkp::Groth16<Family>;
     using Fr = ff::Bn254Fr;
 
-    auto fail = [&](const std::string &what) {
-        rep.failures.push_back(
-            {"groth16",
-             reproLine(seed, 0, ScalarMix::Adversarial),
-             what});
-    };
+    auto b = randomCircuit<Fr>(fi.seed);
+    if (!b.cs().isSatisfied(b.assignment()))
+        return {"generated circuit is unsatisfied (generator bug)"};
 
-    auto b = randomCircuit<Fr>(seed);
-    if (!b.cs().isSatisfied(b.assignment())) {
-        fail("generated circuit is unsatisfied (generator bug)");
-        return;
-    }
-
-    Rng rng(deriveSeed(seed, 1));
+    Failures out;
+    Rng rng(deriveSeed(fi.seed, 1));
     auto keys = G16::setup(b.cs(), rng);
     typename G16::ProofAux aux;
     auto proof =
@@ -482,9 +452,9 @@ fuzzGroth16Instance(std::uint64_t seed, FuzzReport &rep)
 
     if (!G16::verifyWithTrapdoor(keys, b.cs(), b.assignment(), proof,
                                  aux))
-        fail("honest proof rejected by trapdoor verifier");
+        out.push_back("honest proof rejected by trapdoor verifier");
     if (!zkp::verifyBn254(keys.vk, proof, pub))
-        fail("honest proof rejected by pairing verifier");
+        out.push_back("honest proof rejected by pairing verifier");
 
     // Negative: prove with a mutated witness (no longer satisfying).
     auto z_bad = b.assignment();
@@ -496,7 +466,7 @@ fuzzGroth16Instance(std::uint64_t seed, FuzzReport &rep)
             auto bad =
                 G16::prove(keys.pk, b.cs(), z_bad, rng, nullptr);
             if (zkp::verifyBn254(keys.vk, bad, pub))
-                fail("mutated-witness proof accepted by verifier");
+                out.push_back("mutated-witness proof accepted by verifier");
         }
     }
 
@@ -506,31 +476,23 @@ fuzzGroth16Instance(std::uint64_t seed, FuzzReport &rep)
     auto t1 = proof;
     t1.a = (G1::fromAffine(t1.a) + G1::generator()).toAffine();
     if (zkp::verifyBn254(keys.vk, t1, pub))
-        fail("proof with tampered A accepted");
+        out.push_back("proof with tampered A accepted");
     auto t2 = proof;
     t2.b = (G2::fromAffine(t2.b) + G2::generator()).toAffine();
     if (zkp::verifyBn254(keys.vk, t2, pub))
-        fail("proof with tampered B accepted");
+        out.push_back("proof with tampered B accepted");
     auto t3 = proof;
     t3.c = (G1::fromAffine(t3.c) + G1::generator()).toAffine();
     if (zkp::verifyBn254(keys.vk, t3, pub))
-        fail("proof with tampered C accepted");
+        out.push_back("proof with tampered C accepted");
 
     // Serialization round-trip preserves validity.
     auto text = zkp::serializeProof<Family>(proof);
     auto back = zkp::deserializeProof<Family>(text);
     if (!(back.a == proof.a && back.b == proof.b &&
           back.c == proof.c))
-        fail("proof serialization round-trip changed the proof");
-}
-
-/** Repro fragment for a proof-determinism instance (size unused). */
-inline std::string
-proofDeterminismRepro(std::uint64_t seed)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=0 --kind=proofdet";
-    return os.str();
+        out.push_back("proof serialization round-trip changed the proof");
+    return out;
 }
 
 /**
@@ -540,49 +502,36 @@ proofDeterminismRepro(std::uint64_t seed)
  * check of the runtime's bit-reproducibility contract: a divergence
  * anywhere in the parallel NTT/MSM stack changes the proof points.
  */
-inline void
-fuzzProofDeterminism(std::uint64_t seed, FuzzReport &rep)
+inline Failures
+proofDeterminismFailures(const FuzzInstance &fi)
 {
     using Family = zkp::Bn254Family;
     using G16 = zkp::Groth16<Family>;
     using Fr = ff::Bn254Fr;
 
-    auto b = randomCircuit<Fr>(seed);
-    Rng rng(deriveSeed(seed, 1));
+    auto b = randomCircuit<Fr>(fi.seed);
+    Rng rng(deriveSeed(fi.seed, 1));
     auto keys = G16::setup(b.cs(), rng);
 
     std::string base;
     for (std::size_t t : {1, 2, 4, 8}) {
         // Fresh, identically-seeded randomness per thread count so r/s
         // match and only the parallel schedule differs.
-        Rng prng(deriveSeed(seed, 2));
+        Rng prng(deriveSeed(fi.seed, 2));
         auto proof = G16::prove(keys.pk, b.cs(), b.assignment(), prng,
                                 nullptr, zkp::CpuNttEngine<Fr>(), t);
         auto text = zkp::serializeProof<Family>(proof);
         if (t == 1) {
             base = text;
         } else if (text != base) {
-            std::ostringstream detail;
-            detail << "proof bytes diverge between threads=1 and"
-                   << " threads=" << t;
-            rep.failures.push_back({"groth16-determinism",
-                                    proofDeterminismRepro(seed),
-                                    detail.str()});
-            return;
+            return {"proof bytes diverge between threads=1 and"
+                    " threads=" + std::to_string(t)};
         }
     }
+    return {};
 }
 
 // -------------------------------------------------------------- fault
-
-/** Repro fragment for a chaos instance (size unused). */
-inline std::string
-faultRepro(std::uint64_t seed)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=0 --kind=fault";
-    return os.str();
-}
 
 /**
  * One chaos iteration: generate a seeded fault plan, run the
@@ -590,13 +539,13 @@ faultRepro(std::uint64_t seed)
  * the run ends in a verifying proof or a typed error, and the
  * pipeline never releases a proof the verifier rejects.
  */
-inline void
-fuzzFaultInstance(std::uint64_t seed, FuzzReport &rep)
+inline Failures
+faultFailures(const FuzzInstance &fi)
 {
-    auto plan = randomChaosPlan(kProverChaos, seed);
-    auto out = runChaosPlan(plan, seed);
+    auto plan = randomChaosPlan(kProverChaos, fi.seed);
+    auto out = runChaosPlan(plan, fi.seed);
     if (out.clean())
-        return;
+        return {};
     std::ostringstream detail;
     detail << "plan \"" << plan.toString() << "\": ";
     if (out.releasedBadProof)
@@ -604,19 +553,10 @@ fuzzFaultInstance(std::uint64_t seed, FuzzReport &rep)
     else
         detail << "outcome neither verifying proof nor typed error ("
                << out.status.toString() << ")";
-    rep.failures.push_back({"fault", faultRepro(seed), detail.str()});
+    return {detail.str()};
 }
 
 // ----------------------------------------------------------- workload
-
-/** Repro fragment for a workload instance (size unused). */
-inline std::string
-workloadRepro(std::uint64_t seed)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=0 --kind=workload";
-    return os.str();
-}
 
 /**
  * One realistic-workload iteration: a random N-ary Poseidon Merkle
@@ -626,14 +566,14 @@ workloadRepro(std::uint64_t seed)
  * or a clean typed error -- never a bad proof, never an untyped
  * exception.
  */
-inline void
-fuzzWorkloadInstance(std::uint64_t seed, FuzzReport &rep)
+inline Failures
+workloadFailures(const FuzzInstance &fi)
 {
     using Family = zkp::Bn254Family;
     using G16 = zkp::Groth16<Family>;
     using Fr = ff::Bn254Fr;
 
-    Rng rng(deriveSeed(seed, 1));
+    Rng rng(deriveSeed(fi.seed, 1));
     workload::MerkleShape shape;
     shape.depth = 1 + rng() % 3;
     shape.arity = 2 + rng() % 3;
@@ -643,13 +583,12 @@ fuzzWorkloadInstance(std::uint64_t seed, FuzzReport &rep)
     shape.leafIndex = rng() % span;
     ScalarMix regime = ScalarMix(rng() % kScalarMixCount);
 
-    auto fail = [&](const std::string &what) {
+    auto fail = [&](const std::string &what) -> Failures {
         std::ostringstream detail;
         detail << what << " (depth=" << shape.depth << " arity="
                << shape.arity << " leaf=" << shape.leafIndex
                << " regime=" << name(regime) << ")";
-        rep.failures.push_back(
-            {"workload", workloadRepro(seed), detail.str()});
+        return {detail.str()};
     };
 
     try {
@@ -658,14 +597,12 @@ fuzzWorkloadInstance(std::uint64_t seed, FuzzReport &rep)
         Fr leaf = biasedField<Fr>(rng);
         auto b = workload::makePoseidonMerkleCircuit<Fr>(shape, leaf,
                                                          material);
-        if (!b.cs().isSatisfied(b.assignment())) {
-            fail("generated circuit is unsatisfied (builder bug)");
-            return;
-        }
-        Rng srng(deriveSeed(seed, 2));
+        if (!b.cs().isSatisfied(b.assignment()))
+            return fail("generated circuit is unsatisfied (builder bug)");
+        Rng srng(deriveSeed(fi.seed, 2));
         auto keys = G16::setup(b.cs(), srng);
         auto prover = zkp::makeBn254SelfCheckingProver();
-        Rng prng(deriveSeed(seed, 3));
+        Rng prng(deriveSeed(fi.seed, 3));
         auto r = prover.prove(keys.pk, keys.vk, b.cs(),
                               b.assignment(), prng);
         if (r.isOk()) {
@@ -673,25 +610,16 @@ fuzzWorkloadInstance(std::uint64_t seed, FuzzReport &rep)
                 b.assignment().begin() + 1,
                 b.assignment().begin() + 1 + b.cs().numPublic());
             if (!zkp::verifyBn254(keys.vk, *r, pub))
-                fail("pipeline released a non-verifying proof");
+                return fail("pipeline released a non-verifying proof");
         }
         // A typed Status is the clean-error arm of the invariant.
     } catch (const std::exception &e) {
-        fail(std::string("untyped exception: ") + e.what());
+        return fail(std::string("untyped exception: ") + e.what());
     }
+    return {};
 }
 
 // --------------------------------------------------------- ffdispatch
-
-/** Repro fragment for a cross-ISA field-dispatch instance. */
-inline std::string
-ffDispatchRepro(std::uint64_t seed, std::size_t size)
-{
-    std::ostringstream os;
-    os << "--seed=" << seed << " --size=" << size
-       << " --kind=ffdispatch";
-    return os.str();
-}
 
 /**
  * A random field-op program over two state vectors `a` and `b`: each
@@ -776,14 +704,13 @@ struct ScopedIsa {
  * One cross-ISA differential: run the program under the portable arm,
  * then under every other arm this host supports, and compare limbs.
  * On divergence the program is greedily shrunk (drop ops, then halve
- * the state) and the repro line replays from the fuzz_driver CLI.
+ * the state).
  */
-inline void
-fuzzFfDispatchInstance(std::uint64_t seed, std::size_t size,
-                       FuzzReport &rep)
+inline Failures
+ffDispatchFailures(const FuzzInstance &fi)
 {
     namespace simd = ff::simd;
-    auto p = ffDispatchProgram(size, seed);
+    auto p = ffDispatchProgram(fi.size, fi.seed);
 
     auto diverges = [](const FfDispatchProgram &prog)
         -> std::optional<std::string> {
@@ -810,7 +737,7 @@ fuzzFfDispatchInstance(std::uint64_t seed, std::size_t size,
     };
 
     if (!diverges(p))
-        return;
+        return {};
     // Greedy shrink: drop ops one at a time, then halve the state
     // vector, for as long as the divergence persists.
     for (std::size_t i = 0; i < p.ops.size();) {
@@ -832,34 +759,30 @@ fuzzFfDispatchInstance(std::uint64_t seed, std::size_t size,
     std::ostringstream detail;
     detail << (msg ? *msg : std::string("divergence")) << "; shrunk to n="
            << p.init.size() << ", " << p.ops.size() << " op(s)";
-    rep.failures.push_back(
-        {"ffdispatch", ffDispatchRepro(seed, size), detail.str()});
+    return {detail.str()};
 }
 
 // ------------------------------------------------------------- gpusim
 
 /**
  * Assert the accounting invariants of every variant's KernelStats on
- * this iteration's scalar distribution.
+ * this instance's scalar distribution, over 64x `size` scalars.
  */
-inline void
-fuzzGpusimInstance(std::uint64_t seed, std::size_t size,
-                   ScalarMix kind, FuzzReport &rep)
+inline Failures
+gpusimFailures(const FuzzInstance &fi)
 {
     using namespace gzkp::msm;
     using Fr = ff::Bn254Fr;
     auto dev = gpusim::DeviceConfig::v100();
-    Rng rng(deriveSeed(seed, 3));
-    std::size_t n = std::max<std::size_t>(size, 1) * 64;
-    auto scalars = scalarVector<Fr>(n, kind, rng);
+    Rng rng(deriveSeed(fi.seed, 3));
+    std::size_t n = std::max<std::size_t>(fi.size, 1) * 64;
+    auto scalars = scalarVector<Fr>(n, fi.mix, rng);
 
+    Failures out;
     auto check = [&](const char *which,
                      const gpusim::KernelStats &st) {
-        for (const auto &v : gpusim::invariantViolations(st, dev)) {
-            rep.failures.push_back(
-                {"gpusim", reproLine(seed, n, kind),
-                 std::string(which) + ": " + v});
-        }
+        for (const auto &v : gpusim::invariantViolations(st, dev))
+            out.push_back(std::string(which) + ": " + v);
     };
 
     GzkpMsm<MsmCfg>::Options lb, no_lb;
@@ -881,14 +804,46 @@ fuzzGpusimInstance(std::uint64_t seed, std::size_t size,
     auto gz = ntt::GzkpNtt<Fr>().stats(log_n, dev);
     check("ntt-gzkp-compute", gz.compute);
     check("ntt-gzkp-total", gz.total());
+    return out;
 }
 
-// ---------------------------------------------------------- top level
+// ---------------------------------------------------------- the table
 
-/** Size skewed toward small instances (where edge cases live). */
+/** How a row's instance uses the sweep iteration's scalar mix. */
+enum class MixUse {
+    None,  //!< not at all
+    Swept, //!< it does; a replay by row name sweeps every mix
+    Kind,  //!< it does, and the repro line's --kind is the mix itself
+};
+
+/**
+ * One fuzz target. Sweep iteration i runs the row when
+ * i % period == phase, on sub-seed deriveSeed(seed, i, salt); a new
+ * check is one more row of fuzzTargets().
+ */
+struct FuzzTarget {
+    const char *name;
+    std::uint64_t period;
+    std::uint64_t phase;
+    std::uint64_t salt;
+    /**
+     * The instance size at sweep iteration i (`seed` is the sweep's).
+     * nullptr: the instance is its seed alone, and a replay with
+     * --size=N checks N consecutive seeds.
+     */
+    std::size_t (*size)(std::uint64_t seed, std::uint64_t i,
+                        std::size_t max_msm_size);
+    MixUse mix;
+    Failures (*run)(const FuzzInstance &);
+};
+
+namespace detail {
+
+/** The msm row's size: skewed toward small instances (edge cases). */
 inline std::size_t
-skewedSize(std::uint64_t r, std::size_t max_size)
+msmSize(std::uint64_t seed, std::uint64_t i, std::size_t max_size)
 {
+    std::uint64_t r = deriveSeed(seed, i, 1);
     std::uint64_t c = r % 16;
     if (c == 0)
         return 0;
@@ -897,13 +852,197 @@ skewedSize(std::uint64_t r, std::size_t max_size)
     return 1 + (r >> 8) % std::max<std::size_t>(1, max_size);
 }
 
+/** The ntt row's log2 size, 1..7; its sub-seed (salt 4) draws it. */
+inline std::size_t
+nttLog(std::uint64_t seed, std::uint64_t i)
+{
+    return 1 + deriveSeed(seed, i, 4) % 7;
+}
+
+} // namespace detail
+
+/** Every fuzz target, in the order a sweep iteration runs them. */
+inline std::span<const FuzzTarget>
+fuzzTargets()
+{
+    static const FuzzTarget rows[] = {
+        {"msm", 1, 0, 2, detail::msmSize, MixUse::Kind,
+         [](const FuzzInstance &in) {
+             static const MsmDifferential d = msmDifferential();
+             return msmFailures(d, in);
+         }},
+        {"gpusim", 8, 1, 3,
+         [](std::uint64_t s, std::uint64_t i, std::size_t max) {
+             return 1 + detail::msmSize(s, i, max) / 4;
+         },
+         MixUse::Swept, gpusimFailures},
+        // The 10-variant cross-product is pricey; sample sparsely.
+        {"batchaffine", 16, 5, 9, detail::msmSize, MixUse::Swept,
+         [](const FuzzInstance &in) {
+             static const MsmDifferential d = batchAffineDifferential();
+             return msmFailures(d, in);
+         }},
+        // Its sub-seed also picks the direction: bit 32 = inverse.
+        {"ntt", 2, 0, 4,
+         [](std::uint64_t s, std::uint64_t i, std::size_t) {
+             return std::size_t(1) << detail::nttLog(s, i);
+         },
+         MixUse::Kind,
+         [](const FuzzInstance &in) {
+             static const NttDifferential d = nttDifferential();
+             return nttFailures(d, in, (in.seed >> 32) & 1);
+         }},
+        {"nttroundtrip", 4, 0, 5,
+         [](std::uint64_t s, std::uint64_t i, std::size_t) {
+             return std::size_t(1)
+                 << std::min<std::size_t>(detail::nttLog(s, i), 6);
+         },
+         MixUse::Kind,
+         [](const FuzzInstance &in) {
+             static const NttDifferential d = nttRoundTripDifferential();
+             return nttFailures(d, in, false);
+         }},
+        // Proofs are expensive: sample sparsely.
+        {"groth16", 40, 7, 6, nullptr, MixUse::None, groth16Failures},
+        // Four proofs per instance.
+        {"proofdet", 80, 23, 7, nullptr, MixUse::None,
+         proofDeterminismFailures},
+        // Chaos runs may retry across both backends.
+        {"fault", 16, 11, 8, nullptr, MixUse::None, faultFailures},
+        // A full setup + prove per hit: the sparsest slot of all.
+        {"workload", 64, 13, 10, nullptr, MixUse::None,
+         workloadFailures},
+        // Cheap (pure field ops); run densely so the ISA arms see
+        // every scalar regime the other targets see.
+        {"ffdispatch", 4, 2, 11,
+         [](std::uint64_t s, std::uint64_t i, std::size_t) {
+             return std::size_t(1 + deriveSeed(s, i, 12) % 96);
+         },
+         MixUse::None, ffDispatchFailures},
+    };
+    return rows;
+}
+
+/** The row named `name`, or nullptr. */
+inline const FuzzTarget *
+fuzzTarget(std::string_view name)
+{
+    for (const FuzzTarget &t : fuzzTargets())
+        if (name == t.name)
+            return &t;
+    return nullptr;
+}
+
+/** Row `t`'s instance at iteration `i` of the sweep `opt`. */
+inline FuzzInstance
+scheduledInstance(const FuzzTarget &t, const FuzzOptions &opt,
+                  std::uint64_t i)
+{
+    return {deriveSeed(opt.seed, i, t.salt),
+            t.size ? t.size(opt.seed, i, opt.maxMsmSize) : 0,
+            ScalarMix(deriveSeed(opt.seed, i) % kScalarMixCount)};
+}
+
+/** The repro fragment that replays row `t` on `in`. */
+inline std::string
+reproLine(const FuzzTarget &t, const FuzzInstance &in)
+{
+    std::ostringstream os;
+    os << "--seed=" << in.seed << " --size=" << in.size << " --kind="
+       << (t.mix == MixUse::Kind ? name(in.mix) : t.name);
+    return os.str();
+}
+
+/** Record each of `why` as a failure of row `t` on `in`. */
+inline void
+addFailures(const FuzzTarget &t, const FuzzInstance &in, Failures why,
+            FuzzReport &rep)
+{
+    for (std::string &detail : why)
+        rep.failures.push_back({t.name, reproLine(t, in),
+                                std::move(detail)});
+}
+
+/** Run row `t` on one instance. */
+inline void
+fuzzInstance(const FuzzTarget &t, const FuzzInstance &in,
+             FuzzReport &rep)
+{
+    addFailures(t, in, t.run(in), rep);
+}
+
+/**
+ * The msm row's check with a caller-supplied registry, so tests can
+ * replay specific instances and inject broken variants.
+ */
+inline void
+fuzzMsmInstance(const MsmDifferential &d, std::uint64_t seed,
+                std::size_t size, ScalarMix kind, FuzzReport &rep)
+{
+    FuzzInstance in{seed, size, kind};
+    addFailures(*fuzzTarget("msm"), in, msmFailures(d, in), rep);
+}
+
+/** Likewise for the NTT rows, with the direction chosen by the caller. */
+inline void
+fuzzNttInstance(const NttDifferential &d, std::uint64_t seed,
+                std::size_t log_n, ScalarMix kind, bool invert,
+                FuzzReport &rep)
+{
+    FuzzInstance in{seed, std::size_t(1) << log_n, kind};
+    addFailures(*fuzzTarget("ntt"), in, nttFailures(d, in, invert), rep);
+}
+
+/** One check a repro line replays. */
+struct FuzzReplay {
+    const FuzzTarget *target;
+    FuzzInstance instance;
+};
+
+/**
+ * The checks `--seed=S --size=N --kind=K` replays. K is a row name,
+ * or a scalar mix, which selects every row whose repro lines carry
+ * the mix. A row replayed by name sweeps every mix if its instance
+ * uses one, and checks max(1, N) consecutive seeds if its instance
+ * has no size. Empty when K names neither.
+ */
+inline std::vector<FuzzReplay>
+replayInstances(std::uint64_t seed, std::size_t size,
+                std::string_view kind)
+{
+    std::vector<FuzzReplay> out;
+    for (const FuzzTarget &t : fuzzTargets()) {
+        bool by_name = kind == t.name;
+        for (std::size_t m = 0; m < kScalarMixCount; ++m) {
+            ScalarMix mix = ScalarMix(m);
+            if ((by_name && t.mix != MixUse::None) ||
+                (t.mix == MixUse::Kind && kind == name(mix)))
+                out.push_back({&t, {seed, size, mix}});
+        }
+        if (by_name && t.mix == MixUse::None) {
+            std::size_t count =
+                t.size ? 1 : std::max<std::size_t>(size, 1);
+            for (std::size_t k = 0; k < count; ++k)
+                out.push_back({&t, {seed + k, t.size ? size : 0}});
+        }
+    }
+    return out;
+}
+
 /** The bounded fuzz loop used by tools/fuzz_driver and the tests. */
 inline FuzzReport
-fuzzAll(const FuzzOptions &opt,
-        const MsmDifferential &msm_diff = msmDifferential())
+fuzzAll(const FuzzOptions &opt)
 {
-    auto ntt_diff = nttDifferential();
-    auto ntt_rt = nttRoundTripDifferential();
+    for (const std::string &n : opt.only)
+        if (!fuzzTarget(n))
+            throw std::invalid_argument("fuzz: no target named " + n);
+    std::vector<const FuzzTarget *> rows;
+    for (const FuzzTarget &t : fuzzTargets())
+        if (opt.only.empty() ||
+            std::find(opt.only.begin(), opt.only.end(), t.name) !=
+                opt.only.end())
+            rows.push_back(&t);
+
     auto start = std::chrono::steady_clock::now();
     auto elapsed = [&] {
         return std::chrono::duration<double>(
@@ -915,54 +1054,9 @@ fuzzAll(const FuzzOptions &opt,
     for (std::uint64_t i = 0; i < opt.iterations; ++i) {
         if (opt.maxSeconds > 0 && elapsed() > opt.maxSeconds)
             break;
-        std::uint64_t r = deriveSeed(opt.seed, i);
-        ScalarMix kind = ScalarMix(r % kScalarMixCount);
-
-        if (opt.msm) {
-            std::size_t size =
-                skewedSize(deriveSeed(opt.seed, i, 1), opt.maxMsmSize);
-            fuzzMsmInstance(msm_diff, deriveSeed(opt.seed, i, 2), size,
-                            kind, rep);
-            if (opt.gpusim && i % 8 == 1) {
-                fuzzGpusimInstance(deriveSeed(opt.seed, i, 3),
-                                   1 + size / 4, kind, rep);
-            }
-            // The 10-variant cross-product is pricey; sample sparsely.
-            if (i % 16 == 5) {
-                fuzzBatchAffineInstance(deriveSeed(opt.seed, i, 9),
-                                        size, kind, rep);
-            }
-        }
-        if (opt.ntt && i % 2 == 0) {
-            std::uint64_t s = deriveSeed(opt.seed, i, 4);
-            std::size_t log_n = 1 + s % opt.maxNttLog;
-            bool invert = (s >> 32) & 1;
-            fuzzNttInstance(ntt_diff, s, log_n, kind, invert, rep);
-            if (i % 4 == 0) {
-                fuzzNttInstance(ntt_rt, deriveSeed(opt.seed, i, 5),
-                                std::min<std::size_t>(log_n, 6), kind,
-                                false, rep);
-            }
-        }
-        if (opt.groth16 && i % opt.groth16Every == 7)
-            fuzzGroth16Instance(deriveSeed(opt.seed, i, 6), rep);
-        // Four proofs per instance, so sample sparsely.
-        if (opt.groth16 && i % (opt.groth16Every * 2) == 23)
-            fuzzProofDeterminism(deriveSeed(opt.seed, i, 7), rep);
-        // Chaos runs may retry across both backends: sample sparsely.
-        if (opt.fault && i % opt.faultEvery == 11)
-            fuzzFaultInstance(deriveSeed(opt.seed, i, 8), rep);
-        // A full setup+prove per hit: the sparsest slot of all.
-        if (opt.workload && i % opt.workloadEvery == 13)
-            fuzzWorkloadInstance(deriveSeed(opt.seed, i, 10), rep);
-        // Cheap (pure field ops); run densely so the ISA arms see
-        // every scalar regime the other targets see.
-        if (opt.ffdispatch && i % 4 == 2) {
-            std::size_t fsz =
-                1 + deriveSeed(opt.seed, i, 12) % 96;
-            fuzzFfDispatchInstance(deriveSeed(opt.seed, i, 11), fsz,
-                                   rep);
-        }
+        for (const FuzzTarget *t : rows)
+            if (i % t->period == t->phase)
+                fuzzInstance(*t, scheduledInstance(*t, opt, i), rep);
 
         ++rep.iterations;
         if (opt.verbose && (i + 1) % 100 == 0) {

@@ -28,7 +28,9 @@ namespace gzkp::testkit {
 
 /**
  * Shrink a vector-shaped instance under `stillFails`. Works on any
- * element type; used directly for NTT input vectors.
+ * element type. No fuzz target uses it: the NTT target's instances
+ * must keep a power-of-two length, so it halves the domain and zeroes
+ * entries itself (nttFailures in fuzz.hh).
  */
 template <typename T, typename Fails>
 std::vector<T>

@@ -249,7 +249,8 @@ class SelfCheckingProver
                 auto t0 = AttemptClock::now();
                 StatusOr<Proof> r = proveWith(backend, pk, cs, z, rng);
                 Status s = r.isOk()
-                    ? selfCheck(vk, *r, publicInputs(pk, z))
+                    ? selfCheck("prover.selfcheck", verifier_, &vk, *r,
+                                publicInputs(pk, z))
                     : r.status();
                 double attempt_s =
                     std::chrono::duration<double>(AttemptClock::now() -
@@ -274,6 +275,31 @@ class SelfCheckingProver
         }
         return last.withContext(
             "prover.pipeline: all backends exhausted");
+    }
+
+    /**
+     * The check a proof passes before release, here and in the device
+     * scheduler: kDataLoss under `site` unless every point is on its
+     * curve and in the prime-order subgroup and, given a verifier and
+     * a key, the proof verifies against `pub`. The structural check
+     * goes first: it is cheap relative to a pairing and catches
+     * coordinate-level corruption (a flipped bit in a Jacobian
+     * coordinate maps to an affine point off the curve).
+     */
+    static Status
+    selfCheck(const char *site, const Verifier &verifier,
+              const VerifyingKey *vk, const Proof &p,
+              const std::vector<Fr> &pub)
+    {
+        if (!ec::inPrimeSubgroup(p.a) || !ec::inPrimeSubgroup(p.b) ||
+            !ec::inPrimeSubgroup(p.c))
+            return dataLossError(std::string(site) +
+                                 ": proof point off curve or outside "
+                                 "prime-order subgroup");
+        if (verifier && vk && !verifier(*vk, p, pub))
+            return dataLossError(std::string(site) +
+                                 ": proof failed verification");
+        return Status::ok();
     }
 
     /** The public inputs x (without the leading 1) sliced from z. */
@@ -310,24 +336,6 @@ class SelfCheckingProver
         return internalError("prover.pipeline: unknown backend");
     }
 
-    Status
-    selfCheck(const VerifyingKey &vk, const Proof &p,
-              const std::vector<Fr> &pub) const
-    {
-        // Structural check first: it is cheap relative to a pairing
-        // and catches coordinate-level corruption (a flipped bit in a
-        // Jacobian coordinate maps to an affine point off the curve).
-        if (!ec::inPrimeSubgroup(p.a) || !ec::inPrimeSubgroup(p.b) ||
-            !ec::inPrimeSubgroup(p.c))
-            return dataLossError(
-                "prover.selfcheck: proof point off curve or outside "
-                "prime-order subgroup");
-        if (verifier_ && !verifier_(vk, p, pub))
-            return dataLossError(
-                "prover.selfcheck: proof failed verification");
-        return Status::ok();
-    }
-
     Options opt_;
     Verifier verifier_;
 };
@@ -340,13 +348,7 @@ inline SelfCheckingProver<Bn254Family>
 makeBn254SelfCheckingProver(
     typename SelfCheckingProver<Bn254Family>::Options opt = {})
 {
-    using P = SelfCheckingProver<Bn254Family>;
-    return P(opt,
-             [](const typename P::VerifyingKey &vk,
-                const typename P::Proof &proof,
-                const std::vector<typename P::Fr> &pub) {
-                 return verifyBn254(vk, proof, pub);
-             });
+    return SelfCheckingProver<Bn254Family>(opt, verifyBn254);
 }
 
 /**

@@ -457,40 +457,23 @@ TEST(ServiceChaos, CorruptedCachedTableNeverReleasesBadProof)
 }
 
 /**
- * The service sweep: seeded random plans over the full site
- * vocabulary (queue, cache build, cached tables, plus every prover
- * site), each driving a whole multi-request service run. Every run
- * must end clean; both terminal states must occur across the sweep.
+ * One service sweep: plans 1..`seeds` of vocabulary `v`, each driving
+ * a whole multi-request service run over `requests(seed)`. Every run
+ * must end clean -- never a bad proof, and on routing-only plans
+ * every delivered proof byte-identical to its reference -- and both
+ * terminal states must occur across the sweep.
  */
-TEST(ServiceChaos, ServiceChaosSweep)
+void
+serviceChaosSweep(const testkit::ChaosVocabulary &v, std::uint64_t seeds,
+                  std::vector<testkit::ChaosRequest> (*requests)(
+                      std::uint64_t),
+                  const std::string &topology = "")
 {
     std::size_t proofs = 0, errors = 0;
-    for (std::uint64_t seed = 1; seed <= 40; ++seed) {
-        auto plan = testkit::randomChaosPlan(testkit::kServiceChaos, seed);
-        auto out = testkit::runServiceChaosPlan(plan, seed);
-        ASSERT_TRUE(out.clean())
-            << "seed " << seed << " plan \"" << plan.toString()
-            << "\" released a bad proof";
-        proofs += out.proofsOk;
-        errors += out.typedErrors + out.rejectedAtQueue;
-    }
-    EXPECT_GT(proofs, 0u);
-    EXPECT_GT(errors, 0u);
-}
-
-/**
- * The overload sweep: seeded plans biased toward the routing sites
- * (service.shed / service.breaker) run against a deadline-laden,
- * multi-tenant service. Invariant: valid proof or clean typed error,
- * never a bad proof -- and on routing-only plans every delivered
- * proof is byte-identical to the fault-free reference.
- */
-TEST(ServiceChaos, OverloadChaosSweep)
-{
-    std::size_t proofs = 0, errors = 0;
-    for (std::uint64_t seed = 1; seed <= 44; ++seed) {
-        auto plan = testkit::randomChaosPlan(testkit::kOverloadChaos, seed);
-        auto out = testkit::runOverloadChaosPlan(plan, seed);
+    for (std::uint64_t seed = 1; seed <= seeds; ++seed) {
+        auto plan = testkit::randomChaosPlan(v, seed);
+        auto out = testkit::runServiceChaosPlan(plan, requests(seed),
+                                                topology);
         ASSERT_TRUE(out.clean())
             << "seed " << seed << " plan \"" << plan.toString()
             << (out.releasedBadProof ? "\" released a bad proof"
@@ -500,6 +483,28 @@ TEST(ServiceChaos, OverloadChaosSweep)
     }
     EXPECT_GT(proofs, 0u);
     EXPECT_GT(errors, 0u);
+}
+
+/**
+ * The service sweep: seeded random plans over the full site
+ * vocabulary (queue, cache build, cached tables, plus every prover
+ * site) against four single-tenant requests.
+ */
+TEST(ServiceChaos, ServiceChaosSweep)
+{
+    serviceChaosSweep(testkit::kServiceChaos, 40,
+                      testkit::serviceChaosRequests);
+}
+
+/**
+ * The overload sweep: seeded plans biased toward the routing sites
+ * (service.shed / service.breaker) run against a deadline-laden,
+ * multi-tenant service.
+ */
+TEST(ServiceChaos, OverloadChaosSweep)
+{
+    serviceChaosSweep(testkit::kOverloadChaos, 44,
+                      testkit::overloadChaosRequests);
 }
 
 /**
@@ -507,28 +512,15 @@ TEST(ServiceChaos, OverloadChaosSweep)
  * fault sites (device.fail / device.mem / device.slow, generic and
  * instance-targeted) run against a service on the fixed heterogeneous
  * topology -- placement, pipelining, per-device breakers and inline
- * stage retries all live. Invariant: valid proof or clean typed
- * error, never a bad proof -- and since every device site is
- * routing/timing-only, plans touching only device and routing sites
- * must deliver bytes identical to the fault-free single-lane
- * reference.
+ * stage retries all live. Every device site is routing/timing-only,
+ * so plans touching only device and routing sites must deliver bytes
+ * identical to the fault-free single-lane reference.
  */
 TEST(ServiceChaos, DeviceChaosSweep)
 {
-    std::size_t proofs = 0, errors = 0;
-    for (std::uint64_t seed = 1; seed <= 24; ++seed) {
-        auto plan = testkit::randomChaosPlan(testkit::kDeviceChaos, seed);
-        auto out = testkit::runOverloadChaosPlan(
-            plan, seed, testkit::kDeviceChaosTopology);
-        ASSERT_TRUE(out.clean())
-            << "seed " << seed << " plan \"" << plan.toString()
-            << (out.releasedBadProof ? "\" released a bad proof"
-                                     : "\" broke byte identity");
-        proofs += out.proofsOk;
-        errors += out.typedErrors + out.rejectedAtQueue;
-    }
-    EXPECT_GT(proofs, 0u);
-    EXPECT_GT(errors, 0u);
+    serviceChaosSweep(testkit::kDeviceChaos, 24,
+                      testkit::overloadChaosRequests,
+                      testkit::kDeviceChaosTopology);
 }
 
 /** The fuzz-registry fault target agrees with the direct sweep. */
@@ -536,7 +528,7 @@ TEST(Chaos, FuzzFaultTargetSweep)
 {
     testkit::FuzzReport rep;
     for (std::uint64_t seed = 500; seed < 540; ++seed)
-        testkit::fuzzFaultInstance(seed, rep);
+        testkit::fuzzInstance(*testkit::fuzzTarget("fault"), {seed}, rep);
     EXPECT_TRUE(rep.ok()) << rep.failures.size() << " failure(s), e.g. "
                           << rep.failures[0].detail;
 }

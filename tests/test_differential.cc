@@ -28,6 +28,20 @@ failureText(const FuzzReport &rep)
     return s;
 }
 
+/** Every fuzz target but the Groth16 ones: proofs live in the slow
+    sweep. */
+std::vector<std::string>
+targetsWithoutGroth16()
+{
+    std::vector<std::string> out;
+    for (const FuzzTarget &t : fuzzTargets()) {
+        std::string_view n = t.name;
+        if (n != "groth16" && n != "proofdet")
+            out.push_back(t.name);
+    }
+    return out;
+}
+
 } // namespace
 
 // ---------------------------------------------------------- runner
@@ -248,7 +262,7 @@ TEST(FuzzSmoke, ShortRunFindsNoDivergence)
     opt.seed = 2;
     opt.iterations = 10;
     opt.maxMsmSize = 24;
-    opt.groth16 = false; // proofs live in the slow sweep
+    opt.only = targetsWithoutGroth16();
     auto rep = fuzzAll(opt);
     EXPECT_EQ(rep.iterations, 10u);
     EXPECT_TRUE(rep.ok()) << failureText(rep);
@@ -261,10 +275,46 @@ TEST(FuzzSmoke, TimeBoundStopsEarly)
     opt.iterations = 1000000;
     opt.maxSeconds = 0.2;
     opt.maxMsmSize = 16;
-    opt.groth16 = false;
+    opt.only = targetsWithoutGroth16();
     auto rep = fuzzAll(opt);
     EXPECT_LT(rep.iterations, 1000000u);
     EXPECT_TRUE(rep.ok()) << failureText(rep);
+}
+
+/**
+ * Every row's repro line replays that row on the same instance: the
+ * line carries the row's --kind (or, for msm and ntt rows, the mix),
+ * and replayInstances() picks the row back out of it. A sizeless
+ * row's --size counts seeds, and a row replayed by name sweeps every
+ * mix, so either way the failing instance is among the replays.
+ */
+TEST(FuzzTargets, EveryReproLineReplaysItsRow)
+{
+    FuzzOptions opt;
+    opt.seed = 9;
+    for (const FuzzTarget &t : fuzzTargets()) {
+        for (std::uint64_t k = 0; k < 4; ++k) {
+            FuzzInstance in =
+                scheduledInstance(t, opt, t.phase + k * t.period);
+            std::string line = reproLine(t, in);
+            unsigned long long seed = 0;
+            std::size_t size = 0;
+            char kind[64] = {};
+            ASSERT_EQ(std::sscanf(line.c_str(),
+                                  "--seed=%llu --size=%zu --kind=%63s",
+                                  &seed, &size, kind),
+                      3)
+                << line;
+            bool found = false;
+            for (const FuzzReplay &r : replayInstances(seed, size, kind))
+                found |= r.target == &t &&
+                    r.instance.seed == in.seed &&
+                    r.instance.size == in.size &&
+                    (t.mix == MixUse::None || r.instance.mix == in.mix);
+            EXPECT_TRUE(found) << t.name << ": " << line;
+        }
+    }
+    EXPECT_TRUE(replayInstances(1, 1, "nope").empty());
 }
 
 // ------------------------------------------------- slow sweeps
@@ -302,7 +352,7 @@ TEST(FuzzSweep, Groth16EndToEndWithNegatives)
 {
     FuzzReport rep;
     for (std::uint64_t seed = 1; seed <= 3; ++seed)
-        fuzzGroth16Instance(seed, rep);
+        fuzzInstance(*fuzzTarget("groth16"), {seed}, rep);
     EXPECT_TRUE(rep.ok()) << failureText(rep);
 }
 
@@ -310,20 +360,23 @@ TEST(FuzzSweep, GpusimInvariantsHoldAcrossKernels)
 {
     FuzzReport rep;
     for (std::uint64_t seed = 1; seed <= 8; ++seed) {
-        fuzzGpusimInstance(seed, 1 + seed % 5,
-                           ScalarMix(seed % kScalarMixCount), rep);
+        fuzzInstance(*fuzzTarget("gpusim"),
+                     {seed, 1 + seed % 5,
+                      ScalarMix(seed % kScalarMixCount)},
+                     rep);
     }
     EXPECT_TRUE(rep.ok()) << failureText(rep);
 }
 
+/** 88 iterations reach 3 groth16 and 1 proofdet slot (i = 7, 47, 87
+    and i = 23). */
 TEST(FuzzSweep, LongMixedRun)
 {
     FuzzOptions opt;
     opt.seed = 1;
-    opt.iterations = 60;
+    opt.iterations = 88;
     opt.maxMsmSize = 32;
-    opt.groth16Every = 20;
     auto rep = fuzzAll(opt);
-    EXPECT_EQ(rep.iterations, 60u);
+    EXPECT_EQ(rep.iterations, 88u);
     EXPECT_TRUE(rep.ok()) << failureText(rep);
 }

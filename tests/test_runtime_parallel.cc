@@ -320,7 +320,7 @@ TEST(ParallelGroth16, ProofBytesIdenticalAcrossThreadCounts)
 TEST(ParallelGroth16, FuzzProofDeterminismTargetPasses)
 {
     FuzzReport rep;
-    fuzzProofDeterminism(77, rep);
+    fuzzInstance(*fuzzTarget("proofdet"), {77}, rep);
     EXPECT_TRUE(rep.ok())
         << (rep.failures.empty() ? "" : rep.failures[0].detail);
 }

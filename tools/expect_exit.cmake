@@ -1,7 +1,8 @@
-# Runs EXE with the single argument ARG and fails unless it exits
-# with status EXPECT. Usage:
+# Runs EXE with the space-separated arguments ARG and fails unless it
+# exits with status EXPECT. Usage:
 #   cmake -DEXE=... -DARG=... -DEXPECT=2 -P expect_exit.cmake
-execute_process(COMMAND "${EXE}" "${ARG}"
+separate_arguments(args UNIX_COMMAND "${ARG}")
+execute_process(COMMAND "${EXE}" ${args}
                 RESULT_VARIABLE rc
                 OUTPUT_VARIABLE out
                 ERROR_VARIABLE err)

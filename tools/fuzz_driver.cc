@@ -1,24 +1,28 @@
 /**
  * @file
- * Deterministic differential-fuzzing driver.
+ * Deterministic differential-fuzzing driver over the target table of
+ * testkit/fuzz.hh (fuzzTargets()); every target it runs, selects or
+ * replays comes from that table.
  *
  * Sweep mode (default):
  *     fuzz_driver --iterations=1000 --seed=1 [--seconds=60]
- *                 [--only=msm|ntt|groth16|fault|workload|ffdispatch]
- *                 [--max-size=40] [--verbose]
- * runs the bounded fuzz loop over MSM, NTT, Groth16 and the gpusim
- * accounting invariants, printing a shrunk repro line for every
+ *                 [--only=T]... [--max-size=40] [--verbose]
+ * runs every target at its schedule slot (with --only, just the named
+ * targets, at the same slots), printing a shrunk repro line for every
  * divergence and exiting nonzero if any was found.
  *
  * Replay mode: paste a repro line printed by a failing run,
  *     fuzz_driver --seed=S --size=N --kind=K
- * and the driver rebuilds exactly that instance and runs the full
- * differential registry on it.
+ * and the driver rebuilds that instance and reruns the check that
+ * printed it (testkit::replayInstances). K is a target name or a
+ * scalar mix; a target whose instance is its seed alone checks N
+ * consecutive seeds, which the CI smokes use as dedicated sweeps.
  *
  * Numeric flags must parse in full (--iterations as a positive
- * integer, --seconds as a non-negative number) and --only must name
- * a target. A bad value is a usage error (exit 2), not a run that
- * checks nothing and still reports zero divergences.
+ * integer, --seconds as a non-negative number), --only must name a
+ * target and --kind a target or a scalar mix. A bad value is a usage
+ * error (exit 2), not a run that checks nothing and still reports
+ * zero divergences.
  */
 
 #include <cerrno>
@@ -37,31 +41,13 @@ namespace {
 using namespace gzkp;
 
 struct Args {
-    std::uint64_t seed = 1;
-    std::uint64_t iterations = 100;
-    double seconds = 0;
-    std::size_t maxSize = 40;
+    testkit::FuzzOptions sweep;
     long long replaySize = -1; //!< >= 0 switches to replay mode
     std::string kind = "adversarial";
-    std::string only;
-    bool verbose = false;
 };
 
 using tools::Parse;
 using tools::parseCount;
-
-/** The sweep targets --only can select, and the option each enables. */
-constexpr struct {
-    const char *name;
-    bool testkit::FuzzOptions::*enabled;
-} kOnlyTargets[] = {
-    {"msm", &testkit::FuzzOptions::msm},
-    {"ntt", &testkit::FuzzOptions::ntt},
-    {"groth16", &testkit::FuzzOptions::groth16},
-    {"fault", &testkit::FuzzOptions::fault},
-    {"workload", &testkit::FuzzOptions::workload},
-    {"ffdispatch", &testkit::FuzzOptions::ffdispatch},
-};
 
 /** Parse all of `v` as a finite, non-negative number of seconds. */
 Parse
@@ -87,29 +73,27 @@ parseOne(Args &a, const std::string &arg)
             return arg.c_str() + n + 1;
         return nullptr;
     };
+    testkit::FuzzOptions &o = a.sweep;
     if (const char *v = val("--seed"))
-        return parseCount(v, false, a.seed);
+        return parseCount(v, false, o.seed);
     if (const char *v = val("--iterations"))
-        return parseCount(v, true, a.iterations);
+        return parseCount(v, true, o.iterations);
     if (const char *v = val("--seconds"))
-        return parseSeconds(v, a.seconds);
+        return parseSeconds(v, o.maxSeconds);
     if (const char *v = val("--max-size"))
-        return parseCount(v, false, a.maxSize);
+        return parseCount(v, false, o.maxMsmSize);
     if (const char *v = val("--size"))
         return parseCount(v, false, a.replaySize);
     if (const char *v = val("--only")) {
-        for (const auto &t : kOnlyTargets) {
-            if (std::strcmp(v, t.name) == 0) {
-                a.only = v;
-                return Parse::Ok;
-            }
-        }
-        return Parse::BadValue;
+        if (!testkit::fuzzTarget(v))
+            return Parse::BadValue;
+        o.only.push_back(v);
+        return Parse::Ok;
     }
     if (const char *v = val("--kind"))
         a.kind = v;
     else if (arg == "--verbose")
-        a.verbose = true;
+        o.verbose = true;
     else
         return Parse::Unknown;
     return Parse::Ok;
@@ -121,16 +105,25 @@ usage()
     std::fprintf(
         stderr,
         "usage: fuzz_driver [--iterations=N] [--seed=S] "
-        "[--seconds=T] [--max-size=N] "
-        "[--only=msm|ntt|groth16|fault|workload|ffdispatch] "
-        "[--verbose]\n       fuzz_driver --seed=S --size=N "
-        "--kind=K   (replay one instance; --kind=proofdet "
-        "replays a proof-determinism check; --kind=fault "
-        "sweeps N chaos plans; --kind=batchaffine sweeps "
-        "the accumulator/GLV cross-product; --kind=workload "
-        "sweeps N realistic-workload instances; "
-        "--kind=ffdispatch replays a cross-ISA field-op "
-        "program)\n");
+        "[--seconds=T] [--max-size=N] [--only=TARGET]... "
+        "[--verbose]\n"
+        "       fuzz_driver --seed=S --size=N --kind=KIND   "
+        "(replay a repro line)\n"
+        "TARGET and KIND, with what a replay of KIND checks:\n");
+    for (const testkit::FuzzTarget &t : testkit::fuzzTargets()) {
+        std::fprintf(stderr, "  %-13s %s\n", t.name,
+                     !t.size ? "N consecutive seeds from S"
+                     : t.mix == testkit::MixUse::None
+                         ? "the size-N instance of seed S"
+                         : "the size-N instances of seed S, every "
+                           "scalar mix");
+    }
+    std::fprintf(stderr, "KIND may also be a scalar mix: seed S at "
+                         "size N in that mix, on every target whose "
+                         "repro lines carry the mix:");
+    for (std::size_t i = 0; i < testkit::kScalarMixCount; ++i)
+        std::fprintf(stderr, " %s", testkit::name(testkit::ScalarMix(i)));
+    std::fprintf(stderr, "\n");
 }
 
 int
@@ -150,104 +143,26 @@ report(const testkit::FuzzReport &rep)
 int
 replay(const Args &a)
 {
-    testkit::FuzzReport rep;
-    // --kind=fault replays one chaos instance: the seeded fault plan
-    // is regenerated and driven through the self-checking prover.
-    // --size=N with N > 1 sweeps N consecutive plans (the CI smoke).
-    if (a.kind == "fault") {
-        std::size_t count =
-            a.replaySize > 1 ? std::size_t(a.replaySize) : 1;
-        std::printf("chaos: %zu plan(s) from --seed=%llu\n", count,
-                    (unsigned long long)a.seed);
-        for (std::size_t i = 0; i < count; ++i)
-            testkit::fuzzFaultInstance(a.seed + i, rep);
-        rep.iterations = count;
-        return report(rep);
-    }
-    // --kind=workload replays one realistic-workload instance (random
-    // Poseidon Merkle shape + scalar regime through the prover
-    // pipeline). --size=N with N > 1 sweeps N consecutive seeds (the
-    // CI smoke).
-    if (a.kind == "workload") {
-        std::size_t count =
-            a.replaySize > 1 ? std::size_t(a.replaySize) : 1;
-        std::printf("workload: %zu instance(s) from --seed=%llu\n",
-                    count, (unsigned long long)a.seed);
-        for (std::size_t i = 0; i < count; ++i)
-            testkit::fuzzWorkloadInstance(a.seed + i, rep);
-        rep.iterations = count;
-        return report(rep);
-    }
-    // --kind=ffdispatch replays one cross-ISA field-op program: the
-    // seeded program is regenerated and run under every compiled SIMD
-    // arm against the portable reference. --size=N sets the state
-    // width; the surrounding sweep uses N > 1 to cover the vector
-    // kernels' full-block and tail paths alike.
-    if (a.kind == "ffdispatch") {
-        std::size_t n = std::max<std::size_t>(
-            a.replaySize > 0 ? std::size_t(a.replaySize) : 1, 1);
-        std::printf(
-            "replaying --seed=%llu --size=%zu --kind=ffdispatch "
-            "(arms: %s)\n",
-            (unsigned long long)a.seed, n,
-            gzkp::ff::simd::describeActiveIsa());
-        testkit::fuzzFfDispatchInstance(a.seed, n, rep);
-        rep.iterations = 1;
-        return report(rep);
-    }
-    // --kind=proofdet replays a cross-thread-count proof-determinism
-    // instance; it has no scalar mix or size.
-    if (a.kind == "proofdet") {
-        std::printf("replaying --seed=%llu --size=0 --kind=proofdet\n",
-                    (unsigned long long)a.seed);
-        testkit::fuzzProofDeterminism(a.seed, rep);
-        rep.iterations = 1;
-        return report(rep);
-    }
-    // --kind=batchaffine replays the accumulator/GLV cross-product
-    // differential (every engine at every strategy combination). The
-    // repro line does not record the scalar mix, so all mixes are
-    // swept; instance generation is deterministic per (size, mix,
-    // seed) and therefore covers the originally diverging instance.
-    if (a.kind == "batchaffine") {
-        std::size_t n = std::size_t(a.replaySize);
-        std::printf(
-            "replaying --seed=%llu --size=%zu --kind=batchaffine\n",
-            (unsigned long long)a.seed, n);
-        for (std::size_t i = 0; i < testkit::kScalarMixCount; ++i)
-            testkit::fuzzBatchAffineInstance(
-                a.seed, n, testkit::ScalarMix(i), rep);
-        rep.iterations = testkit::kScalarMixCount;
-        return report(rep);
-    }
-    testkit::ScalarMix kind;
-    try {
-        kind = testkit::scalarMixFromName(a.kind);
-    } catch (const std::exception &e) {
-        std::fprintf(stderr, "%s (valid kinds:", e.what());
-        for (std::size_t i = 0; i < testkit::kScalarMixCount; ++i)
-            std::fprintf(stderr, " %s",
-                         testkit::name(testkit::ScalarMix(i)));
-        std::fprintf(stderr, ")\n");
+    std::size_t size = std::size_t(a.replaySize);
+    auto checks = testkit::replayInstances(a.sweep.seed, size, a.kind);
+    if (checks.empty()) {
+        std::fprintf(stderr, "bad value: --kind=%s\n", a.kind.c_str());
+        usage();
         return 2;
     }
-    std::size_t n = std::size_t(a.replaySize);
-    std::printf("replaying --seed=%llu --size=%zu --kind=%s\n",
-                (unsigned long long)a.seed, n, a.kind.c_str());
-    testkit::fuzzMsmInstance(testkit::msmDifferential(), a.seed, n,
-                             kind, rep);
-    // Power-of-two sizes also replay through the NTT registries.
-    if (n >= 2 && (n & (n - 1)) == 0) {
-        std::size_t log_n = 0;
-        while ((std::size_t(1) << log_n) < n)
-            ++log_n;
-        auto d = testkit::nttDifferential();
-        auto rt = testkit::nttRoundTripDifferential();
-        testkit::fuzzNttInstance(d, a.seed, log_n, kind, false, rep);
-        testkit::fuzzNttInstance(d, a.seed, log_n, kind, true, rep);
-        testkit::fuzzNttInstance(rt, a.seed, log_n, kind, false, rep);
+    std::printf("replaying --seed=%llu --size=%zu --kind=%s:",
+                (unsigned long long)a.sweep.seed, size, a.kind.c_str());
+    const testkit::FuzzTarget *last = nullptr;
+    for (const auto &c : checks) {
+        if (c.target != last)
+            std::printf(" %s", c.target->name);
+        last = c.target;
     }
-    rep.iterations = 1;
+    std::printf(" (%zu instance(s))\n", checks.size());
+    testkit::FuzzReport rep;
+    for (const auto &c : checks)
+        testkit::fuzzInstance(*c.target, c.instance, rep);
+    rep.iterations = checks.size();
     return report(rep);
 }
 
@@ -275,8 +190,8 @@ main(int argc, char **argv)
     // silently folded into a modeled time.
     gzkp::gpusim::setStrictInvariants(true);
 
-    // Honor an ambient GZKP_FAULTS plan; fault-target iterations
-    // install their own scoped plans on top and restore it after.
+    // Honor an ambient GZKP_FAULTS plan; chaos checks install their
+    // own scoped plans on top and restore it after.
     if (auto s = gzkp::faultsim::installFromEnv(); !s.isOk()) {
         std::fprintf(stderr, "bad GZKP_FAULTS: %s\n",
                      s.toString().c_str());
@@ -285,21 +200,5 @@ main(int argc, char **argv)
 
     if (a.replaySize >= 0)
         return replay(a);
-
-    testkit::FuzzOptions opt;
-    opt.seed = a.seed;
-    opt.iterations = a.iterations;
-    opt.maxSeconds = a.seconds;
-    opt.maxMsmSize = a.maxSize;
-    opt.verbose = a.verbose;
-    if (!a.only.empty()) {
-        for (const auto &t : kOnlyTargets)
-            opt.*t.enabled = a.only == t.name;
-        opt.gpusim = opt.msm;
-        if (opt.fault)
-            opt.faultEvery = 1; // dedicated chaos sweep: every iter
-        if (opt.workload)
-            opt.workloadEvery = 1; // dedicated workload sweep
-    }
-    return report(testkit::fuzzAll(opt));
+    return report(testkit::fuzzAll(a.sweep));
 }
