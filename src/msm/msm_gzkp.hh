@@ -313,14 +313,7 @@ class GzkpMsm
         if (pp.n != 0)
             accumulateBuckets(pp, repr, neg, threads, buckets);
 
-        // Single bucket reduction (parallel prefix sum on the GPU;
-        // same operation count): sum_d d * B_d via suffix sums.
-        Point acc, sum;
-        for (std::size_t d = nbuckets; d-- > 1;) {
-            acc += buckets[d];
-            sum += acc;
-        }
-        return sum;
+        return reduceBuckets(buckets, threads);
     }
 
     /** Convenience: preprocess + run in one call. */
@@ -448,6 +441,54 @@ class GzkpMsm
     }
 
   private:
+    /**
+     * The single bucket reduction sum_d d * B_d (a parallel prefix sum
+     * on the GPU), in chunks of equal width w from the top bucket down.
+     * A chunk over buckets [lo, lo + w) walks them with the serial
+     * suffix sums and returns its bucket sum S and its locally weighted
+     * sum, sum_d (d - lo) * B_d. The fold adds the offsets lo * S:
+     * the i-th chunk from the top starts at lo = (C - 1 - i) * w, so
+     * they total w * sum_i (C - 1 - i) * S_i, a running sum of running
+     * sums. That is O(chunks) additions and one multiplication by w.
+     * The chunk count C depends only on the bucket count, and both are
+     * powers of two, so every chunk has width w. A one-thread run
+     * costs the serial walk plus that fold.
+     */
+    static Point
+    reduceBuckets(const std::vector<Point> &buckets, std::size_t threads)
+    {
+        struct Partial {
+            Point sum;      //!< bucket sum (the fold: of chunks so far)
+            Point weighted; //!< locally weighted sum (the fold: total)
+            Point offsets;  //!< the fold only: sum_i (C - 1 - i) * S_i
+        };
+        std::size_t n = buckets.size();
+        std::size_t chunks = runtime::chunkCount(n);
+        std::size_t width = n / chunks;
+        Partial total = runtime::parallelReduce(
+            threads, n, Partial{},
+            [&](std::size_t lo, std::size_t hi) {
+                // Chunk [lo, hi) of the sequence covers buckets
+                // [n - hi, n - lo), so the fold starts at the top.
+                Partial p;
+                std::size_t base = n - hi;
+                for (std::size_t d = n - lo; d-- > base + 1;) {
+                    p.sum += buckets[d];
+                    p.weighted += p.sum;
+                }
+                p.sum += buckets[base];
+                return p;
+            },
+            [](Partial acc, Partial p) {
+                acc.offsets += acc.sum;
+                acc.sum += p.sum;
+                acc.weighted += p.weighted;
+                return acc;
+            },
+            chunks);
+        return total.weighted + total.offsets.mul(std::uint64_t(width));
+    }
+
     /**
      * Chunk count for the p_index build. Shape-only formula (the
      * determinism rule): capped so the per-chunk count/cursor matrices

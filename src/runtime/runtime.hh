@@ -24,10 +24,11 @@
  * exactly what the bit-reproducibility contract forbids. Load balance
  * comes instead from callers shaping their chunk lists (the MSM engine
  * orders bucket tasks heaviest-first, mirroring the paper's
- * Section 4.2 grouping), and workers are plain std::threads spawned
- * per parallel region: regions in this codebase are milliseconds to
- * seconds of field arithmetic, so the ~10us spawn cost is noise and
- * every region is trivially race-free at join.
+ * Section 4.2 grouping, and the prover's plan sizes each
+ * parallelInvoke task's thread share by its cost). Workers are plain
+ * std::threads spawned per parallel region: regions in this codebase
+ * are milliseconds to seconds of field arithmetic, so the ~10us spawn
+ * cost is noise and every region is trivially race-free at join.
  *
  * Thread count resolution: an explicit per-call/per-engine count wins;
  * 0 means "use the default", which is the GZKP_THREADS environment
@@ -55,6 +56,7 @@
 #include <exception>
 #include <functional>
 #include <optional>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -91,13 +93,6 @@ resolveThreads(std::size_t requested)
 {
     return requested != 0 ? requested : defaultThreads();
 }
-
-/** Runtime configuration carried by engines (0 = default). */
-struct Config {
-    std::size_t threads = 0;
-
-    std::size_t resolved() const { return resolveThreads(threads); }
-};
 
 /** Thrown when a parallel region observes a cancelled token. */
 class CancelledError : public StatusError
@@ -411,80 +406,37 @@ parallelReduce(std::size_t threads, std::size_t n, T init, Map &&map,
 }
 
 /**
- * Run independent tasks concurrently (the Groth16 prover uses this
- * for its A/B/C MSMs). Each task receives an equal share of the
- * thread budget for its own nested parallel regions, so the total
- * live thread count stays ~`threads` instead of multiplying.
+ * Run independent tasks concurrently, each on its own worker (the
+ * Groth16 prover runs each wave of its plan through this, see
+ * zkp/prove_plan.hh). Task j receives shares[j] threads for its own
+ * nested parallel regions. The shares must be positive, one per task,
+ * and sum to at most `threads`, so the live thread count never
+ * exceeds the budget; anything else throws std::invalid_argument.
  */
 inline void
 parallelInvoke(std::size_t threads,
-               const std::vector<std::function<void(std::size_t)>> &tasks)
+               const std::vector<std::function<void(std::size_t)>> &tasks,
+               const std::vector<std::size_t> &shares)
 {
-    std::size_t k = tasks.size();
-    if (k == 0)
+    std::size_t sum = 0;
+    for (std::size_t s : shares)
+        sum += s;
+    if (shares.size() != tasks.size() ||
+        std::find(shares.begin(), shares.end(), std::size_t(0)) !=
+            shares.end() ||
+        sum > resolveThreads(threads))
+        throw std::invalid_argument(
+            "parallelInvoke: shares must be positive, one per task, and "
+            "sum to at most the thread budget");
+    if (tasks.empty())
         return;
     CancelToken *token = currentCancelToken();
-    std::size_t t = resolveThreads(threads);
-    std::size_t workers = std::min(t, k);
-    std::size_t share = std::max<std::size_t>(1, t / k);
-    detail::runWorkers(workers, [&](std::size_t w) {
-        for (std::size_t j = w; j < k; j += workers) {
-            if (token)
-                token->throwIfStopped();
-            tasks[j](share);
-        }
+    detail::runWorkers(tasks.size(), [&](std::size_t j) {
+        if (token)
+            token->throwIfStopped();
+        tasks[j](shares[j]);
     });
 }
-
-/**
- * Ergonomic handle bundling a resolved thread count with the
- * primitives above (the "thread pool" the engines hold). Stateless
- * beyond the count: workers are spawned per region, see the file
- * comment for why.
- */
-class ThreadPool
-{
-  public:
-    explicit ThreadPool(std::size_t threads = 0)
-        : threads_(resolveThreads(threads))
-    {}
-
-    std::size_t threads() const { return threads_; }
-
-    template <typename Body>
-    void
-    forEach(std::size_t n, Body &&body) const
-    {
-        parallelFor(threads_, n, std::forward<Body>(body));
-    }
-
-    template <typename Body>
-    void
-    forChunks(std::size_t n, Body &&body,
-              std::size_t max_chunks = kMaxChunks) const
-    {
-        parallelForChunks(threads_, n, std::forward<Body>(body),
-                          max_chunks);
-    }
-
-    template <typename T, typename Map, typename Combine>
-    T
-    reduce(std::size_t n, T init, Map &&map, Combine &&combine) const
-    {
-        return parallelReduce(threads_, n, std::move(init),
-                              std::forward<Map>(map),
-                              std::forward<Combine>(combine));
-    }
-
-    void
-    invoke(const std::vector<std::function<void(std::size_t)>> &tasks) const
-    {
-        parallelInvoke(threads_, tasks);
-    }
-
-  private:
-    std::size_t threads_;
-};
 
 } // namespace gzkp::runtime
 

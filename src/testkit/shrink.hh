@@ -27,55 +27,6 @@
 namespace gzkp::testkit {
 
 /**
- * Shrink a vector-shaped instance under `stillFails`. Works on any
- * element type. No fuzz target uses it: the NTT target's instances
- * must keep a power-of-two length, so it halves the domain and zeroes
- * entries itself (nttFailures in fuzz.hh).
- */
-template <typename T, typename Fails>
-std::vector<T>
-shrinkVector(std::vector<T> cur, Fails &&stillFails,
-             std::size_t max_checks = 400)
-{
-    std::size_t checks = 0;
-    auto tryAccept = [&](std::vector<T> &cand) {
-        if (checks >= max_checks)
-            return false;
-        ++checks;
-        if (stillFails(cand)) {
-            cur = std::move(cand);
-            return true;
-        }
-        return false;
-    };
-
-    bool progress = true;
-    while (progress && checks < max_checks) {
-        progress = false;
-        for (std::size_t chunk = cur.size() / 2; chunk >= 1;
-             chunk /= 2) {
-            for (std::size_t at = 0; at + chunk <= cur.size();) {
-                std::vector<T> cand;
-                cand.reserve(cur.size() - chunk);
-                cand.insert(cand.end(), cur.begin(),
-                            cur.begin() + at);
-                cand.insert(cand.end(), cur.begin() + at + chunk,
-                            cur.end());
-                if (tryAccept(cand))
-                    progress = true;
-                else
-                    at += chunk;
-                if (checks >= max_checks)
-                    break;
-            }
-            if (chunk == 1)
-                break;
-        }
-    }
-    return cur;
-}
-
-/**
  * Shrink a failing MSM instance: drop (point, scalar) pairs, then
  * simplify surviving scalars (-> 0, -> 1) and points (-> generator).
  */

@@ -2,12 +2,15 @@
  * @file
  * The Groth16 zkSNARK: setup, prover, and verification.
  *
- * The prover follows the paper's two-stage structure exactly
- * (Figure 1): the POLY stage (seven NTTs, qap.hh::computeH) followed
- * by the MSM stage with five multi-scalar multiplications --
- * A (G1), B (G2), B (G1), the aux/L query, and the h query.
- * Both stages take pluggable engines so the same prover runs the
- * CPU baseline, the BG-like kernels, or GZKP's kernels.
+ * The prover follows the paper's two-stage structure (Figure 1): the
+ * POLY stage (seven NTTs, qap.hh::computeH) and the MSM stage with
+ * five multi-scalar multiplications -- A (G1), B (G2), B (G1), the
+ * aux/L query, and the h query. Only the h MSM reads POLY's output,
+ * so every entry point runs one planned path (prove_plan.hh): POLY
+ * heads the h task while the other MSMs run beside it, and each MSM
+ * gets a thread share sized by its cost. Both stages take pluggable
+ * engines so the same prover runs the CPU baseline, the BG-like
+ * kernels, or GZKP's kernels.
  *
  * Verification:
  *  - verifyWithTrapdoor(): the test-harness self-check described in
@@ -21,7 +24,11 @@
 #ifndef GZKP_ZKP_GROTH16_HH
 #define GZKP_ZKP_GROTH16_HH
 
+#include <cstddef>
+#include <functional>
+#include <optional>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "ec/fixed_base.hh"
@@ -31,6 +38,7 @@
 #include "runtime/runtime.hh"
 #include "status/status.hh"
 #include "zkp/families.hh"
+#include "zkp/prove_plan.hh"
 #include "zkp/qap.hh"
 
 namespace gzkp::zkp {
@@ -226,40 +234,18 @@ class Groth16
     }
 
     /**
-     * MSM stage: the five MSMs, run concurrently via parallelInvoke.
-     * Every MSM engine is itself thread-count deterministic and the
-     * results are combined (assembleProof) in a fixed order, so the
-     * proof bytes are identical at any thread count.
+     * MSM stage over a computed h: the five MSMs on the planned path,
+     * each on its planned thread share. Every MSM engine is itself
+     * thread-count deterministic and the results are combined
+     * (assembleProof) in a fixed order, so the proof bytes are
+     * identical at any thread count.
      */
     template <typename MsmPolicy = GzkpMsmPolicy>
     static MsmOutputs
     msmStage(const ProvingKey &pk, const std::vector<Fr> &z,
              const std::vector<Fr> &h, std::size_t threads = 0)
     {
-        std::vector<Fr> aux_scalars(z.begin() + pk.numPublic + 1,
-                                    z.end());
-        MsmOutputs m;
-        runtime::parallelInvoke(
-            threads,
-            {
-                [&](std::size_t t) {
-                    m.a = MsmPolicy::msm(pk.aQuery, z, t);      // MSM 1
-                },
-                [&](std::size_t t) {
-                    m.b2 = MsmPolicy::msm(pk.b2Query, z, t);    // MSM 2
-                },
-                [&](std::size_t t) {
-                    m.b1 = MsmPolicy::msm(pk.b1Query, z, t);    // MSM 3
-                },
-                [&](std::size_t t) {
-                    m.l = MsmPolicy::msm(pk.lQuery,             // MSM 4
-                                         aux_scalars, t);
-                },
-                [&](std::size_t t) {
-                    m.h = MsmPolicy::msm(pk.hQuery, h, t);      // MSM 5
-                },
-            });
-        return m;
+        return runPlanned<MsmPolicy>(pk, KeyQueries{pk}, z, h, threads);
     }
 
     /**
@@ -291,11 +277,12 @@ class Groth16
      * Generate a proof. `z` is the full assignment (with z[0] = 1),
      * already checked to satisfy the constraint system.
      *
-     * `threads` is the CPU runtime budget (0 = GZKP_THREADS default).
-     * Composed from the staged helpers above; the stage split is an
-     * implementation boundary only -- for the same rng stream the
-     * bytes are identical whether the stages run here back to back or
-     * on two different devices (pinned by tests/test_device.cc).
+     * `threads` is the CPU runtime budget (0 = GZKP_THREADS default),
+     * shared between POLY and the five MSMs by the plan. The stage
+     * split is an implementation boundary only -- for the same rng
+     * stream the bytes are identical whether the stages run here
+     * side by side or on two different devices (pinned by
+     * tests/test_device.cc).
      */
     template <typename MsmPolicy = GzkpMsmPolicy,
               typename NttEngine = CpuNttEngine<Fr>, typename Rng>
@@ -307,21 +294,9 @@ class Groth16
     {
         if (z.size() != pk.numVars)
             throw std::invalid_argument("Groth16::prove: bad witness");
-
-        // --- POLY stage: seven NTTs. ---
         ntt::Domain<Fr> dom(pk.domainLog);
-        auto h = polyStage(pk, cs, z, dom, ntt_engine);
-
-        Fr r = Fr::random(rng);
-        Fr s = Fr::random(rng);
-        if (aux) {
-            aux->r = r;
-            aux->s = s;
-        }
-
-        // --- MSM stage: five MSMs, run concurrently. ---
-        MsmOutputs m = msmStage<MsmPolicy>(pk, z, h, threads);
-        return assembleProof(pk, m, r, s);
+        return provePlanned<MsmPolicy>(pk, KeyQueries{pk}, cs, z, rng, aux,
+                                       dom, ntt_engine, threads);
     }
 
     /**
@@ -393,19 +368,8 @@ class Groth16
                 "Groth16::proveWithArtifacts: artifacts do not match "
                 "proving key");
 
-        // --- POLY stage: identical to prove(). ---
-        auto h = polyStage(pk, cs, z, dom, ntt_engine);
-
-        Fr r = Fr::random(rng);
-        Fr s = Fr::random(rng);
-        if (aux) {
-            aux->r = r;
-            aux->s = s;
-        }
-
-        // --- MSM stage over the preprocessed tables. ---
-        MsmOutputs m = msmStageWithArtifacts(pk, art, z, h, threads);
-        return assembleProof(pk, m, r, s);
+        return provePlanned<CachedMsm>(pk, art, cs, z, rng, aux, dom,
+                                       ntt_engine, threads);
     }
 
     /**
@@ -420,29 +384,7 @@ class Groth16
                           const std::vector<Fr> &h,
                           std::size_t threads = 0)
     {
-        std::vector<Fr> aux_scalars(z.begin() + pk.numPublic + 1,
-                                    z.end());
-        MsmOutputs m;
-        runtime::parallelInvoke(
-            threads,
-            {
-                [&](std::size_t t) {
-                    m.a = runPreprocessedG1(art.a, z, t);
-                },
-                [&](std::size_t t) {
-                    m.b2 = runPreprocessedG2(art.b2, z, t);
-                },
-                [&](std::size_t t) {
-                    m.b1 = runPreprocessedG1(art.b1, z, t);
-                },
-                [&](std::size_t t) {
-                    m.l = runPreprocessedG1(art.l, aux_scalars, t);
-                },
-                [&](std::size_t t) {
-                    m.h = runPreprocessedG1(art.h, h, t);
-                },
-            });
-        return m;
+        return runPlanned<CachedMsm>(pk, art, z, h, threads);
     }
 
     /** Status-returning proveWithArtifacts(); see proveChecked(). */
@@ -556,27 +498,116 @@ class Groth16
     }
 
   private:
+    /** The proving key's five queries, named as MsmArtifacts' tables. */
+    struct KeyQueries {
+        const std::vector<G1Affine> &a, &b1, &l, &h;
+        const std::vector<G2Affine> &b2;
+
+        explicit KeyQueries(const ProvingKey &pk)
+            : a(pk.aQuery), b1(pk.b1Query), l(pk.lQuery), h(pk.hQuery),
+              b2(pk.b2Query)
+        {}
+    };
+
     /**
-     * run() over a cached table with the exact engine configuration
-     * GzkpMsmPolicy would build (Options defaults + thread share), so
-     * warm and cold paths compute bit-identical points.
+     * MSM policy over cached tables: run() with the exact engine
+     * configuration GzkpMsmPolicy builds (Options defaults + thread
+     * share), so warm and cold paths compute bit-identical points.
      */
-    static G1
-    runPreprocessedG1(const typename MsmArtifacts::G1Pre &pp,
-                      const std::vector<Fr> &scalars, std::size_t t)
+    struct CachedMsm {
+        template <typename Pre>
+        static auto
+        msm(const Pre &pp, const std::vector<Fr> &scalars, std::size_t t)
+        {
+            using Cfg = std::conditional_t<
+                std::is_same_v<Pre, typename MsmArtifacts::G1Pre>,
+                typename Family::G1Cfg, typename Family::G2Cfg>;
+            typename msm::GzkpMsm<Cfg>::Options o;
+            o.threads = t;
+            return msm::GzkpMsm<Cfg>(o).run(pp, scalars);
+        }
+    };
+
+    /**
+     * The planned prove: POLY heads the h task, and (r, s) are drawn
+     * the moment POLY returns, so they stay the first two draws of
+     * `rng` and a POLY fault leaves the stream untouched, as when
+     * POLY ran alone first.
+     */
+    template <typename Engine, typename Sources, typename NttEngine,
+              typename Rng>
+    static Proof
+    provePlanned(const ProvingKey &pk, const Sources &src,
+                 const R1cs<Fr> &cs, const std::vector<Fr> &z, Rng &rng,
+                 ProofAux *aux, const ntt::Domain<Fr> &dom,
+                 const NttEngine &ntt_engine, std::size_t threads)
     {
-        typename msm::GzkpMsm<typename Family::G1Cfg>::Options o;
-        o.threads = t;
-        return msm::GzkpMsm<typename Family::G1Cfg>(o).run(pp, scalars);
+        std::vector<Fr> h;
+        Fr r, s;
+        auto poly = [&] {
+            h = polyStage(pk, cs, z, dom, ntt_engine);
+            r = Fr::random(rng);
+            s = Fr::random(rng);
+        };
+        MsmOutputs m = runPlanned<Engine>(pk, src, z, h, threads, poly);
+        if (aux) {
+            aux->r = r;
+            aux->s = s;
+        }
+        return assembleProof(pk, m, r, s);
     }
 
-    static G2
-    runPreprocessedG2(const typename MsmArtifacts::G2Pre &pp,
-                      const std::vector<Fr> &scalars, std::size_t t)
+    /**
+     * The one planned path under every entry point: plan the five MSMs
+     * (and POLY, when `poly` is set) on the resolved budget, then run
+     * the plan's waves through parallelInvoke with its shares. `h` is
+     * read only by the h task, after POLY when POLY is in the plan.
+     */
+    template <typename Engine, typename Sources>
+    static MsmOutputs
+    runPlanned(const ProvingKey &pk, const Sources &src,
+               const std::vector<Fr> &z, const std::vector<Fr> &h,
+               std::size_t threads,
+               const std::function<void()> &poly = nullptr)
     {
-        typename msm::GzkpMsm<typename Family::G2Cfg>::Options o;
-        o.threads = t;
-        return msm::GzkpMsm<typename Family::G2Cfg>(o).run(pp, scalars);
+        std::size_t budget = runtime::resolveThreads(threads);
+        std::optional<double> polyCost;
+        if (poly)
+            polyCost = kPolyCostPerDomainPoint *
+                double(std::size_t(1) << pk.domainLog);
+        ProvePlan plan = planProve({pk.aQuery.size(), pk.b2Query.size(),
+                                    pk.b1Query.size(), pk.lQuery.size(),
+                                    pk.hQuery.size()},
+                                   polyCost, budget);
+
+        std::vector<Fr> aux_scalars(z.begin() + pk.numPublic + 1,
+                                    z.end());
+        MsmOutputs m;
+        auto run = [&](ProveTask task, std::size_t t) {
+            switch (task) {
+            case ProveTask::A: m.a = Engine::msm(src.a, z, t); break;
+            case ProveTask::B2: m.b2 = Engine::msm(src.b2, z, t); break;
+            case ProveTask::B1: m.b1 = Engine::msm(src.b1, z, t); break;
+            case ProveTask::L:
+                m.l = Engine::msm(src.l, aux_scalars, t);
+                break;
+            case ProveTask::H: m.h = Engine::msm(src.h, h, t); break;
+            case ProveTask::Poly: poly(); break;
+            }
+        };
+        for (const PlanWave &wave : plan.waves) {
+            std::vector<std::function<void(std::size_t)>> lanes;
+            std::vector<std::size_t> shares;
+            for (const PlanLane &lane : wave) {
+                lanes.push_back([&run, &lane](std::size_t t) {
+                    for (ProveTask task : lane.tasks)
+                        run(task, t);
+                });
+                shares.push_back(lane.share);
+            }
+            runtime::parallelInvoke(budget, lanes, shares);
+        }
+        return m;
     }
 
     template <typename Rng>

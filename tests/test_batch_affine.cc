@@ -18,6 +18,7 @@
 
 #include "ec/curves.hh"
 #include "ec/glv.hh"
+#include "faultsim/faultsim.hh"
 #include "msm/batch_affine.hh"
 #include "msm/msm_gzkp.hh"
 #include "msm/msm_serial.hh"
@@ -508,6 +509,65 @@ TEST(BatchAffineDifferential, ResultsAreThreadCountInvariant)
                       .run(in.points, in.scalars),
                   base)
             << "threads=" << t;
+}
+
+TEST(BatchAffineDifferential, GzkpChunkedReductionMatchesSerial)
+{
+    // The bucket reduction runs in min(2^k, 64) equal chunks: k = 2 and
+    // 6 put the bucket count below and at that cap (one bucket a
+    // chunk), 7, 10 and 13 above it. The scalar sets leave all buckets
+    // empty, fill one bucket at the bottom of the second chunk, fill
+    // only the top bucket, or leave the top chunks empty.
+    constexpr std::size_t kPoints = 24;
+    auto base = testkit::msmInstance<Cfg>(kPoints,
+                                          testkit::ScalarMix::Dense, 71);
+    testkit::Rng rng(73);
+    for (std::size_t k : {2, 6, 7, 10, 13}) {
+        std::size_t nbuckets = std::size_t(1) << k;
+        std::size_t width = nbuckets / std::min<std::size_t>(nbuckets, 64);
+        std::vector<std::pair<const char *, std::vector<Fr>>> sets;
+        sets.push_back({"all-zero", std::vector<Fr>(kPoints, Fr::zero())});
+        sets.push_back({"one-bucket",
+                        std::vector<Fr>(kPoints, Fr::fromUint64(width))});
+        sets.push_back({"top-bucket",
+                        std::vector<Fr>(kPoints,
+                                        Fr::fromUint64(nbuckets - 1))});
+        // Three windows of digits below nbuckets / 4 (k = 2: digit 1).
+        std::vector<Fr> low(kPoints);
+        std::uint64_t quarter = std::max<std::uint64_t>(1, nbuckets / 4);
+        for (Fr &s : low)
+            for (std::size_t t = 0; t < 3; ++t)
+                s = s * Fr::fromUint64(nbuckets) +
+                    Fr::fromUint64(1 + rng() % quarter);
+        sets.push_back({"empty-top-chunks", low});
+        sets.push_back({"dense", base.scalars});
+
+        for (const auto &[name, scalars] : sets) {
+            auto expect = PippengerSerial<Cfg>(0, 1, Accumulator::Jacobian,
+                                               GlvMode::Off)
+                              .run(base.points, scalars);
+            for (std::size_t threads : {1, 2, 4, 8}) {
+                std::string what = std::string(name) + " k=" +
+                    std::to_string(k) + " threads=" +
+                    std::to_string(threads);
+                typename GzkpMsm<Cfg>::Options o;
+                o.k = k;
+                o.glv = GlvMode::Off;
+                o.threads = threads;
+                GzkpMsm<Cfg> engine(o);
+                auto pp = engine.preprocess(base.points);
+                EXPECT_EQ(engine.run(pp, scalars), expect) << what;
+                if (std::string(name) == "all-zero")
+                    continue; // no bucket is filled, so none can corrupt
+                // One corrupted bucket must reach the result: the
+                // offset fold may not cancel it.
+                faultsim::ScopedFaultPlan plan(
+                    "seed=9;bucket@msm.gzkp.bucket:1#1");
+                EXPECT_NE(engine.run(pp, scalars), expect) << what;
+                EXPECT_EQ(faultsim::firedCount(), 1u) << what;
+            }
+        }
+    }
 }
 
 TEST(BatchAffineDifferential, G2EnginesAgreeWithAndWithoutGlv)

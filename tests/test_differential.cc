@@ -141,20 +141,6 @@ TEST(Generators, RandomCircuitIsSatisfiable)
 
 // --------------------------------------------------------- shrinker
 
-TEST(Shrink, VectorMinimizesAroundPredicate)
-{
-    std::vector<int> big(64, 0);
-    big[41] = 42;
-    auto shrunk = shrinkVector<int>(big, [](const std::vector<int> &v) {
-        for (int x : v)
-            if (x == 42)
-                return true;
-        return false;
-    });
-    ASSERT_EQ(shrunk.size(), 1u);
-    EXPECT_EQ(shrunk[0], 42);
-}
-
 TEST(Shrink, BrokenMsmVariantIsCaughtAndShrunk)
 {
     using Cfg = ec::Bn254G1Cfg;

@@ -156,7 +156,8 @@ void
 expectMatchesCorpus(const GoldenTuple &t,
                     const workload::Builder<typename Family::Fr> &b,
                     const typename zkp::Groth16<Family>::Keys &keys,
-                    const std::vector<std::size_t> &threadCounts = {1, 4})
+                    const std::vector<std::size_t> &threadCounts = {1, 2, 3,
+                                                                    4, 8})
 {
     using G16 = zkp::Groth16<Family>;
     using Fr = typename Family::Fr;
@@ -275,21 +276,25 @@ TEST(GoldenCorpus, Bn254PoseidonChain33)
         << t.name << ": verifying key moved";
 
     // The serving path only: the per-call table builds of the other
-    // engines cost seconds each at this size.
+    // engines cost seconds each at this size. Four threads run the
+    // planned two-wave path, eight one wave of all five MSMs.
     auto art = zkp::buildMsmArtifacts<Family>(keys.pk, 4);
     ASSERT_TRUE(art.isOk()) << art.status().toString();
     ntt::Domain<ff::Bn254Fr> dom(keys.pk.domainLog);
-    zkp::SelfCheckingProver<Family>::Options opt;
-    opt.threads = 4;
-    opt.artifacts = &*art;
-    opt.domain = &dom;
-    auto prover = zkp::makeBn254SelfCheckingProver(opt);
-    service::ProofRng rng(t.proveSeed);
-    auto r = prover.prove(keys.pk, keys.vk, b.cs(), b.assignment(), rng);
-    ASSERT_TRUE(r.isOk()) << r.status().toString();
-    EXPECT_EQ(zkp::serializeProof<Family>(*r),
-              readFile(goldenPath(t, ".proof.txt")))
-        << t.name << ": SelfCheckingProver threads=4";
+    for (std::size_t threads : {4, 8}) {
+        zkp::SelfCheckingProver<Family>::Options opt;
+        opt.threads = threads;
+        opt.artifacts = &*art;
+        opt.domain = &dom;
+        auto prover = zkp::makeBn254SelfCheckingProver(opt);
+        service::ProofRng rng(t.proveSeed);
+        auto r =
+            prover.prove(keys.pk, keys.vk, b.cs(), b.assignment(), rng);
+        ASSERT_TRUE(r.isOk()) << r.status().toString();
+        EXPECT_EQ(zkp::serializeProof<Family>(*r),
+                  readFile(goldenPath(t, ".proof.txt")))
+            << t.name << ": SelfCheckingProver threads=" << threads;
+    }
 
     // The tuple exists to cover the G2 chord flush: the b2Query MSM,
     // run over its cached table, must resolve rounds through shared

@@ -10,8 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <atomic>
 #include <numeric>
+#include <optional>
+#include <stdexcept>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "msm/msm_common.hh"
@@ -20,6 +25,7 @@
 #include "runtime/runtime.hh"
 #include "status/status.hh"
 #include "testkit/testkit.hh"
+#include "zkp/prove_plan.hh"
 #include "zkp/serialize.hh"
 
 using namespace gzkp;
@@ -129,6 +135,7 @@ TEST(Runtime, ReduceHandlesEmptyRange)
 
 TEST(Runtime, ParallelInvokeRunsEveryTaskWithAShare)
 {
+    const std::vector<std::size_t> given = {3, 1, 2, 1, 1};
     std::vector<std::size_t> shares(5, 0);
     std::atomic<int> ran{0};
     std::vector<std::function<void(std::size_t)>> tasks;
@@ -138,10 +145,21 @@ TEST(Runtime, ParallelInvokeRunsEveryTaskWithAShare)
             ++ran;
         });
     }
-    runtime::parallelInvoke(8, tasks);
+    runtime::parallelInvoke(8, tasks, given);
     EXPECT_EQ(ran.load(), 5);
     for (auto s : shares)
         EXPECT_GE(s, 1u);
+    EXPECT_LE(std::accumulate(shares.begin(), shares.end(), std::size_t(0)),
+              8u);
+    EXPECT_EQ(shares, given);
+    // More threads than the budget, a zero share, or a missing share
+    // is a caller bug, never an oversubscribed region.
+    EXPECT_THROW(runtime::parallelInvoke(7, tasks, given),
+                 std::invalid_argument);
+    EXPECT_THROW(runtime::parallelInvoke(8, tasks, {3, 1, 2, 1, 0}),
+                 std::invalid_argument);
+    EXPECT_THROW(runtime::parallelInvoke(8, tasks, {3, 1}),
+                 std::invalid_argument);
 }
 
 TEST(Runtime, ExceptionsPropagateDeterministically)
@@ -176,7 +194,6 @@ TEST(Runtime, ResolveThreadsUsesTheConfiguredDefault)
     runtime::setDefaultThreads(5);
     EXPECT_EQ(runtime::resolveThreads(0), 5u);
     EXPECT_EQ(runtime::resolveThreads(3), 3u);
-    EXPECT_EQ(runtime::Config{}.resolved(), 5u);
     runtime::setDefaultThreads(0); // back to env/hardware default
     EXPECT_GE(runtime::resolveThreads(0), 1u);
 }
@@ -317,6 +334,158 @@ TEST(ParallelGroth16, ProofBytesIdenticalAcrossThreadCounts)
     EXPECT_FALSE(base.empty());
 }
 
+// --------------------------------------------------- the thread plan
+
+namespace {
+
+using zkp::PlanWave;
+using zkp::ProvePlan;
+using zkp::ProveTask;
+
+/** The sapling circuit's query lengths (a, b2, b1, l, h), 2^13. */
+const std::array<std::size_t, zkp::kMsmCount> kSapling = {8088, 8088, 8088,
+                                                          8086, 8191};
+const double kSaplingPoly = zkp::kPolyCostPerDomainPoint * 8192;
+
+/** The plan's (task, share) pairs in run order, wave by wave. */
+std::vector<std::vector<std::pair<std::vector<ProveTask>, std::size_t>>>
+lanes(const ProvePlan &plan)
+{
+    std::vector<std::vector<std::pair<std::vector<ProveTask>, std::size_t>>>
+        out;
+    for (const PlanWave &w : plan.waves) {
+        out.emplace_back();
+        for (const auto &lane : w)
+            out.back().emplace_back(lane.tasks, lane.share);
+    }
+    return out;
+}
+
+/** Every MSM once, POLY (when pending) before h, shares in budget. */
+void
+expectWellFormed(const ProvePlan &plan, bool polyPending,
+                 std::size_t budget, const std::string &what)
+{
+    std::vector<int> seen(6, 0);
+    bool hSeen = false, polyBeforeH = false;
+    for (const PlanWave &wave : plan.waves) {
+        std::size_t sum = 0;
+        for (const auto &lane : wave) {
+            EXPECT_GE(lane.share, 1u) << what;
+            sum += lane.share;
+            for (ProveTask t : lane.tasks) {
+                ++seen[std::size_t(t)];
+                if (t == ProveTask::Poly)
+                    polyBeforeH = !hSeen;
+                if (t == ProveTask::H)
+                    hSeen = true;
+            }
+        }
+        EXPECT_LE(sum, budget) << what;
+    }
+    for (std::size_t t = 0; t < zkp::kMsmCount; ++t)
+        EXPECT_EQ(seen[t], 1) << what << " task " << t;
+    EXPECT_EQ(seen[std::size_t(ProveTask::Poly)], polyPending ? 1 : 0)
+        << what;
+    if (polyPending) {
+        EXPECT_TRUE(polyBeforeH) << what;
+    }
+}
+
+} // namespace
+
+TEST(ProvePlan, EveryMsmOnceAndSharesWithinTheBudget)
+{
+    const std::vector<std::array<std::size_t, zkp::kMsmCount>> shapes = {
+        kSapling,
+        {489, 489, 489, 487, 511}, // the 2-link chain, 2^9
+        {40, 40, 40, 0, 63},       // no aux variables: an empty l
+        {1, 1, 1, 1, 1},
+    };
+    for (const auto &shape : shapes) {
+        for (std::size_t budget = 1; budget <= 17; ++budget) {
+            for (bool pending : {false, true}) {
+                std::optional<double> poly;
+                if (pending)
+                    poly = zkp::kPolyCostPerDomainPoint *
+                        double(shape[4] + 1);
+                std::string what = "a=" + std::to_string(shape[0]) +
+                    " budget=" + std::to_string(budget) +
+                    " poly=" + std::to_string(pending);
+                auto plan = zkp::planProve(shape, poly, budget);
+                expectWellFormed(plan, pending, budget, what);
+                EXPECT_LE(plan.waves.size(), 2u) << what;
+                EXPECT_GT(plan.makespan, 0) << what;
+                // A pure function: the same inputs, the same plan.
+                EXPECT_EQ(lanes(zkp::planProve(shape, poly, budget)),
+                          lanes(plan))
+                    << what;
+            }
+        }
+    }
+}
+
+TEST(ProvePlan, BudgetOneIsOneInlineLaneInMsmOrder)
+{
+    using T = ProveTask;
+    for (bool pending : {false, true}) {
+        std::optional<double> poly;
+        if (pending)
+            poly = kSaplingPoly;
+        std::vector<T> order = {T::A, T::B2, T::B1, T::L, T::H};
+        if (pending)
+            order.insert(order.begin(), T::Poly);
+        auto plan = zkp::planProve(kSapling, poly, 1);
+        EXPECT_EQ(lanes(plan),
+                  (decltype(lanes(plan)){{{order, 1}}}))
+            << "poly=" << pending;
+    }
+}
+
+TEST(ProvePlan, SaplingAtFourThreadsOverlapsPolyWithTheZMsms)
+{
+    using T = ProveTask;
+    // b2 takes two threads beside a and POLY -> h, then b1 and l split
+    // the budget: the modeled makespan is the POLY -> h lane plus half
+    // of b1, against POLY plus the one-thread b2 for equal shares.
+    auto plan = zkp::planProve(kSapling, kSaplingPoly, 4);
+    decltype(lanes(plan)) want = {
+        {{{T::B2}, 2}, {{T::Poly, T::H}, 1}, {{T::A}, 1}},
+        {{{T::B1}, 2}, {{T::L}, 2}},
+    };
+    EXPECT_EQ(lanes(plan), want);
+    EXPECT_DOUBLE_EQ(plan.makespan, kSaplingPoly + 8191 + 8088 / 2.0);
+
+    // With h computed, the four G1 MSMs fill one wave and b2 takes
+    // the whole budget after them.
+    auto stage = zkp::planProve(kSapling, std::nullopt, 4);
+    decltype(lanes(stage)) wantStage = {
+        {{{T::H}, 1}, {{T::A}, 1}, {{T::B1}, 1}, {{T::L}, 1}},
+        {{{T::B2}, 4}},
+    };
+    EXPECT_EQ(lanes(stage), wantStage);
+    EXPECT_DOUBLE_EQ(stage.makespan,
+                     8191 + 8088 * zkp::kG2PerPointCost / 4);
+}
+
+TEST(ProvePlan, BudgetTwoWithHReadyKeepsTheEqualShareLanes)
+{
+    using T = ProveTask;
+    // The devices' MSM stage: two threads, h computed. The five MSMs
+    // are dealt round-robin onto two one-thread lanes, as before.
+    decltype(lanes(ProvePlan{})) want = {
+        {{{T::A, T::B1, T::H}, 1}, {{T::B2, T::L}, 1}},
+    };
+    for (const auto &shape :
+         {kSapling, std::array<std::size_t, zkp::kMsmCount>{
+                        489, 489, 489, 487, 511}})
+        EXPECT_EQ(lanes(zkp::planProve(shape, std::nullopt, 2)), want);
+    // With POLY pending it runs alone first, then the same lanes.
+    auto plan = zkp::planProve(kSapling, kSaplingPoly, 2);
+    want.insert(want.begin(), {{{T::Poly}, 1}});
+    EXPECT_EQ(lanes(plan), want);
+}
+
 TEST(ParallelGroth16, FuzzProofDeterminismTargetPasses)
 {
     FuzzReport rep;
@@ -450,7 +619,7 @@ TEST(RuntimeCancel, WorkersInheritTheCallersToken)
             }
         });
     }
-    EXPECT_THROW(runtime::parallelInvoke(4, tasks),
+    EXPECT_THROW(runtime::parallelInvoke(4, tasks, {1, 1, 1, 1}),
                  runtime::CancelledError);
     EXPECT_TRUE(sawCancel.load());
 }

@@ -18,6 +18,9 @@
  * scalar mix; a target whose instance is its seed alone checks N
  * consecutive seeds, which the CI smokes use as dedicated sweeps.
  *
+ * Under an ambient GZKP_FAULTS plan the driver ends with the number of
+ * probes that plan fired ("faults: N probe(s) fired ...").
+ *
  * Numeric flags must parse in full (--iterations as a positive
  * integer, --seconds as a non-negative number), --only must name a
  * target and --kind a target or a scalar mix. A bad value is a usage
@@ -198,7 +201,12 @@ main(int argc, char **argv)
         return 2;
     }
 
-    if (a.replaySize >= 0)
-        return replay(a);
-    return report(testkit::fuzzAll(a.sweep));
+    int rc = a.replaySize >= 0 ? replay(a)
+                               : report(testkit::fuzzAll(a.sweep));
+    // Report what an ambient plan did, so a run that expects faults
+    // can tell a plan that fired from one that matched no probe.
+    if (const char *spec = std::getenv("GZKP_FAULTS"); spec && *spec)
+        std::printf("faults: %llu probe(s) fired under GZKP_FAULTS\n",
+                    (unsigned long long)gzkp::faultsim::firedCount());
+    return rc;
 }
