@@ -36,12 +36,12 @@ main()
     header("GZKP NTT parameter ablation (256-bit, 2^20, V100 model)");
 
     // Functional check of a representative sweep.
+    bool all_ok = true;
     {
         Domain<Fr> dom(10);
         auto v = bench::scalarVector<Fr>(dom.size(), 1);
         auto expect = v;
         nttInPlace(dom, expect);
-        bool all_ok = true;
         for (std::size_t b = 2; b <= 8; ++b) {
             for (std::size_t g : {1u, 2u, 4u, 8u, 16u}) {
                 auto w = v;
@@ -91,5 +91,5 @@ main()
     std::printf("\nGZKP default B=6 balances staging passes against "
                 "shared-memory pressure and keeps blocks warp-full "
                 "in the final batch.\n");
-    return 0;
+    return all_ok ? 0 : 1;
 }

@@ -72,10 +72,9 @@ main(int argc, char **argv)
 
     header("Table 7: single MSM operation (G1), V100 "
            "(modeled; paper values in parentheses)");
+    bool ok = functionalCheck<ec::Bn254G1Cfg>(full ? 512 : 128);
     std::printf("functional cross-check (all engines vs naive oracle, "
-                "N=%d): %s\n", full ? 512 : 128,
-                functionalCheck<ec::Bn254G1Cfg>(full ? 512 : 128)
-                    ? "ok" : "MISMATCH");
+                "N=%d): %s\n", full ? 512 : 128, ok ? "ok" : "MISMATCH");
     std::printf("%-6s | %10s %10s %7s | %10s %10s %7s | %10s %10s "
                 "%7s\n",
                 "scale", "753b MINA", "753b GZKP", "spd", "381b BG",
@@ -131,5 +130,5 @@ main(int argc, char **argv)
     std::printf("\npaper: MINA OOM above 2^22 ('-'); speedups "
                 "9.2-12.4x (753b), 5.6-8.5x (381b), 18.1-32.9x "
                 "(256b)\n");
-    return 0;
+    return ok ? 0 : 1;
 }

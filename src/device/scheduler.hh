@@ -35,7 +35,7 @@
  * deadlock. Stage failures (device.fail / device.mem, or a real
  * fault) are retried inline on a re-placed device with a fresh fault
  * epoch, bounded by kMaxStageAttempts; each device is a failure
- * domain with its own SlidingBreaker (health.hh), so a persistently
+ * domain with its own breaker (service/breaker.hh), so a persistently
  * failing card is quarantined while the rest keep serving.
  */
 
@@ -58,12 +58,12 @@
 
 #include "device/cost_model.hh"
 #include "device/device.hh"
-#include "device/health.hh"
 #include "ec/point.hh"
 #include "faultsim/faultsim.hh"
 #include "ntt/domain.hh"
 #include "runtime/runtime.hh"
 #include "service/admission.hh"
+#include "service/breaker.hh"
 #include "status/status.hh"
 #include "zkp/groth16.hh"
 #include "zkp/prover_pipeline.hh"
@@ -222,19 +222,10 @@ class StageScheduler
         js->result.msmDevice = int(msm.device);
         js->result.polyModelSeconds = poly.estimate;
         js->result.msmModelSeconds = msm.estimate;
-        ++pendingJobs_;
         ++submitted_;
         lk.unlock();
         cv_.notify_all();
         return fut;
-    }
-
-    /** Block until every submitted job has resolved. */
-    void
-    waitIdle()
-    {
-        std::unique_lock<std::mutex> lk(mu_);
-        idleCv_.wait(lk, [&] { return pendingJobs_ == 0; });
     }
 
     /** Graceful stop: drain all queues, then join the workers. */
@@ -252,8 +243,6 @@ class StageScheduler
             t.join();
     }
 
-    DeviceHealth &health() { return health_; }
-
     Stats
     stats() const
     {
@@ -265,6 +254,7 @@ class StageScheduler
         s.failed = failed_;
         s.stageRetries = stageRetries_;
         s.devices.reserve(dev_.size());
+        auto breakers = health_.snapshot();
         for (std::size_t d = 0; d < dev_.size(); ++d) {
             const PerDevice &pd = dev_[d];
             DeviceGauges g = pd.gauges;
@@ -272,9 +262,9 @@ class StageScheduler
             g.kind = opt_.devices[d].kind;
             g.queueDepth = pd.queue.size();
             g.inFlight = pd.inFlight ? 1 : 0;
-            g.breaker = health_.state(d);
-            g.quarantines = health_.opens(d);
-            g.failures = health_.failures(d);
+            g.breaker = breakers[d].state;
+            g.quarantines = breakers[d].opens;
+            g.failures = breakers[d].failures;
             g.costSamples = estimator_.samples(estKey(d, StageKind::Poly)) +
                 estimator_.samples(estKey(d, StageKind::Msm));
             s.devices.push_back(std::move(g));
@@ -349,13 +339,7 @@ class StageScheduler
     placeLocked(StageKind stage, const ProofShape &shape,
                 double depReady, int avoid)
     {
-        std::vector<std::size_t> admitted;
-        for (std::size_t d = 0; d < dev_.size(); ++d)
-            if (health_.allow(d))
-                admitted.push_back(d);
-        if (admitted.empty())
-            for (std::size_t d = 0; d < dev_.size(); ++d)
-                admitted.push_back(d);
+        std::vector<std::size_t> admitted = health_.admit().domains;
         if (avoid >= 0 && admitted.size() > 1) {
             for (auto it = admitted.begin(); it != admitted.end(); ++it)
                 if (*it == std::size_t(avoid)) {
@@ -513,7 +497,7 @@ class StageScheduler
         Status st;
         for (std::size_t attempt = 0;; ++attempt) {
             st = attemptStage(dev, task);
-            health_.record(dev, st, task.estimate);
+            health_.record(dev, st);
             if (st.isOk() || !zkp::retryableStatus(st.code()) ||
                 attempt + 1 >= kMaxStageAttempts) {
                 *devUsed = int(dev);
@@ -625,19 +609,16 @@ class StageScheduler
                 ++completed_;
             else
                 ++failed_;
-            --pendingJobs_;
         }
         js->promise.set_value(std::move(res));
-        idleCv_.notify_all();
     }
 
     Options opt_;
     Verifier verifier_;
-    DeviceHealth health_;
+    service::BreakerRegistry<> health_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;
-    std::condition_variable idleCv_;
     std::vector<PerDevice> dev_;
     service::CostEstimator estimator_;
     double makespan_ = 0;
@@ -647,7 +628,6 @@ class StageScheduler
     std::uint64_t completed_ = 0;
     std::uint64_t failed_ = 0;
     std::uint64_t stageRetries_ = 0;
-    std::size_t pendingJobs_ = 0;
     bool stopping_ = false;
     std::vector<std::thread> workers_;
 };

@@ -195,16 +195,15 @@ maybeCorruptCachedTable(CircuitArtifacts<Family> &art, std::uint64_t key)
 template <typename Family>
 StatusOr<std::shared_ptr<const CircuitArtifacts<Family>>>
 buildCircuitArtifacts(const typename zkp::Groth16<Family>::ProvingKey &pk,
-                      std::uint64_t key, std::size_t threads = 0,
-                      std::size_t max_attempts = 3)
+                      std::uint64_t key, std::size_t threads = 0)
 {
     Status probe = statusGuardVoid("service.cache.build", [&] {
         faultsim::checkAlloc("service.cache.build", key);
     });
     GZKP_RETURN_IF_ERROR(probe);
     auto art = std::make_shared<CircuitArtifacts<Family>>(pk.domainLog);
-    GZKP_ASSIGN_OR_RETURN(
-        art->msm, zkp::buildMsmArtifacts<Family>(pk, threads, max_attempts));
+    GZKP_ASSIGN_OR_RETURN(art->msm,
+                          zkp::buildMsmArtifacts<Family>(pk, threads));
     maybeCorruptCachedTable(*art, key);
     return std::shared_ptr<const CircuitArtifacts<Family>>(std::move(art));
 }

@@ -1,11 +1,16 @@
 /**
  * @file
- * The reusable sliding-window circuit breaker core.
+ * Circuit breakers for independently failing executors, and the one
+ * registry that holds them.
  *
- * Extracted from BackendHealth (backend_health.hh) so the same state
- * machine guards any independently failing executor -- a prover
- * backend class, or one device of the multi-device scheduler
- * (src/device/health.hh). One breaker watches one failure domain:
+ * GZKP's evaluation machines pair dissimilar accelerators, and ZK-Flex
+ * (PAPERS.md) treats proving backends the same way: executors that
+ * fail independently behind a scheduler. A BreakerRegistry holds one
+ * SlidingBreaker per failure domain -- a rung of the prover's
+ * GZKP -> serial ladder (ProofService shares one registry across all
+ * requests, so demotion is learned service-wide), or one device of the
+ * multi-device scheduler (a seeded `device.fail.v100.0` plan
+ * quarantines exactly that card). One breaker:
  *
  *   Closed ── window failure rate >= threshold at >= minSamples ──> Open
  *   Open ──── cooldownTarget denied admissions ──> HalfOpen (probe)
@@ -17,19 +22,30 @@
  * breaker trace replays deterministically under a fixed admission
  * sequence, the same property the fault simulator has.
  *
- * SlidingBreaker is deliberately *not* synchronized: the registry
- * that owns a set of breakers (BackendHealth, DeviceHealth) holds
- * them under its own mutex, exactly as BackendHealth always did.
+ * SlidingBreaker is deliberately *not* synchronized. The registry
+ * owns everything its two users share, under one mutex: allow() and
+ * record(), the neutral-status filter (cooperative stops and caller
+ * bugs never indict a domain), the counters the snapshots and device
+ * gauges read, and admit() -- the never-strand rule both the prover
+ * ladder and the device placement run: when every breaker denies,
+ * every domain is admitted. Breakers shape latency and routing; they
+ * never strand work.
+ *
+ * An optional fault site (the service's "service.breaker") makes
+ * allow() spuriously deny a healthy domain: a lying health signal.
+ * It only perturbs routing -- the chaos suite asserts the proof
+ * invariant survives a malicious breaker.
  */
 
 #ifndef GZKP_SERVICE_BREAKER_HH
 #define GZKP_SERVICE_BREAKER_HH
 
-#include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <vector>
 
+#include "faultsim/faultsim.hh"
 #include "status/status.hh"
 
 namespace gzkp::service {
@@ -103,20 +119,17 @@ class SlidingBreaker
     void countAttempt() { ++attempts_; }
 
     /**
-     * One non-neutral attempt outcome and its latency: fold into the
-     * window and run the state machine.
+     * One non-neutral attempt outcome: fold into the window and run
+     * the state machine.
      */
     void
-    record(bool ok, double seconds)
+    record(bool ok)
     {
         if (!ok)
             ++failures_;
         outcomes_.push_back(ok);
-        latencies_.push_back(seconds);
-        while (outcomes_.size() > opt_.window) {
+        while (outcomes_.size() > opt_.window)
             outcomes_.pop_front();
-            latencies_.pop_front();
-        }
         switch (state_) {
         case BreakerState::Closed:
             if (outcomes_.size() >= opt_.minSamples &&
@@ -129,7 +142,6 @@ class SlidingBreaker
             } else if (++probeOk_ >= opt_.probeSuccesses) {
                 state_ = BreakerState::Closed;
                 outcomes_.clear(); // forget the brown-out window
-                latencies_.clear();
             }
             break;
         case BreakerState::Open:
@@ -145,14 +157,6 @@ class SlidingBreaker
 
     BreakerState state() const { return state_; }
 
-    /** Would allow() admit right now (without consuming a denial)? */
-    bool
-    wouldAllow() const
-    {
-        return state_ != BreakerState::Open ||
-            denials_ + 1 >= cooldownTarget_;
-    }
-
     std::uint64_t attempts() const { return attempts_; }
     std::uint64_t failures() const { return failures_; }
     std::uint64_t opens() const { return opens_; }
@@ -167,20 +171,6 @@ class SlidingBreaker
         for (bool ok : outcomes_)
             bad += ok ? 0 : 1;
         return double(bad) / double(outcomes_.size());
-    }
-
-    /** Exact quantile over the windowed latencies (0 when empty). */
-    double
-    latencyQuantile(double q) const
-    {
-        if (latencies_.empty())
-            return 0;
-        std::vector<double> sorted(latencies_.begin(), latencies_.end());
-        std::sort(sorted.begin(), sorted.end());
-        std::size_t idx = std::min(
-            sorted.size() - 1,
-            std::size_t(q * double(sorted.size() - 1) + 0.5));
-        return sorted[idx];
     }
 
   private:
@@ -208,7 +198,6 @@ class SlidingBreaker
     BreakerOptions opt_;
     BreakerState state_ = BreakerState::Closed;
     std::deque<bool> outcomes_;
-    std::deque<double> latencies_;
     std::uint64_t attempts_ = 0;
     std::uint64_t failures_ = 0;
     std::uint64_t opens_ = 0;
@@ -218,23 +207,141 @@ class SlidingBreaker
 };
 
 /**
- * Outcomes that do not indict the backend or device they ran on:
- * cooperative stops and caller bugs. Breaker owners count the attempt
- * but record only the other outcomes.
+ * One SlidingBreaker per failure domain, numbered 0 .. domains-1 and
+ * keyed by `Domain` (zkp::ProverBackend for the ladder, a device
+ * index for the scheduler). Safe to call from many threads.
  */
-inline bool
-neutralStatus(StatusCode code)
+template <typename Domain = std::size_t>
+class BreakerRegistry
 {
-    switch (code) {
-    case StatusCode::kCancelled:
-    case StatusCode::kDeadlineExceeded:
-    case StatusCode::kInvalidArgument:
-    case StatusCode::kFailedPrecondition:
-        return true;
-    default:
-        return false;
+  public:
+    /** One domain's counters. */
+    struct DomainSnapshot {
+        BreakerState state = BreakerState::Closed;
+        std::uint64_t attempts = 0;
+        std::uint64_t failures = 0;
+        std::uint64_t opens = 0;      //!< times the breaker opened
+        std::uint64_t denials = 0;    //!< denied since the last open
+        double windowFailureRate = 0; //!< over the sliding window
+    };
+
+    struct Snapshot {
+        /** One entry per domain (per backend, in ProofService). */
+        std::vector<DomainSnapshot> backend;
+        std::uint64_t totalOpens = 0;
+
+        const DomainSnapshot &
+        operator[](Domain d) const
+        {
+            return backend[std::size_t(d)];
+        }
+    };
+
+    /** The domains admit() let through, in index order. */
+    struct Admission {
+        std::vector<Domain> domains;
+        std::size_t denied = 0; //!< allow() refusals, fallback or not
+    };
+
+    /** `faultSite`, when set, is probed by every allow() (lying). */
+    explicit BreakerRegistry(std::size_t domains,
+                             const BreakerOptions &opt = BreakerOptions(),
+                             const char *faultSite = nullptr)
+        : b_(domains, SlidingBreaker(opt)), faultSite_(faultSite)
+    {}
+
+    /** Gate one admission onto `d` (see SlidingBreaker::allow). */
+    bool
+    allow(Domain d)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return allowLocked(std::size_t(d));
     }
-}
+
+    /**
+     * The never-strand rule: ask every domain once, in index order,
+     * and admit those that allow. When every one denies, admit them
+     * all -- each denial still counts toward its breaker's cooldown.
+     */
+    Admission
+    admit()
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        Admission a;
+        for (std::size_t d = 0; d < b_.size(); ++d) {
+            if (allowLocked(d))
+                a.domains.push_back(Domain(d));
+            else
+                ++a.denied;
+        }
+        if (a.domains.empty())
+            for (std::size_t d = 0; d < b_.size(); ++d)
+                a.domains.push_back(Domain(d));
+        return a;
+    }
+
+    /**
+     * One attempt's outcome on `d`. Every attempt counts; only
+     * outcomes that indict the domain reach its window: cooperative
+     * stops and caller bugs are neutral.
+     */
+    void
+    record(Domain d, const Status &status)
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        SlidingBreaker &b = b_[std::size_t(d)];
+        b.countAttempt();
+        switch (status.code()) {
+        case StatusCode::kCancelled:
+        case StatusCode::kDeadlineExceeded:
+        case StatusCode::kInvalidArgument:
+        case StatusCode::kFailedPrecondition:
+            return;
+        default:
+            b.record(status.isOk());
+        }
+    }
+
+    BreakerState
+    state(Domain d) const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        return b_[std::size_t(d)].state();
+    }
+
+    Snapshot
+    snapshot() const
+    {
+        std::lock_guard<std::mutex> lk(mu_);
+        Snapshot s;
+        for (const SlidingBreaker &b : b_) {
+            s.backend.push_back({b.state(), b.attempts(), b.failures(),
+                                 b.opens(), b.denials(),
+                                 b.failureRate()});
+            s.totalOpens += b.opens();
+        }
+        return s;
+    }
+
+  private:
+    bool
+    allowLocked(std::size_t d)
+    {
+        SlidingBreaker &b = b_[d];
+        if (faultSite_ != nullptr && faultsim::active() &&
+            faultsim::shouldFire(faultsim::FaultKind::Launch, faultSite_,
+                                 allowSeq_++)) {
+            b.countDenial();
+            return false;
+        }
+        return b.allow();
+    }
+
+    mutable std::mutex mu_;
+    std::vector<SlidingBreaker> b_;
+    const char *faultSite_;
+    std::uint64_t allowSeq_ = 0;
+};
 
 } // namespace gzkp::service
 

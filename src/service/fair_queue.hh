@@ -103,9 +103,6 @@ class FairShareQueue
         return it == tenants_.end() ? 0 : it->second.q.size();
     }
 
-    /** Number of tenants with queued work. */
-    std::size_t activeTenants() const { return ring_.size(); }
-
     /**
      * Deficit-round-robin pop: serve the ring tenant with remaining
      * deficit (refilling by weight on each visit), taking its

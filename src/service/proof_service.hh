@@ -20,7 +20,7 @@
  *    doomed requests are shed, not proved, and a proof that finishes
  *    after its deadline is dropped (typed error), never delivered --
  *    the service completes zero proofs past their deadline;
- *  - backend health: a BackendHealth registry (backend_health.hh)
+ *  - backend health: one breaker registry (breaker.hh) per service
  *    watches every prover attempt across all requests; open circuit
  *    breakers make SelfCheckingProver skip a browned-out backend
  *    outright instead of paying its retry budget on every request.
@@ -63,7 +63,7 @@
  *
  * Fault sites (see faultsim.hh): "service.queue" (admission
  * alloc/launch), "service.shed" (spurious admission shed),
- * "service.breaker" (lying health signal, see backend_health.hh).
+ * "service.breaker" (lying health signal, see breaker.hh).
  */
 
 #ifndef GZKP_SERVICE_PROOF_SERVICE_HH
@@ -88,7 +88,6 @@
 #include "runtime/runtime.hh"
 #include "service/admission.hh"
 #include "service/artifact_cache.hh"
-#include "service/backend_health.hh"
 #include "service/fair_queue.hh"
 #include "status/status.hh"
 #include "zkp/prover_pipeline.hh"
@@ -133,7 +132,7 @@ class ProofService
 
         /** Cross-request backend health with circuit breakers. */
         bool healthTracking = true;
-        BackendHealth::Options healthOptions;
+        BreakerOptions healthOptions;
 
         /** Tenant weights; an absent tenant weighs 1. */
         std::map<std::uint64_t, std::uint64_t> tenantWeights;
@@ -206,7 +205,10 @@ class ProofService
         std::uint64_t backendsSkipped = 0; //!< breaker-skipped tiers
         std::map<std::uint64_t, TenantStats> tenants;
         bool healthTracking = false;
-        BackendHealth::Snapshot health;
+        /** Per-backend breaker counters; zeros when tracking is off. */
+        zkp::BackendBreakers::Snapshot health{
+            std::vector<zkp::BackendBreakers::DomainSnapshot>(
+                zkp::kProverBackendCount)};
 
         /** Multi-device scheduling (empty when disabled). */
         bool deviceScheduling = false;
@@ -220,7 +222,9 @@ class ProofService
         : opt_(opt), verifier_(std::move(verifier)), cache_(opt.cacheBytes)
     {
         if (opt_.healthTracking)
-            health_ = std::make_unique<BackendHealth>(opt_.healthOptions);
+            health_ = std::make_unique<zkp::BackendBreakers>(
+                zkp::kProverBackendCount, opt_.healthOptions,
+                "service.breaker");
         for (const auto &[tenant, weight] : opt_.tenantWeights)
             queue_.setWeight(tenant, weight);
 
@@ -255,14 +259,6 @@ class ProofService
         return circuits_.size() - 1;
     }
 
-    /** Set (or change) a tenant's fair-share weight. */
-    void
-    setTenantWeight(std::uint64_t tenant, std::uint64_t weight)
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        queue_.setWeight(tenant, weight);
-    }
-
     /**
      * Pre-train the admission cost model (tests and benches: lets a
      * cold service make informed shed decisions immediately).
@@ -276,8 +272,8 @@ class ProofService
             estimator_.record(circuit, proveSeconds);
     }
 
-    /** The health registry (nullptr when healthTracking is off). */
-    BackendHealth *health() { return health_.get(); }
+    /** The backend breakers (nullptr when healthTracking is off). */
+    zkp::BackendBreakers *health() { return health_.get(); }
 
     /**
      * Admit a request. Returns the future that will carry its Result,
@@ -656,7 +652,7 @@ class ProofService
         typename Prover::Options popt;
         popt.threads = opt_.threads;
         popt.cancel = &token;
-        popt.monitor = health_.get();
+        popt.breakers = health_.get();
         if (art) {
             popt.artifacts = &art->msm;
             popt.domain = &art->domain;
@@ -818,7 +814,7 @@ class ProofService
     Verifier verifier_;
     Cache cache_;
     runtime::CancelToken shutdown_;
-    std::unique_ptr<BackendHealth> health_;
+    std::unique_ptr<zkp::BackendBreakers> health_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;

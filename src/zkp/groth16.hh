@@ -36,7 +36,6 @@
 #include "msm/msm_gzkp.hh"
 #include "msm/msm_serial.hh"
 #include "runtime/runtime.hh"
-#include "status/status.hh"
 #include "zkp/families.hh"
 #include "zkp/prove_plan.hh"
 #include "zkp/qap.hh"
@@ -385,71 +384,6 @@ class Groth16
                           std::size_t threads = 0)
     {
         return runPlanned<CachedMsm>(pk, art, z, h, threads);
-    }
-
-    /** Status-returning proveWithArtifacts(); see proveChecked(). */
-    template <typename NttEngine = CpuNttEngine<Fr>, typename Rng>
-    static StatusOr<Proof>
-    proveCheckedWithArtifacts(const ProvingKey &pk, const R1cs<Fr> &cs,
-                              const std::vector<Fr> &z, Rng &rng,
-                              const MsmArtifacts &art,
-                              const ntt::Domain<Fr> &dom,
-                              ProofAux *aux = nullptr,
-                              const NttEngine &ntt_engine = NttEngine(),
-                              std::size_t threads = 0)
-    {
-        if (pk.numVars == 0 || pk.aQuery.size() != pk.numVars)
-            return failedPreconditionError(
-                "groth16.prove: malformed proving key");
-        if (!art.matches(pk) || dom.logSize() != pk.domainLog)
-            return failedPreconditionError(
-                "groth16.prove: artifacts do not match proving key");
-        if (z.size() != pk.numVars)
-            return invalidArgumentError(
-                "groth16.prove: witness size " +
-                std::to_string(z.size()) + " != numVars " +
-                std::to_string(pk.numVars));
-        if (!z.empty() && z[0] != Fr::one())
-            return invalidArgumentError(
-                "groth16.prove: witness z[0] must be 1");
-        return statusGuard("groth16.prove", [&] {
-            return proveWithArtifacts<NttEngine>(
-                pk, cs, z, rng, art, dom, aux, ntt_engine, threads);
-        });
-    }
-
-    /**
-     * Status-returning prove(): validates arguments up front and
-     * converts any exception escaping the two prover stages --
-     * injected faults, allocation failure, cooperative cancellation
-     * -- into a typed gzkp::Status instead of letting it unwind
-     * through the caller. This is the entry point the self-checking
-     * pipeline (prover_pipeline.hh) builds on.
-     */
-    template <typename MsmPolicy = GzkpMsmPolicy,
-              typename NttEngine = CpuNttEngine<Fr>, typename Rng>
-    static StatusOr<Proof>
-    proveChecked(const ProvingKey &pk, const R1cs<Fr> &cs,
-                 const std::vector<Fr> &z, Rng &rng,
-                 ProofAux *aux = nullptr,
-                 const NttEngine &ntt_engine = NttEngine(),
-                 std::size_t threads = 0)
-    {
-        if (pk.numVars == 0 || pk.aQuery.size() != pk.numVars)
-            return failedPreconditionError(
-                "groth16.prove: malformed proving key");
-        if (z.size() != pk.numVars)
-            return invalidArgumentError(
-                "groth16.prove: witness size " +
-                std::to_string(z.size()) + " != numVars " +
-                std::to_string(pk.numVars));
-        if (!z.empty() && z[0] != Fr::one())
-            return invalidArgumentError(
-                "groth16.prove: witness z[0] must be 1");
-        return statusGuard("groth16.prove", [&] {
-            return prove<MsmPolicy, NttEngine>(pk, cs, z, rng, aux,
-                                               ntt_engine, threads);
-        });
     }
 
     /**

@@ -3,11 +3,13 @@
  * The self-checking prover pipeline: Groth16 proving with fault
  * detection, bounded retry, and graceful backend degradation.
  *
- * The pipeline wraps Groth16::proveChecked() with the recovery policy
+ * The pipeline wraps Groth16::prove() with the recovery policy
  * described in DESIGN.md ("Fault model & recovery"):
  *
- *  1. every attempt runs under the caller's CancelToken (cooperative
- *     cancellation + deadline, polled between parallel chunks);
+ *  1. every attempt checks its arguments, then runs under the
+ *     caller's CancelToken (cooperative cancellation + deadline,
+ *     polled between parallel chunks) with any exception mapped onto
+ *     a typed Status;
  *  2. the returned proof is *self-checked* before it is released --
  *     first structurally (all three points on curve and in the
  *     prime-order subgroup: a bit-flip in a Jacobian coordinate
@@ -41,7 +43,6 @@
 #ifndef GZKP_ZKP_PROVER_PIPELINE_HH
 #define GZKP_ZKP_PROVER_PIPELINE_HH
 
-#include <chrono>
 #include <cstddef>
 #include <functional>
 #include <optional>
@@ -51,6 +52,7 @@
 
 #include "faultsim/faultsim.hh"
 #include "runtime/runtime.hh"
+#include "service/breaker.hh"
 #include "status/status.hh"
 #include "zkp/groth16.hh"
 #include "zkp/groth16_bn254.hh"
@@ -98,36 +100,13 @@ retryableStatus(StatusCode code)
 }
 
 /**
- * Cross-request backend health feedback. Without it the pipeline
- * demotes per request: every prove climbs the GZKP -> serial ladder
- * from the top, re-paying the failed attempts on a backend that has
- * been brown for the last hundred requests. A
- * monitor lifts that decision to service scope: before trying a
- * backend the pipeline asks allow(), and after every attempt it
- * reports the outcome and latency through record(). The serving
- * layer's BackendHealth registry (src/service/backend_health.hh)
- * implements this with sliding-window stats and a circuit breaker.
- *
- * Contract: allow()/record() may be called concurrently from many
- * in-flight proofs (implementations synchronize internally), and a
- * monitor must never be able to strand a request -- when it denies
- * every backend, the pipeline falls back to the full unmonitored
- * ladder (the breaker saves latency; correctness never depends on
- * it).
+ * Cross-request backend health: one breaker per ladder backend, shared
+ * by every request of a service (ProofService builds it with the
+ * "service.breaker" fault site). An open breaker makes the ladder skip
+ * its backend outright, so a prove does not re-pay the attempts the
+ * service already watched fail.
  */
-class BackendMonitor
-{
-  public:
-    virtual ~BackendMonitor() = default;
-
-    /** May this prove attempt the backend right now? */
-    virtual bool allow(ProverBackend backend) = 0;
-
-    /** One attempt finished with `status` after `seconds`. */
-    virtual void
-    record(ProverBackend backend, const Status &status,
-           double seconds) = 0;
-};
+using BackendBreakers = service::BreakerRegistry<ProverBackend>;
 
 /**
  * Self-checking Groth16 prover with backend fallback.
@@ -165,11 +144,11 @@ class SelfCheckingProver
         const typename G::MsmArtifacts *artifacts = nullptr;
         const ntt::Domain<Fr> *domain = nullptr;
         /**
-         * Optional cross-request health feedback (serving layer):
-         * backends the monitor disallows are skipped, every attempt
-         * outcome is reported back. Must outlive prove().
+         * Optional cross-request health (serving layer): backends
+         * whose breaker denies are skipped, every attempt outcome is
+         * recorded. Must outlive prove().
          */
-        BackendMonitor *monitor = nullptr;
+        BackendBreakers *breakers = nullptr;
     };
 
     struct Attempt {
@@ -183,7 +162,7 @@ class SelfCheckingProver
         ProverBackend backendUsed = ProverBackend::Gzkp;
         bool succeeded = false;
         std::size_t epochsAdvanced = 0;
-        /** Backends the monitor's breaker skipped entirely. */
+        /** Breaker denials: backends skipped entirely. */
         std::size_t backendsSkipped = 0;
     };
 
@@ -213,27 +192,18 @@ class SelfCheckingProver
         if (opt_.cancel)
             scope.emplace(opt_.cancel);
 
-        // The demotion ladder, gated by the health monitor: a backend
-        // whose breaker is open is skipped outright -- the service has
+        // The demotion ladder, gated by the breakers: a backend whose
+        // breaker is open is skipped outright -- the service has
         // already watched it fail across requests, so this prove does
-        // not pay the attempts again. A monitor that denies *every*
-        // backend is overridden with the full ladder: breakers shape
-        // latency, they must never strand a request.
-        std::vector<ProverBackend> ladder;
-        for (std::size_t b = 0; b < kProverBackendCount; ++b) {
-            ProverBackend backend = ProverBackend(b);
-            if (opt_.monitor && !opt_.monitor->allow(backend)) {
-                ++rep.backendsSkipped;
-                continue;
-            }
-            ladder.push_back(backend);
-        }
-        if (ladder.empty()) {
-            for (std::size_t b = 0; b < kProverBackendCount; ++b)
-                ladder.push_back(ProverBackend(b));
+        // not pay the attempts again.
+        std::vector<ProverBackend> ladder{ProverBackend::Gzkp,
+                                          ProverBackend::Serial};
+        if (opt_.breakers) {
+            auto admitted = opt_.breakers->admit();
+            ladder = std::move(admitted.domains);
+            rep.backendsSkipped = admitted.denied;
         }
 
-        using AttemptClock = std::chrono::steady_clock;
         Status last =
             internalError("prover.pipeline: no attempt executed");
         for (ProverBackend backend : ladder) {
@@ -246,18 +216,13 @@ class SelfCheckingProver
                         return s.withContext("prover.pipeline");
                     }
                 }
-                auto t0 = AttemptClock::now();
                 StatusOr<Proof> r = proveWith(backend, pk, cs, z, rng);
                 Status s = r.isOk()
                     ? selfCheck("prover.selfcheck", verifier_, &vk, *r,
                                 publicInputs(pk, z))
                     : r.status();
-                double attempt_s =
-                    std::chrono::duration<double>(AttemptClock::now() -
-                                                  t0)
-                        .count();
-                if (opt_.monitor)
-                    opt_.monitor->record(backend, s, attempt_s);
+                if (opt_.breakers)
+                    opt_.breakers->record(backend, s);
                 rep.attempts.push_back({backend, s});
                 if (s.isOk()) {
                     rep.backendUsed = backend;
@@ -313,27 +278,49 @@ class SelfCheckingProver
     }
 
   private:
+    /**
+     * One attempt on `backend`. Caller bugs fail typed before any
+     * work: kFailedPrecondition for a malformed key or for cached
+     * artifacts that do not match it, kInvalidArgument for a wrong
+     * witness. Anything the prover throws -- an injected fault, an
+     * allocation failure, a cooperative stop -- becomes a Status.
+     */
     template <typename Rng>
     StatusOr<Proof>
     proveWith(ProverBackend backend, const ProvingKey &pk,
               const R1cs<Fr> &cs, const std::vector<Fr> &z,
               Rng &rng) const
     {
-        switch (backend) {
-        case ProverBackend::Gzkp:
-            if (opt_.artifacts && opt_.domain)
-                return G::proveCheckedWithArtifacts(
+        bool cached = backend == ProverBackend::Gzkp && opt_.artifacts &&
+            opt_.domain;
+        if (pk.numVars == 0 || pk.aQuery.size() != pk.numVars)
+            return failedPreconditionError(
+                "groth16.prove: malformed proving key");
+        if (cached && (!opt_.artifacts->matches(pk) ||
+                       opt_.domain->logSize() != pk.domainLog))
+            return failedPreconditionError(
+                "groth16.prove: artifacts do not match proving key");
+        if (z.size() != pk.numVars)
+            return invalidArgumentError(
+                "groth16.prove: witness size " +
+                std::to_string(z.size()) + " != numVars " +
+                std::to_string(pk.numVars));
+        if (!z.empty() && z[0] != Fr::one())
+            return invalidArgumentError(
+                "groth16.prove: witness z[0] must be 1");
+        return statusGuard("groth16.prove", [&] {
+            if (cached)
+                return G::proveWithArtifacts(
                     pk, cs, z, rng, *opt_.artifacts, *opt_.domain,
                     nullptr, CpuNttEngine<Fr>(), opt_.threads);
-            return G::template proveChecked<GzkpMsmPolicy>(
+            if (backend == ProverBackend::Gzkp)
+                return G::template prove<GzkpMsmPolicy>(
+                    pk, cs, z, rng, nullptr, CpuNttEngine<Fr>(),
+                    opt_.threads);
+            return G::template prove<SerialMsmPolicy>(
                 pk, cs, z, rng, nullptr, CpuNttEngine<Fr>(),
                 opt_.threads);
-        case ProverBackend::Serial:
-            return G::template proveChecked<SerialMsmPolicy>(
-                pk, cs, z, rng, nullptr, CpuNttEngine<Fr>(),
-                opt_.threads);
-        }
-        return internalError("prover.pipeline: unknown backend");
+        });
     }
 
     Options opt_;
@@ -391,8 +378,7 @@ preprocessWithResume(const msm::GzkpMsm<Cfg> &engine,
 template <typename Family>
 StatusOr<typename Groth16<Family>::MsmArtifacts>
 buildMsmArtifacts(const typename Groth16<Family>::ProvingKey &pk,
-                  std::size_t threads = 0,
-                  std::size_t max_attempts = kPreprocessAttempts)
+                  std::size_t threads = 0)
 {
     using G1Cfg = typename Family::G1Cfg;
     using G2Cfg = typename Family::G2Cfg;
@@ -403,16 +389,11 @@ buildMsmArtifacts(const typename Groth16<Family>::ProvingKey &pk,
     msm::GzkpMsm<G1Cfg> e1(o1);
     msm::GzkpMsm<G2Cfg> e2(o2);
     typename Groth16<Family>::MsmArtifacts art;
-    GZKP_ASSIGN_OR_RETURN(
-        art.a, preprocessWithResume(e1, pk.aQuery, max_attempts));
-    GZKP_ASSIGN_OR_RETURN(
-        art.b2, preprocessWithResume(e2, pk.b2Query, max_attempts));
-    GZKP_ASSIGN_OR_RETURN(
-        art.b1, preprocessWithResume(e1, pk.b1Query, max_attempts));
-    GZKP_ASSIGN_OR_RETURN(
-        art.l, preprocessWithResume(e1, pk.lQuery, max_attempts));
-    GZKP_ASSIGN_OR_RETURN(
-        art.h, preprocessWithResume(e1, pk.hQuery, max_attempts));
+    GZKP_ASSIGN_OR_RETURN(art.a, preprocessWithResume(e1, pk.aQuery));
+    GZKP_ASSIGN_OR_RETURN(art.b2, preprocessWithResume(e2, pk.b2Query));
+    GZKP_ASSIGN_OR_RETURN(art.b1, preprocessWithResume(e1, pk.b1Query));
+    GZKP_ASSIGN_OR_RETURN(art.l, preprocessWithResume(e1, pk.lQuery));
+    GZKP_ASSIGN_OR_RETURN(art.h, preprocessWithResume(e1, pk.hQuery));
     return art;
 }
 

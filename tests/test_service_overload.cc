@@ -45,7 +45,7 @@ using G16 = zkp::Groth16<Bn254Family>;
 using Fr = ff::Bn254Fr;
 using Service = service::ProofService<Bn254Family>;
 using Cache = service::ArtifactCache<Bn254Family>;
-using service::BackendHealth;
+using service::BreakerOptions;
 using service::BreakerState;
 using service::CostEstimator;
 using service::FairShareQueue;
@@ -222,10 +222,10 @@ TEST(CostEstimatorTest, Ewma)
 
 // ------------------------------------------------------ circuit breaker
 
-BackendHealth::Options
+BreakerOptions
 breakerOptions()
 {
-    BackendHealth::Options opt;
+    BreakerOptions opt;
     opt.window = 8;
     opt.minSamples = 4;
     opt.failureThreshold = 0.5;
@@ -235,16 +235,24 @@ breakerOptions()
     return opt;
 }
 
-TEST(BackendHealthTest, BreakerOpensHalfOpensAndCloses)
+/** The registry ProofService builds: one breaker per ladder backend. */
+zkp::BackendBreakers
+backendBreakers()
 {
-    BackendHealth h(breakerOptions());
+    return zkp::BackendBreakers(zkp::kProverBackendCount,
+                                breakerOptions(), "service.breaker");
+}
+
+TEST(BreakerRegistryTest, BreakerOpensHalfOpensAndCloses)
+{
+    auto h = backendBreakers();
     auto gzkp = zkp::ProverBackend::Gzkp;
     EXPECT_EQ(h.state(gzkp), BreakerState::Closed);
     EXPECT_TRUE(h.allow(gzkp));
 
     Status fail = unavailableError("injected");
     for (int i = 0; i < 4; ++i)
-        h.record(gzkp, fail, 0.1);
+        h.record(gzkp, fail);
     EXPECT_EQ(h.state(gzkp), BreakerState::Open);
 
     // Cooldown counted in denials: two denies, then the probe.
@@ -254,14 +262,14 @@ TEST(BackendHealthTest, BreakerOpensHalfOpensAndCloses)
     EXPECT_EQ(h.state(gzkp), BreakerState::HalfOpen);
 
     // Probe failure re-opens with a fresh cooldown.
-    h.record(gzkp, fail, 0.1);
+    h.record(gzkp, fail);
     EXPECT_EQ(h.state(gzkp), BreakerState::Open);
     EXPECT_FALSE(h.allow(gzkp));
     EXPECT_FALSE(h.allow(gzkp));
     EXPECT_TRUE(h.allow(gzkp));
 
     // Probe success closes and forgets the brown-out window.
-    h.record(gzkp, Status::ok(), 0.05);
+    h.record(gzkp, Status::ok());
     EXPECT_EQ(h.state(gzkp), BreakerState::Closed);
     EXPECT_TRUE(h.allow(gzkp));
 
@@ -272,34 +280,34 @@ TEST(BackendHealthTest, BreakerOpensHalfOpensAndCloses)
 }
 
 /** Cooperative stops and caller bugs never indict the backend. */
-TEST(BackendHealthTest, NeutralStatusesDoNotOpenBreaker)
+TEST(BreakerRegistryTest, NeutralStatusesDoNotOpenBreaker)
 {
-    BackendHealth h(breakerOptions());
+    auto h = backendBreakers();
     auto b = zkp::ProverBackend::Serial;
     for (int i = 0; i < 16; ++i) {
-        h.record(b, cancelledError("stop"), 0.1);
-        h.record(b, deadlineExceededError("late"), 0.1);
-        h.record(b, invalidArgumentError("caller bug"), 0.1);
+        h.record(b, cancelledError("stop"));
+        h.record(b, deadlineExceededError("late"));
+        h.record(b, invalidArgumentError("caller bug"));
     }
     EXPECT_EQ(h.state(b), BreakerState::Closed);
     EXPECT_EQ(h.snapshot()[b].windowFailureRate, 0.0);
 }
 
 /** service.breaker fault: a lying allow() is routing-only. */
-TEST(BackendHealthTest, InjectedBreakerDenialIsSpurious)
+TEST(BreakerRegistryTest, InjectedBreakerDenialIsSpurious)
 {
     faultsim::FaultPlan plan;
     plan.seed = 0xB4;
     plan.arms.push_back(
         {faultsim::FaultKind::Launch, "service.breaker", 1, 0});
     faultsim::ScopedFaultPlan guard(plan);
-    BackendHealth h(breakerOptions());
+    auto h = backendBreakers();
     // Every allow() is denied by the injected fault even though the
     // breaker is Closed...
     EXPECT_FALSE(h.allow(zkp::ProverBackend::Gzkp));
     EXPECT_EQ(h.state(zkp::ProverBackend::Gzkp), BreakerState::Closed);
-    // ...and the prover pipeline falls back to the full ladder when a
-    // monitor denies everything, so requests still complete.
+    // ...and the prover pipeline falls back to the full ladder when
+    // every breaker denies, so requests still complete.
     auto svc = service::makeBn254ProofService(baseOptions());
     auto id = svc->registerCircuit(fx().keys.pk, fx().keys.vk,
                                    fx().builder.cs());
@@ -309,6 +317,47 @@ TEST(BackendHealthTest, InjectedBreakerDenialIsSpurious)
     Service::Result res = admitted->get();
     ASSERT_TRUE(res.status.isOk()) << res.status.toString();
     EXPECT_TRUE(zkp::verifyBn254(fx().keys.vk, *res.proof, fx().pub));
+}
+
+/**
+ * The never-strand rule the ladder and device placement share: admit()
+ * lets through the domains whose breakers allow, and all of them when
+ * every one denies. Each denial still counts toward its cooldown.
+ */
+TEST(BreakerRegistryTest, AdmitNeverStrands)
+{
+    service::BreakerRegistry<> h(3, breakerOptions());
+    Status fail = unavailableError("injected");
+    for (int i = 0; i < 4; ++i)
+        h.record(1, fail);
+    auto some = h.admit();
+    EXPECT_EQ(some.domains, (std::vector<std::size_t>{0, 2}));
+    EXPECT_EQ(some.denied, 1u);
+
+    for (std::size_t d : {0, 2})
+        for (int i = 0; i < 4; ++i)
+            h.record(d, fail);
+    // Domain 1 has one denial toward its cooldown of 3; 0 and 2 none.
+    auto all = h.admit();
+    EXPECT_EQ(all.domains, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(all.denied, 3u);
+    for (std::size_t d = 0; d < 3; ++d)
+        EXPECT_EQ(h.state(d), BreakerState::Open) << d;
+    auto snap = h.snapshot();
+    EXPECT_EQ(snap[0].denials, 1u);
+    EXPECT_EQ(snap[1].denials, 2u);
+    EXPECT_EQ(snap[2].denials, 1u);
+
+    // Domain 1's third denial ends its cooldown: it is admitted as
+    // the half-open probe, so the fallback does not admit the others.
+    auto probe = h.admit();
+    EXPECT_EQ(probe.domains, (std::vector<std::size_t>{1}));
+    EXPECT_EQ(probe.denied, 2u);
+    EXPECT_EQ(h.state(1), BreakerState::HalfOpen);
+    auto rest = h.admit();
+    EXPECT_EQ(rest.domains, (std::vector<std::size_t>{0, 1, 2}));
+    EXPECT_EQ(h.state(0), BreakerState::HalfOpen);
+    EXPECT_EQ(h.state(2), BreakerState::HalfOpen);
 }
 
 // -------------------------------------------------- deadline admission
@@ -478,7 +527,7 @@ TEST(ServiceOverload, BreakerLearnsAcrossRequests)
     faultsim::ScopedFaultPlan guard(plan);
 
     auto opt = baseOptions();
-    BackendHealth::Options hopt;
+    BreakerOptions hopt;
     hopt.window = 8;
     hopt.minSamples = 4;
     hopt.cooldownDenials = 100; // stay open for this short test
