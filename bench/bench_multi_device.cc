@@ -31,7 +31,6 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <future>
 #include <random>
 #include <string>
 #include <vector>
@@ -79,7 +78,9 @@ runTopology(const std::string &spec, const workload::Builder<Fr> &b,
     opt.devices = std::move(*topo);
     Scheduler sched(std::move(opt), zkp::verifyBn254);
 
-    std::vector<std::future<Scheduler::Result>> futs;
+    std::vector<Fr> pub(
+        b.assignment().begin() + 1,
+        b.assignment().begin() + 1 + b.cs().numPublic());
     for (std::size_t i = 0; i < proofs; ++i) {
         Scheduler::Job job;
         job.pk = &keys.pk;
@@ -87,20 +88,7 @@ runTopology(const std::string &spec, const workload::Builder<Fr> &b,
         job.cs = &b.cs();
         job.witness = b.assignment();
         job.seed = deriveSeed(0xD0D0, i);
-        auto fut = sched.submit(std::move(job));
-        if (!fut.isOk()) {
-            std::fprintf(stderr, "submit failed on %s: %s\n",
-                         spec.c_str(),
-                         fut.status().toString().c_str());
-            std::exit(1);
-        }
-        futs.push_back(std::move(*fut));
-    }
-    std::vector<Fr> pub(
-        b.assignment().begin() + 1,
-        b.assignment().begin() + 1 + b.cs().numPublic());
-    for (auto &fut : futs) {
-        Scheduler::Result res = fut.get();
+        Scheduler::Result res = sched.prove(std::move(job));
         if (!res.status.isOk() || !res.proof.has_value() ||
             !zkp::verifyBn254(keys.vk, *res.proof, pub)) {
             std::fprintf(stderr, "bad proof on %s: %s\n", spec.c_str(),

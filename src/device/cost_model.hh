@@ -3,20 +3,18 @@
  * Seeded per-stage cost model for device placement.
  *
  * Placement needs an a-priori estimate of "what would this proof
- * stage cost on that device" before any sample exists. The seed
- * estimates come straight from the gpusim roofline model the benches
- * already trust: the POLY stage is seven GZKP NTTs at the circuit's
- * domain size, the MSM stage is the paper's five MSMs (four sparse
- * witness MSMs -- one of them in G2, modeled with the shared
- * kG2Factor -- plus the dense h-query MSM). CPU workers use the
- * calibrated Xeon cost model with the worker's thread budget.
+ * stage cost on that device". The estimates come straight from the
+ * gpusim roofline model the benches already trust: the POLY stage is
+ * seven GZKP NTTs at the circuit's domain size, the MSM stage is the
+ * paper's five MSMs (four sparse witness MSMs -- one of them in G2,
+ * modeled with the shared kG2CostFactor -- plus the dense h-query MSM).
+ * CPU workers use the calibrated Xeon cost model with the worker's
+ * thread budget.
  *
- * At runtime the scheduler layers the serving layer's CostEstimator
- * EWMA on top, keyed by (device, stage): observed *modeled* stage
- * seconds -- including any device.slow inflation -- refine the seed
- * estimate, so a throttled card organically loses work to its
- * healthy peers while the schedule stays a deterministic function of
- * the submission sequence (no wall-clock noise in placement).
+ * The scheduler places on these seeds alone; only a `device.slow`
+ * fire scales one placement's estimate. No wall-clock or observed
+ * sample enters placement, so the schedule is a deterministic
+ * function of the call sequence and the fault plan.
  */
 
 #ifndef GZKP_DEVICE_COST_MODEL_HH
@@ -36,8 +34,6 @@ namespace gzkp::device {
 
 /** The two schedulable stages of one Groth16 proof. */
 enum class StageKind { Poly = 0, Msm = 1 };
-
-inline constexpr std::size_t kStageKindCount = 2;
 
 inline const char *
 name(StageKind s)

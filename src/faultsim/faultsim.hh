@@ -67,10 +67,10 @@
  *                        device via its breaker);
  *  - device.mem.<name>:  the placed stage fails allocation
  *                        (kResourceExhausted; same recovery);
- *  - device.slow.<name>: the stage's *modeled* duration is inflated
- *                        -- a throttled or contended card; never an
- *                        error, the placement layer just learns to
- *                        route around it.
+ *  - device.slow.<name>: the *modeled* duration of a placement at
+ *                        which it fires is inflated -- a throttled or
+ *                        contended card; never an error, and charged
+ *                        to that placement only.
  * All device.* sites are routing/timing-only: retried stages
  * recompute identical bytes (asserted by the device chaos sweep).
  */

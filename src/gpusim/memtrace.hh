@@ -59,13 +59,6 @@ class MemTrace
         ++warpTransactions_;
     }
 
-    /** Convenience: one lane's scalar access (e.g. serial phases). */
-    void
-    scalarAccess(std::uint64_t addr, std::size_t bytes)
-    {
-        warpAccess({addr}, bytes);
-    }
-
     std::uint64_t linesTouched() const { return linesTouched_; }
     std::uint64_t bytesMoved() const { return linesTouched_ * lineBytes_; }
     std::uint64_t usefulBytes() const { return usefulBytes_; }

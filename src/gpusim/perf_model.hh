@@ -27,7 +27,6 @@
 #include <vector>
 
 #include "gpusim/device.hh"
-#include "gpusim/memtrace.hh"
 
 namespace gzkp::gpusim {
 
@@ -59,14 +58,6 @@ struct KernelStats {
      * MSM kernels around half (paper Figures 8 vs 10: 1.6x vs 1.33x).
      */
     double libGainFactor = 1.0;
-
-    /** Fold a memory trace's transaction counts into this kernel. */
-    void
-    addTrace(const MemTrace &t)
-    {
-        linesTouched += t.linesTouched();
-        usefulBytes += t.usefulBytes();
-    }
 
     KernelStats &
     operator+=(const KernelStats &o)

@@ -8,8 +8,7 @@
  * prove and still returns an error. The service therefore keeps an
  * online model of per-circuit prove cost: an EWMA of observed prove
  * seconds (cheap, smooth, recovers quickly when circuit cost
- * drifts). The device scheduler reuses the same estimator for its
- * per-(device, stage) cost ratios.
+ * drifts).
  *
  * With no samples yet the estimator is deliberately *optimistic*
  * (estimate 0): a cold service admits everything and learns from the

@@ -349,21 +349,6 @@ class ArtifactCache
         return s;
     }
 
-    /** Drop every Ready entry (in-flight builds are untouched). */
-    void
-    clear()
-    {
-        std::lock_guard<std::mutex> lk(mu_);
-        for (auto it = entries_.begin(); it != entries_.end();) {
-            if (it->second.ready) {
-                bytesInUse_ -= it->second.bytes;
-                it = entries_.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-
   private:
     /** One in-flight build, shared by the builder and its waiters. */
     struct BuildState {

@@ -35,10 +35,11 @@
  *  - multi-device scheduling: with a device topology
  *    (Options::deviceSpec), each proof's POLY and MSM stages are
  *    placed onto a heterogeneous fleet of simulated GPUs and CPU
- *    workers and pipelined across requests
- *    (src/device/scheduler.hh); each device is its own quarantine
- *    domain ("device.fail" / "device.mem" / "device.slow" fault
- *    sites), and the proof bytes are identical on every topology;
+ *    workers (src/device/scheduler.hh) and then run on the draining
+ *    thread, one request after another; each device is its own
+ *    quarantine domain ("device.fail" / "device.mem" / "device.slow"
+ *    fault sites), and the proof bytes are identical on every
+ *    topology;
  *  - batching: the scheduler pops one request by fair share, then
  *    drags every queued request for the *same circuit* (up to
  *    maxBatch) into the batch, sharing one cache resolution.
@@ -479,12 +480,8 @@ class ProofService
             stats_.buildSecondsTotal += build_s;
         }
 
-        if (scheduler_ != nullptr) {
-            processBatchOnDevices(batch, *circuit, art, hit);
-        } else {
-            for (Pending &p : batch)
-                processOne(p, *circuit, art, hit);
-        }
+        for (Pending &p : batch)
+            processOne(p, *circuit, art, hit);
         return batch.size() + doomed.size();
     }
 
@@ -506,7 +503,7 @@ class ProofService
         if (worker_.joinable())
             return;
         stopping_ = false;
-        worker_ = std::thread([this] { workerLoop(); });
+        worker_ = std::thread([this] { drainLoop(); });
     }
 
     /**
@@ -633,6 +630,10 @@ class ProofService
         p.promise.set_value(std::move(res));
     }
 
+    /**
+     * Prove one request: through the device scheduler when a topology
+     * is configured, else through the prover ladder.
+     */
     void
     processOne(Pending &p, const Circuit &c,
                const typename Cache::ArtifactPtr &art, bool hit)
@@ -649,31 +650,52 @@ class ProofService
         if (p.hasDeadline)
             token.setDeadline(p.deadline);
 
-        typename Prover::Options popt;
-        popt.threads = opt_.threads;
-        popt.cancel = &token;
-        popt.breakers = health_.get();
-        if (art) {
-            popt.artifacts = &art->msm;
-            popt.domain = &art->domain;
-        }
-        Prover prover(popt, verifier_);
-        ProofRng rng(p.seed);
         typename Prover::Report rep;
-        StatusOr<Proof> r =
-            prover.prove(c.pk, c.vk, c.cs, p.witness, rng, &rep);
-        if (r.isOk())
-            res.proof = std::move(*r);
-        else
-            res.status = r.status();
-        res.backendUsed = rep.backendUsed;
+        if (scheduler_ != nullptr) {
+            typename Scheduler::Job job;
+            job.pk = &c.pk;
+            job.vk = &c.vk;
+            job.cs = &c.cs;
+            job.witness = std::move(p.witness);
+            job.seed = p.seed;
+            if (art) {
+                job.artifacts = &art->msm;
+                job.domain = &art->domain;
+            }
+            job.cancel = &token;
+            typename Scheduler::Result r =
+                scheduler_->prove(std::move(job));
+            res.status = std::move(r.status);
+            res.proof = std::move(r.proof);
+            res.polyDevice = r.polyDevice;
+            res.msmDevice = r.msmDevice;
+            res.deviceStageRetries = r.stageRetries;
+        } else {
+            typename Prover::Options popt;
+            popt.threads = opt_.threads;
+            popt.cancel = &token;
+            popt.breakers = health_.get();
+            if (art) {
+                popt.artifacts = &art->msm;
+                popt.domain = &art->domain;
+            }
+            Prover prover(popt, verifier_);
+            ProofRng rng(p.seed);
+            StatusOr<Proof> r =
+                prover.prove(c.pk, c.vk, c.cs, p.witness, rng, &rep);
+            if (r.isOk())
+                res.proof = std::move(*r);
+            else
+                res.status = r.status();
+            res.backendUsed = rep.backendUsed;
+        }
         res.proveSeconds = seconds(Clock::now() - start);
-        finishResult(p, std::move(res), &rep);
+        finishResult(p, std::move(res), rep);
     }
 
     /**
-     * Shared tail of both proving paths: the late drop, the stats
-     * bookkeeping, and the promise fulfilment.
+     * The tail of processOne: the late drop, the stats bookkeeping,
+     * and the promise fulfilment.
      *
      * Late drop: a proof that finished after its deadline is a typed
      * error, never a delivered proof -- the service hands out zero
@@ -681,7 +703,7 @@ class ProofService
      */
     void
     finishResult(Pending &p, Result res,
-                 const typename Prover::Report *rep = nullptr)
+                 const typename Prover::Report &rep)
     {
         bool late = false;
         if (res.status.isOk() && p.hasDeadline &&
@@ -712,8 +734,7 @@ class ProofService
                     ++t.shed;
                 }
             }
-            if (rep != nullptr)
-                stats_.backendsSkipped += rep->backendsSkipped;
+            stats_.backendsSkipped += rep.backendsSkipped;
             if (res.cacheBypass)
                 ++stats_.cacheBypasses;
             stats_.queueSecondsTotal += res.queueSeconds;
@@ -724,80 +745,8 @@ class ProofService
         p.promise.set_value(std::move(res));
     }
 
-    /**
-     * The multi-device path: submit the whole same-circuit batch to
-     * the stage scheduler and collect the futures. Submitting first
-     * and collecting after is what buys the pipeline overlap -- the
-     * POLY of request k+1 runs while the MSM of request k is still
-     * in flight on another device. The artifact pointer and the
-     * per-request cancel tokens outlive every job because both live
-     * in this frame until the last future resolves.
-     */
     void
-    processBatchOnDevices(std::vector<Pending> &batch, const Circuit &c,
-                          const typename Cache::ArtifactPtr &art,
-                          bool hit)
-    {
-        struct InFlight {
-            std::unique_ptr<runtime::CancelToken> token;
-            std::future<typename Scheduler::Result> fut;
-            Clock::time_point start;
-            Status submitError;
-            bool submitted = false;
-        };
-        std::vector<InFlight> flight(batch.size());
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Pending &p = batch[i];
-            InFlight &f = flight[i];
-            f.start = Clock::now();
-            f.token = std::make_unique<runtime::CancelToken>();
-            f.token->linkParent(&shutdown_);
-            if (p.hasDeadline)
-                f.token->setDeadline(p.deadline);
-            typename Scheduler::Job job;
-            job.pk = &c.pk;
-            job.vk = &c.vk;
-            job.cs = &c.cs;
-            job.witness = std::move(p.witness);
-            job.seed = p.seed;
-            if (art) {
-                job.artifacts = &art->msm;
-                job.domain = &art->domain;
-            }
-            job.cancel = f.token.get();
-            auto sub = scheduler_->submit(std::move(job));
-            if (sub.isOk()) {
-                f.fut = std::move(*sub);
-                f.submitted = true;
-            } else {
-                f.submitError = sub.status();
-            }
-        }
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            Pending &p = batch[i];
-            InFlight &f = flight[i];
-            Result res;
-            res.cacheHit = hit && art != nullptr;
-            res.cacheBypass = art == nullptr;
-            res.tenant = p.tenant;
-            res.queueSeconds = seconds(f.start - p.admitted);
-            if (f.submitted) {
-                typename Scheduler::Result r = f.fut.get();
-                res.status = std::move(r.status);
-                res.proof = std::move(r.proof);
-                res.polyDevice = r.polyDevice;
-                res.msmDevice = r.msmDevice;
-                res.deviceStageRetries = r.stageRetries;
-            } else {
-                res.status = f.submitError;
-            }
-            res.proveSeconds = seconds(Clock::now() - f.start);
-            finishResult(p, std::move(res));
-        }
-    }
-
-    void
-    workerLoop()
+    drainLoop()
     {
         std::unique_lock<std::mutex> lk(mu_);
         for (;;) {
@@ -815,6 +764,7 @@ class ProofService
     Cache cache_;
     runtime::CancelToken shutdown_;
     std::unique_ptr<zkp::BackendBreakers> health_;
+    std::unique_ptr<Scheduler> scheduler_;
 
     mutable std::mutex mu_;
     std::condition_variable cv_;
@@ -827,9 +777,6 @@ class ProofService
     bool stopping_ = false;
     std::thread worker_;
     Stats stats_;
-    /** Declared last: destroyed first, while the circuits and the
-        cache its in-flight jobs borrow from are still alive. */
-    std::unique_ptr<Scheduler> scheduler_;
 };
 
 /**

@@ -361,8 +361,8 @@ struct ServiceChaosOutcome {
  * queue admission, the cache build under single-flight, the cached
  * tables and every proof attempt are in the blast radius. An empty
  * `topology` proves single-lane; otherwise every proof goes through
- * the device scheduler on that fleet (placement, pipelining,
- * per-device breakers and inline stage retries all live).
+ * the device scheduler on that fleet (placement, per-device breakers
+ * and inline stage retries all live).
  *
  * Released proofs are re-verified with the independent pairing
  * verifier, exactly as runChaosPlan() does. On plans whose arms touch

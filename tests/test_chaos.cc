@@ -511,8 +511,8 @@ TEST(ServiceChaos, OverloadChaosSweep)
  * The device sweep: seeded plans biased toward the per-device
  * fault sites (device.fail / device.mem / device.slow, generic and
  * instance-targeted) run against a service on the fixed heterogeneous
- * topology -- placement, pipelining, per-device breakers and inline
- * stage retries all live. Every device site is routing/timing-only,
+ * topology -- placement, per-device breakers and inline stage
+ * retries all live. Every device site is routing/timing-only,
  * so plans touching only device and routing sites must deliver bytes
  * identical to the fault-free single-lane reference.
  */

@@ -12,8 +12,8 @@
  *  - the cache hit/miss/eviction sequence is deterministic in the
  *    access sequence and budget, independent of thread counts;
  *  - concurrent submitters against a running service reach
- *    deterministic aggregate stats and byte-identical proofs (this is
- *    the test the CI TSAN job targets via the `service` ctest label).
+ *    deterministic aggregate stats and byte-identical proofs (the CI
+ *    TSAN job runs it with the rest of the fast tier).
  */
 
 #include <gtest/gtest.h>

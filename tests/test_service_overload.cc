@@ -636,8 +636,8 @@ TEST(RuntimeCancelChain, DeadlinePropagatesThroughParentChain)
 /**
  * Satellite: stats() is one consistent copy-out. Readers hammer the
  * snapshot while the background worker proves; every snapshot must
- * satisfy the cross-field invariants (this is the test the TSAN CI
- * job exercises via the `service` label).
+ * satisfy the cross-field invariants (the TSAN CI job runs it with
+ * the rest of the fast tier).
  */
 TEST(ServiceOverload, StatsSnapshotIsConsistentUnderConcurrency)
 {

@@ -342,8 +342,7 @@ main(int argc, char **argv)
                 : 0.0;
             std::printf("    %-12s %-9s poly=%llu msm=%llu "
                         "busy_s=%.4f util=%5.1f%% fail=%llu "
-                        "quarantine=%llu slow=%llu breaker=%s "
-                        "samples=%llu\n",
+                        "quarantine=%llu slow=%llu breaker=%s\n",
                         g.name.c_str(), device::name(g.kind),
                         (unsigned long long)g.polyCompleted,
                         (unsigned long long)g.msmCompleted,
@@ -351,8 +350,7 @@ main(int argc, char **argv)
                         (unsigned long long)g.failures,
                         (unsigned long long)g.quarantines,
                         (unsigned long long)g.slowHits,
-                        service::name(g.breaker),
-                        (unsigned long long)g.costSamples);
+                        service::name(g.breaker));
         }
     }
 
