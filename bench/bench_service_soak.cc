@@ -175,7 +175,6 @@ runScenario(const Workload &w, const ScenarioSpec &spec,
         req.witness = w.builder.assignment();
         req.seed = testkit::deriveSeed(seed, ++reqSeed);
         req.tenant = rng() % spec.tenants;
-        req.priority = 0;
         if (spec.deadlineSeconds > 0)
             req.timeout = std::chrono::milliseconds(
                 std::int64_t(spec.deadlineSeconds * 1e3));
@@ -391,10 +390,6 @@ main(int argc, char **argv)
         s.opt.maxQueueDepth = 64;
         s.opt.maxQueuePerTenant = 8;
         s.windowStats = true;
-        // Batch coalescing grabs same-circuit work in arrival order;
-        // with a single shared circuit that would bypass DRR, so the
-        // fairness scenario schedules strictly one request at a time.
-        s.opt.maxBatch = 1;
         s.opt.tenantWeights = {{0, 10}, {1, 1}};
         results.push_back(runScenario(w, s, 0xB2));
     }

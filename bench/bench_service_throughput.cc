@@ -5,7 +5,7 @@
  * preprocessing across a request batch.
  *
  *     bench_service_throughput [--constraints=10] [--requests=8]
- *                              [--reps=1] [--threads=0] [--batch=1]
+ *                              [--reps=1] [--threads=0]
  *
  * Cold = a fresh service proves `requests` proofs, paying the
  * artifact build (all five weighted-point tables + NTT domain) on the
@@ -82,8 +82,7 @@ proveBatch(Service &svc, Service::CircuitId id,
 int
 main(int argc, char **argv)
 {
-    std::size_t constraints = 10, requests = 8, reps = 1, threads = 0,
-                batch = 1;
+    std::size_t constraints = 10, requests = 8, reps = 1, threads = 0;
     for (int i = 1; i < argc; ++i) {
         auto get = [&](const char *key) -> const char * {
             std::size_t n = std::strlen(key);
@@ -99,8 +98,6 @@ main(int argc, char **argv)
             reps = std::strtoull(v, nullptr, 0);
         else if (const char *v = get("--threads"))
             threads = std::strtoull(v, nullptr, 0);
-        else if (const char *v = get("--batch"))
-            batch = std::strtoull(v, nullptr, 0);
         else {
             std::fprintf(stderr, "unknown argument: %s\n", argv[i]);
             return 2;
@@ -115,7 +112,6 @@ main(int argc, char **argv)
     for (std::size_t rep = 0; rep < reps; ++rep) {
         Service::Options opt;
         opt.maxQueueDepth = requests;
-        opt.maxBatch = batch; // 1 = per-request cache access
         opt.threads = threads;
         auto svc = service::makeBn254ProofService(opt);
         auto id = svc->registerCircuit(keys.pk, keys.vk, builder.cs());

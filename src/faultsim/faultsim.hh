@@ -256,20 +256,6 @@ flipBit(FpT &x, std::uint64_t salt)
     x = FpT::fromRaw(r);
 }
 
-/** Single-bit soft error on one field element. True if it flipped. */
-template <typename FpT>
-bool
-maybeFlip(FaultKind kind, FpT &x, const char *site, std::uint64_t index)
-{
-    if (!active())
-        return false;
-    FireDecision d = decide(kind, site, index);
-    if (!d.fire)
-        return false;
-    flipBit(x, d.salt);
-    return true;
-}
-
 /**
  * Coarse-grained soft error over an array: one probe per call (so
  * hot loops pay a single hash, not one per element); on fire, the
@@ -288,13 +274,6 @@ maybeCorruptElement(FaultKind kind, FrT *data, std::size_t size,
         return false;
     flipBit(data[d.salt % size], d.salt / (size + 1));
     return true;
-}
-
-template <typename FpT>
-bool
-maybeFlip(FpT &x, const char *site, std::uint64_t index)
-{
-    return maybeFlip(FaultKind::BitFlip, x, site, index);
 }
 
 /**

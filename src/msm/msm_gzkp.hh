@@ -59,6 +59,12 @@ enum class CheckpointMode {
  */
 inline constexpr double kCgEfficiency = 0.6;
 
+/**
+ * Share of the modeled device's global memory the Algorithm-1 tables
+ * may fill when the checkpoint interval M is picked automatically.
+ */
+inline constexpr double kMemoryBudgetFraction = 0.6;
+
 template <typename Cfg>
 class GzkpMsm
 {
@@ -72,7 +78,6 @@ class GzkpMsm
         std::size_t checkpointM = 0; //!< 0 = fit the memory budget
         CheckpointMode mode = CheckpointMode::Horner;
         bool loadBalance = true;
-        double memoryBudgetFraction = 0.6;
         std::size_t threads = 0;     //!< 0 = GZKP_THREADS default
         /** Bucket strategy for the functional CPU execution (Horner
          * mode only; PerPoint and the modeled GPU kernels stay
@@ -176,7 +181,7 @@ class GzkpMsm
     {
         if (opt_.checkpointM != 0)
             return opt_.checkpointM;
-        return autoInterval(n, window(n), dev_, opt_.memoryBudgetFraction);
+        return autoInterval(n, window(n), dev_);
     }
 
     /**
@@ -410,7 +415,7 @@ class GzkpMsm
         for (std::size_t k = 6; k <= 18; ++k) {
             std::size_t m = opt.checkpointM
                 ? opt.checkpointM
-                : autoInterval(n, k, dev, opt.memoryBudgetFraction);
+                : autoInterval(n, k, dev);
             auto st = statsForParams(n, k, m, dev, opt, nullptr);
             double t = gpusim::modelSeconds(st, dev,
                                             gpusim::Backend::FpuLib);
@@ -424,15 +429,16 @@ class GzkpMsm
 
     /**
      * Smallest checkpoint interval M whose tables fit the memory
-     * budget (Algorithm 1's control knob).
+     * budget, kMemoryBudgetFraction of the device (Algorithm 1's
+     * control knob).
      */
     static std::size_t
     autoInterval(std::size_t n, std::size_t k,
-                 const gpusim::DeviceConfig &dev, double budget_frac)
+                 const gpusim::DeviceConfig &dev)
     {
         std::size_t windows = windowCount(Scalar::bits(), k);
-        std::uint64_t budget =
-            std::uint64_t(double(dev.globalMemBytes) * budget_frac);
+        std::uint64_t budget = std::uint64_t(
+            double(dev.globalMemBytes) * kMemoryBudgetFraction);
         for (std::size_t m = 1; m < windows; ++m) {
             if (memoryForParams(n, k, m) <= budget)
                 return m;

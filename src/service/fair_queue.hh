@@ -14,15 +14,15 @@
  *    tenant's deficit by its weight and the tenant is served one
  *    request per deficit unit, so under saturation tenant goodput
  *    converges to the weight ratio regardless of arrival bursts;
- *  - within a tenant, higher Request::priority is served first and
- *    FIFO order breaks ties, so a tenant can expedite its own urgent
- *    work without being able to jump another tenant's share;
+ *  - within a tenant, requests are served in arrival order (FIFO);
  *  - the scheduler is deterministic: the dequeue sequence is a pure
  *    function of the push sequence and the weights (no clocks, no
  *    thread schedule), so seeded service traces replay exactly.
  *
- * The queue is not internally synchronized; ProofService guards it
- * with its own mutex (the queue is only touched under submit/drain).
+ * This is the service's only dequeue rule: ProofService proves one
+ * popped request per drain, in pop order. The queue is not internally
+ * synchronized; ProofService guards it with its own mutex (the queue
+ * is only touched under submit/drain).
  */
 
 #ifndef GZKP_SERVICE_FAIR_QUEUE_HH
@@ -49,8 +49,8 @@ StatusOr<std::map<std::uint64_t, std::uint64_t>>
 parseTenantWeightsSpec(const char *spec);
 
 /**
- * Weighted fair-share queue: per-tenant FIFO-with-priority queues
- * under a deficit-round-robin scheduler. T is the queued payload
+ * Weighted fair-share queue: per-tenant FIFO queues under a
+ * deficit-round-robin scheduler. T is the queued payload
  * (ProofService::Pending); it must be movable.
  */
 template <typename T>
@@ -59,8 +59,6 @@ class FairShareQueue
   public:
     struct Item {
         std::uint64_t tenant = 0;
-        int priority = 0;
-        std::uint64_t seq = 0; //!< global arrival order
         T value;
     };
 
@@ -71,25 +69,13 @@ class FairShareQueue
         tenants_[tenant].weight = std::max<std::uint64_t>(1, weight);
     }
 
-    std::uint64_t
-    weight(std::uint64_t tenant) const
-    {
-        auto it = tenants_.find(tenant);
-        return it == tenants_.end() ? 1 : it->second.weight;
-    }
-
     void
-    push(std::uint64_t tenant, int priority, T value)
+    push(std::uint64_t tenant, T value)
     {
         TenantQ &tq = tenants_[tenant];
         if (tq.q.empty())
             ring_.push_back(tenant); // becomes active
-        Item item;
-        item.tenant = tenant;
-        item.priority = priority;
-        item.seq = seq_++;
-        item.value = std::move(value);
-        tq.q.push_back(std::move(item));
+        tq.q.push_back(Item{tenant, std::move(value)});
         ++size_;
     }
 
@@ -105,97 +91,31 @@ class FairShareQueue
 
     /**
      * Deficit-round-robin pop: serve the ring tenant with remaining
-     * deficit (refilling by weight on each visit), taking its
-     * highest-priority item (FIFO within a priority). False when
-     * empty.
+     * deficit (refilling by weight on each visit), taking its oldest
+     * item. False when empty.
      */
     bool
     pop(Item &out)
     {
         if (size_ == 0)
             return false;
-        for (;;) {
-            if (ringPos_ >= ring_.size())
-                ringPos_ = 0;
-            std::uint64_t t = ring_[ringPos_];
-            TenantQ &tq = tenants_[t];
-            if (tq.q.empty()) {
-                // Drained by extractIf(); drop from the ring.
-                removeFromRing(t);
-                tq.deficit = 0;
-                continue;
-            }
-            if (tq.deficit == 0) {
-                tq.deficit = tq.weight; // refill on visit
-            }
-            auto best = tq.q.begin();
-            for (auto it = tq.q.begin(); it != tq.q.end(); ++it) {
-                if (it->priority > best->priority)
-                    best = it; // first max: FIFO within priority
-            }
-            out = std::move(*best);
-            tq.q.erase(best);
-            --size_;
-            --tq.deficit;
-            if (tq.q.empty()) {
-                removeFromRing(t);
-                tq.deficit = 0;
-            } else if (tq.deficit == 0) {
-                ++ringPos_; // share spent; next tenant
-            }
-            return true;
+        if (ringPos_ >= ring_.size())
+            ringPos_ = 0;
+        std::uint64_t t = ring_[ringPos_];
+        TenantQ &tq = tenants_[t];
+        if (tq.deficit == 0)
+            tq.deficit = tq.weight; // refill on visit
+        out = std::move(tq.q.front());
+        tq.q.pop_front();
+        --size_;
+        --tq.deficit;
+        if (tq.q.empty()) {
+            removeFromRing(t);
+            tq.deficit = 0;
+        } else if (tq.deficit == 0) {
+            ++ringPos_; // share spent; next tenant
         }
-    }
-
-    /**
-     * Remove up to `max` items satisfying `pred`, in global arrival
-     * order (the service uses this for same-circuit batch coalescing
-     * and for flushing doomed work). Extraction does not consume
-     * deficit: coalescing is a cache optimization, not a scheduling
-     * decision, and fairness is enforced at pop().
-     */
-    template <typename Pred>
-    std::vector<Item>
-    extractIf(Pred pred, std::size_t max)
-    {
-        std::vector<Item> out;
-        while (out.size() < max) {
-            TenantQ *bestq = nullptr;
-            std::size_t besti = 0;
-            for (auto &[tenant, tq] : tenants_) {
-                for (std::size_t i = 0; i < tq.q.size(); ++i) {
-                    if (!pred(tq.q[i]))
-                        continue;
-                    if (bestq == nullptr ||
-                        tq.q[i].seq < bestq->q[besti].seq) {
-                        bestq = &tq;
-                        besti = i;
-                    }
-                    break; // per-tenant FIFO: first match is earliest
-                }
-            }
-            if (bestq == nullptr)
-                return out;
-            std::uint64_t tenant = bestq->q[besti].tenant;
-            out.push_back(std::move(bestq->q[besti]));
-            bestq->q.erase(bestq->q.begin() + besti);
-            --size_;
-            if (bestq->q.empty()) {
-                removeFromRing(tenant);
-                bestq->deficit = 0;
-            }
-        }
-        return out;
-    }
-
-    /** Remove and return everything (shutdown flush), arrival order. */
-    std::vector<Item>
-    flush()
-    {
-        auto all = extractIf([](const Item &) { return true; }, size_);
-        ring_.clear();
-        ringPos_ = 0;
-        return all;
+        return true;
     }
 
   private:
@@ -223,7 +143,6 @@ class FairShareQueue
     std::map<std::uint64_t, TenantQ> tenants_;
     std::vector<std::uint64_t> ring_; //!< tenants with queued work
     std::size_t ringPos_ = 0;
-    std::uint64_t seq_ = 0;
     std::size_t size_ = 0;
 };
 

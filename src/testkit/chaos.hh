@@ -279,7 +279,6 @@ runChaosPlan(const faultsim::FaultPlan &plan, std::uint64_t seed)
 struct ChaosRequest {
     std::uint64_t seed = 0; //!< seeds the proof's (r, s) draw
     std::uint64_t tenant = 0;
-    int priority = 0;
     std::chrono::milliseconds timeout{0}; //!< 0 = no deadline
     /** Fault-free proof bytes for `seed`; empty = not compared. */
     std::string reference;
@@ -297,10 +296,10 @@ serviceChaosRequests(std::uint64_t seed)
 
 /**
  * The overload and device sweeps' requests: six fixed seeds over
- * three tenants and two priorities, with mixed deadlines (none /
- * generous / hopeless) that rotate with the plan seed, each carrying
- * its fault-free reference proof. The references are proved once,
- * by the first call, which must come before any plan is installed.
+ * three tenants, with mixed deadlines (none / generous / hopeless)
+ * that rotate with the plan seed, each carrying its fault-free
+ * reference proof. The references are proved once, by the first
+ * call, which must come before any plan is installed.
  */
 inline std::vector<ChaosRequest>
 overloadChaosRequests(std::uint64_t seed)
@@ -326,7 +325,6 @@ overloadChaosRequests(std::uint64_t seed)
         ChaosRequest &r = out[i];
         r.seed = deriveSeed(0xB17E, i);
         r.tenant = i % 3;
-        r.priority = int(i % 2);
         switch ((seed + i) % 4) {
         case 1: r.timeout = std::chrono::milliseconds(5000); break;
         case 2: r.timeout = std::chrono::milliseconds(1); break;
@@ -411,7 +409,6 @@ runServiceChaosPlan(const faultsim::FaultPlan &plan,
         req.witness = fx.builder.assignment();
         req.seed = c.seed;
         req.tenant = c.tenant;
-        req.priority = c.priority;
         req.timeout = c.timeout;
         auto admitted = svc->submit(std::move(req));
         if (!admitted.isOk()) {

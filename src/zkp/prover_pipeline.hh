@@ -11,12 +11,13 @@
  *     polled between parallel chunks) with any exception mapped onto
  *     a typed Status;
  *  2. the returned proof is *self-checked* before it is released --
- *     first structurally (all three points on curve and in the
- *     prime-order subgroup: a bit-flip in a Jacobian coordinate
- *     almost never lands back on the curve), then cryptographically
- *     (the family's pairing verifier, when one is configured). A
- *     proof that fails either check becomes a kDataLoss status and is
- *     never returned to the caller;
+ *     cryptographically by the family's pairing verifier when one is
+ *     configured (it rejects off-curve and out-of-subgroup points
+ *     itself), else structurally (all three points on curve and in
+ *     the prime-order subgroup: a bit-flip in a Jacobian coordinate
+ *     almost never lands back on the curve). A proof that fails the
+ *     check becomes a kDataLoss status and is never returned to the
+ *     caller;
  *  3. retryable failures (kResourceExhausted, kUnavailable,
  *     kDataLoss, kInternal) are retried up to kMaxAttemptsPerBackend
  *     times; faultsim::advanceEpoch() runs between attempts so
@@ -115,7 +116,10 @@ using BackendBreakers = service::BreakerRegistry<ProverBackend>;
  * use makeBn254SelfCheckingProver() (pairing verification); for other
  * families leave it empty and the self-check is structural only
  * (on-curve + prime-subgroup), which already catches every
- * coordinate-level corruption.
+ * coordinate-level corruption. A verifier replaces the structural
+ * check rather than following it, so it must reject a proof point
+ * that is off its curve or outside the prime-order subgroup
+ * (verifyBn254 does, before any pairing).
  */
 template <typename Family>
 class SelfCheckingProver
@@ -126,6 +130,7 @@ class SelfCheckingProver
     using Proof = typename G::Proof;
     using ProvingKey = typename G::ProvingKey;
     using VerifyingKey = typename G::VerifyingKey;
+    /** Must reject off-curve and out-of-subgroup proof points. */
     using Verifier = std::function<bool(
         const VerifyingKey &, const Proof &, const std::vector<Fr> &)>;
 
@@ -244,11 +249,12 @@ class SelfCheckingProver
 
     /**
      * The check a proof passes before release, here and in the device
-     * scheduler: kDataLoss under `site` unless every point is on its
-     * curve and in the prime-order subgroup and, given a verifier and
-     * a key, the proof verifies against `pub`. The structural check
-     * goes first: it is cheap relative to a pairing and catches
-     * coordinate-level corruption (a flipped bit in a Jacobian
+     * scheduler: kDataLoss under `site` unless, given a verifier and a
+     * key, the proof verifies against `pub`, or, without one (a
+     * device Job's key is optional), every point is on its curve and
+     * in the prime-order subgroup. The verifier makes those point
+     * checks itself, so they run once per proof either way; they
+     * catch coordinate-level corruption (a flipped bit in a Jacobian
      * coordinate maps to an affine point off the curve).
      */
     static Status
@@ -256,14 +262,17 @@ class SelfCheckingProver
               const VerifyingKey *vk, const Proof &p,
               const std::vector<Fr> &pub)
     {
+        if (verifier && vk) {
+            if (!verifier(*vk, p, pub))
+                return dataLossError(std::string(site) +
+                                     ": proof failed verification");
+            return Status::ok();
+        }
         if (!ec::inPrimeSubgroup(p.a) || !ec::inPrimeSubgroup(p.b) ||
             !ec::inPrimeSubgroup(p.c))
             return dataLossError(std::string(site) +
                                  ": proof point off curve or outside "
                                  "prime-order subgroup");
-        if (verifier && vk && !verifier(*vk, p, pub))
-            return dataLossError(std::string(site) +
-                                 ": proof failed verification");
         return Status::ok();
     }
 

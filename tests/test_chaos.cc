@@ -353,11 +353,10 @@ TEST(Chaos, ChaosSweep)
 using Service = service::ProofService<Bn254Family>;
 
 std::unique_ptr<Service>
-makeChaosService(std::size_t max_batch = 1)
+makeChaosService()
 {
     Service::Options opt;
     opt.threads = 2;
-    opt.maxBatch = max_batch;
     return service::makeBn254ProofService(opt);
 }
 

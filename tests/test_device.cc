@@ -472,7 +472,7 @@ TEST(DeviceService, FaultPlanReplaysIdentically)
     // Failed, out-of-memory and throttled stages on every card of the
     // chaos fleet; the six slow fires throttle every card at the first
     // placement. Each run installs the plan afresh (fire limits and
-    // the retry epoch start over) and proves one 6-request batch.
+    // the retry epoch start over) and proves its six requests.
     const char *spec = "seed=23;launch@device.fail:3;"
                        "alloc@device.mem:4;launch@device.slow:1#6";
     struct Run {
@@ -496,7 +496,7 @@ TEST(DeviceService, FaultPlanReplaysIdentically)
             EXPECT_TRUE(admitted.isOk()) << admitted.status().toString();
             futs.push_back(std::move(*admitted));
         }
-        EXPECT_EQ(svc.drainOnce(), 6u);
+        EXPECT_EQ(svc.drain(), 6u);
         Run run;
         for (auto &fut : futs)
             run.results.push_back(fut.get());

@@ -15,6 +15,7 @@
 #include "workload/workloads.hh"
 #include "zkp/groth16.hh"
 #include "zkp/groth16_bn254.hh"
+#include "zkp/prover_pipeline.hh"
 
 using namespace gzkp;
 using namespace gzkp::zkp;
@@ -342,6 +343,40 @@ TEST_F(Groth16Bn254, VerifierRejectsOutOfSubgroupG2)
     auto bad = proof;
     bad.b = rogue;
     expectVerdict(keys.vk, bad, pub, false);
+}
+
+/**
+ * Given a verifier, the prover's self-check makes no point checks of
+ * its own: verifyBn254 must reject an out-of-subgroup B and an
+ * off-curve A, and the self-check reports both as kDataLoss, as the
+ * structural check does without a verifier.
+ */
+TEST_F(Groth16Bn254, SelfCheckRejectsBadPointsThroughVerifier)
+{
+    using Prover = SelfCheckingProver<Bn254Family>;
+    auto b = factorCircuit<Fr>(5, 11);
+    auto keys = G16::setup(b.cs(), rng);
+    auto proof = G16::prove(keys.pk, b.cs(), b.assignment(), rng);
+    std::vector<Fr> pub = {b.assignment()[1]};
+    Prover::Verifier verifier = verifyBn254;
+    ASSERT_TRUE(
+        Prover::selfCheck("test", verifier, &keys.vk, proof, pub).isOk());
+
+    auto rogueB = proof;
+    rogueB.b = outOfSubgroupG2();
+    using FqG1 = Bn254Family::G1Cfg::Field;
+    auto offCurveA = proof;
+    offCurveA.a =
+        ec::AffinePoint<Bn254Family::G1Cfg>(FqG1::one(), FqG1::one());
+    ASSERT_FALSE(offCurveA.a.onCurve());
+
+    for (const G16::Proof *bad : {&rogueB, &offCurveA}) {
+        EXPECT_EQ(
+            Prover::selfCheck("test", verifier, &keys.vk, *bad, pub).code(),
+            StatusCode::kDataLoss);
+        EXPECT_EQ(Prover::selfCheck("test", {}, nullptr, *bad, pub).code(),
+                  StatusCode::kDataLoss);
+    }
 }
 
 TEST_F(Groth16Bn254, G1SubgroupCheckMatchesOnCurve)

@@ -312,10 +312,10 @@ TEST(Msm, StrausMemoryExplodesGzkpAdapts)
 TEST(Msm, AutoIntervalGrowsWithScale)
 {
     auto dev = gpusim::DeviceConfig::v100();
-    auto m_small = GzkpMsm<Mnt4753G1Cfg>::autoInterval(1u << 16, 16,
-                                                       dev, 0.6);
-    auto m_large = GzkpMsm<Mnt4753G1Cfg>::autoInterval(1u << 26, 16,
-                                                       dev, 0.6);
+    auto m_small =
+        GzkpMsm<Mnt4753G1Cfg>::autoInterval(1u << 16, 16, dev);
+    auto m_large =
+        GzkpMsm<Mnt4753G1Cfg>::autoInterval(1u << 26, 16, dev);
     EXPECT_EQ(m_small, 1u); // full precompute fits at small scales
     EXPECT_GT(m_large, m_small);
 }

@@ -3,7 +3,7 @@
  * Serving-layer suite: the ArtifactCache contract (content-hash
  * keying, LRU eviction under a byte budget, single-flight,
  * miss-under-pressure), the ProofService front end (admission
- * control, batching, deadlines, cancellation, stats), and the
+ * control, fair-share dequeue, deadlines, cancellation, stats), and the
  * acceptance gates of the serving tentpole:
  *
  *  - a warm-cache run provably skips re-preprocessing (cache hit
@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <map>
@@ -214,14 +215,6 @@ TEST(ServiceCache, PkContentHashIdentifiesKeys)
 
 // ------------------------------------------------------ cache contract
 
-TEST(ServiceCache, LookupMissIsNotFound)
-{
-    Cache cache(1 << 20);
-    auto r = cache.lookup(42);
-    ASSERT_FALSE(r.isOk());
-    EXPECT_EQ(r.status().code(), StatusCode::kNotFound);
-}
-
 /** Run one seeded access sequence; return the final cache stats. */
 Cache::Stats
 runEvictionSequence(std::uint64_t budget, std::size_t threads)
@@ -240,7 +233,7 @@ runEvictionSequence(std::uint64_t budget, std::size_t threads)
     EXPECT_TRUE(cache.getOrBuild(h1, build1).isOk()); // miss, build
     EXPECT_TRUE(cache.getOrBuild(h1, build1).isOk()); // hit
     EXPECT_TRUE(cache.getOrBuild(h2, build2).isOk()); // miss, evict 1
-    EXPECT_TRUE(cache.lookup(h2).isOk());             // hit
+    EXPECT_TRUE(cache.getOrBuild(h2, build2).isOk()); // hit
     EXPECT_TRUE(cache.getOrBuild(h1, build1).isOk()); // miss, evict 2
     return cache.stats();
 }
@@ -320,7 +313,6 @@ TEST(ServiceCache, OverBudgetArtifactIsMissUnderPressure)
 TEST(ProofService, WarmProofByteIdenticalToCold)
 {
     auto opt = fastServiceOptions();
-    opt.maxBatch = 1; // one cache access per request
     auto svc = service::makeBn254ProofService(opt);
     auto id = svc->registerCircuit(fx().k1.pk, fx().k1.vk,
                                    fx().b1.cs());
@@ -357,33 +349,62 @@ TEST(ProofService, WarmProofByteIdenticalToCold)
               zkp::serializeProof<Bn254Family>(*cold2.proof));
 }
 
-TEST(ProofService, BatchSharesOneCacheResolution)
+/**
+ * Fair share is the one dequeue rule, also when tenants share a
+ * circuit: each drainOnce() proves exactly one request, tenants are
+ * served in the DRR order of their 3:1 weights, FIFO within a
+ * tenant, and the cache builds the circuit once for all eight.
+ */
+TEST(ProofService, SharedCircuitDrainsInFairShareOrder)
 {
     auto opt = fastServiceOptions();
-    opt.maxBatch = 8;
+    opt.tenantWeights = {{0, 3}, {1, 1}};
     auto svc = service::makeBn254ProofService(opt);
     auto id = svc->registerCircuit(fx().k1.pk, fx().k1.vk,
                                    fx().b1.cs());
-    std::vector<std::future<Service::Result>> futures;
-    for (std::uint64_t i = 0; i < 4; ++i) {
+    // Seeds 100..107 alternate between tenants 0 and 1.
+    std::map<std::uint64_t, std::future<Service::Result>> pending;
+    for (std::uint64_t i = 0; i < 8; ++i) {
         Service::Request req;
         req.circuit = id;
         req.witness = fx().b1.assignment();
         req.seed = 100 + i;
+        req.tenant = i % 2;
         auto admitted = svc->submit(std::move(req));
-        ASSERT_TRUE(admitted.isOk());
-        futures.push_back(std::move(*admitted));
+        ASSERT_TRUE(admitted.isOk()) << admitted.status().toString();
+        pending.emplace(100 + i, std::move(*admitted));
     }
-    EXPECT_EQ(svc->drainOnce(), 4u); // one batch
-    for (auto &f : futures) {
-        Service::Result res = f.get();
-        EXPECT_TRUE(res.status.isOk()) << res.status.toString();
+
+    std::vector<std::uint64_t> seeds, tenants;
+    for (std::size_t d = 0; d < 8; ++d) {
+        ASSERT_EQ(svc->drainOnce(), 1u) << "drain " << d;
+        std::size_t resolved = 0;
+        for (auto it = pending.begin(); it != pending.end();) {
+            if (it->second.wait_for(std::chrono::seconds(0)) !=
+                std::future_status::ready) {
+                ++it;
+                continue;
+            }
+            Service::Result res = it->second.get();
+            EXPECT_TRUE(res.status.isOk()) << res.status.toString();
+            seeds.push_back(it->first);
+            tenants.push_back(res.tenant);
+            it = pending.erase(it);
+            ++resolved;
+        }
+        EXPECT_EQ(resolved, 1u) << "drain " << d;
     }
+    EXPECT_EQ(svc->drainOnce(), 0u);
+
+    EXPECT_EQ(tenants,
+              (std::vector<std::uint64_t>{0, 0, 0, 1, 0, 1, 1, 1}));
+    EXPECT_EQ(seeds, (std::vector<std::uint64_t>{100, 102, 104, 101, 106,
+                                                 103, 105, 107}));
     Service::Stats st = svc->stats();
-    EXPECT_EQ(st.batches, 1u);
-    EXPECT_EQ(st.batchedRequests, 4u);
-    EXPECT_EQ(st.cache.misses, 1u); // one resolution for the batch
-    EXPECT_EQ(st.completed, 4u);
+    EXPECT_EQ(st.batches, 8u);
+    EXPECT_EQ(st.completed, 8u);
+    EXPECT_EQ(st.cache.misses, 1u);
+    EXPECT_EQ(st.cache.hits, 7u);
 }
 
 TEST(ProofService, AdmissionControlRejectsPastHighWatermark)
@@ -526,7 +547,6 @@ TEST(ProofService, MissUnderPressureBypassesCache)
 {
     auto opt = fastServiceOptions();
     opt.cacheBytes = 1;
-    opt.maxBatch = 1;
     auto svc = service::makeBn254ProofService(opt);
     auto id = svc->registerCircuit(fx().k1.pk, fx().k1.vk,
                                    fx().b1.cs());

@@ -4,7 +4,7 @@
  *
  *     service_driver [--circuits=3] [--per-circuit=6] [--seed=1]
  *                    [--constraints=10] [--queue-depth=64]
- *                    [--batch=8] [--threads=0] [--cache-bytes=SPEC]
+ *                    [--threads=0] [--cache-bytes=SPEC]
  *                    [--deadline-ms=N] [--tenant-weights=SPEC]
  *                    [--devices=SPEC] [--background] [--verify]
  *                    [--verbose]
@@ -14,7 +14,8 @@
  * order) through a BN254 ProofService and prints the service and
  * cache statistics. The request's tenant id is its circuit index, so
  * --tenant-weights (`tenant:weight` pairs, e.g. "0:10,1:1")
- * skews the fair-share scheduler between circuits. --deadline-ms
+ * skews the fair-share scheduler between circuits; the service proves
+ * one request per dequeue, in that fair-share order. --deadline-ms
  * attaches a deadline to every request (0 = none), which arms the
  * admission controller's shedding. --background runs the service's
  * own scheduler thread instead of draining inline; --verify
@@ -29,9 +30,10 @@
  * device brown-out through the whole service.
  *
  * Numeric flags must parse in full as unsigned integers (decimal, 0x
- * hex or 0-prefixed octal); --circuits, --per-circuit, --queue-depth
- * and --batch must also be positive. A bad value is a usage error (exit
- * 2), like a malformed spec, rather than a run that proves nothing.
+ * hex or 0-prefixed octal); --circuits, --per-circuit and
+ * --queue-depth must also be positive. A bad value is a usage error
+ * (exit 2), like a malformed spec, rather than a run that proves
+ * nothing.
  *
  * The replay summary breaks rejected and failed requests down by
  * their typed status code. A deliberate shed -- kDeadlineExceeded or
@@ -68,7 +70,6 @@ struct Args {
     std::uint64_t seed = 1;
     std::size_t constraints = 10;
     std::size_t queueDepth = 64;
-    std::size_t batch = 8;
     std::size_t threads = 0;
     std::string cacheBytes;
     std::uint64_t deadlineMs = 0;
@@ -110,8 +111,6 @@ parseOne(Args &a, const std::string &arg)
         return parseCount(v, false, a.constraints);
     if (const char *v = val("--queue-depth"))
         return parseCount(v, true, a.queueDepth);
-    if (const char *v = val("--batch"))
-        return parseCount(v, true, a.batch);
     if (const char *v = val("--threads"))
         return parseCount(v, false, a.threads);
     if (const char *v = val("--deadline-ms"))
@@ -156,8 +155,8 @@ main(int argc, char **argv)
         case Parse::BadValue:
             std::fprintf(stderr,
                          "bad value: %s (expected an unsigned integer; "
-                         "--circuits, --per-circuit, --queue-depth and "
-                         "--batch must be > 0)\n",
+                         "--circuits, --per-circuit and --queue-depth "
+                         "must be > 0)\n",
                          argv[i]);
             return 2;
         }
@@ -172,7 +171,6 @@ main(int argc, char **argv)
     }
     Service::Options opt;
     opt.maxQueueDepth = args.queueDepth;
-    opt.maxBatch = args.batch;
     opt.threads = args.threads;
     if (!args.cacheBytes.empty()) {
         opt.cacheBytes =
@@ -306,11 +304,8 @@ main(int argc, char **argv)
                 (unsigned long long)st.rejected,
                 (unsigned long long)st.completed,
                 (unsigned long long)st.failed);
-    std::printf("  batching: batches=%llu batched_requests=%llu "
-                "peak_queue_depth=%zu\n",
-                (unsigned long long)st.batches,
-                (unsigned long long)st.batchedRequests,
-                st.peakQueueDepth);
+    std::printf("  queue: dequeued=%llu peak_queue_depth=%zu\n",
+                (unsigned long long)st.batches, st.peakQueueDepth);
     std::printf("  cache: hits=%llu misses=%llu builds=%llu "
                 "evictions=%llu bypasses=%llu bytes_in_use=%llu "
                 "budget=%llu\n",
