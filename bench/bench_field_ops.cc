@@ -16,12 +16,15 @@
  * medianSeconds and the speedup over the portable arm. Before an arm
  * is timed its output is compared limb-for-limb against portable, so
  * a speedup can never come from a wrong answer. It then times the
- * scalar ops under every curve operation -- BN254 Fq mul, squared and
- * inverse, G1 and G2 dbl and addMixed, and Glv::decompose -- as
- * dependent chains, interleaved: each rep runs every op once, so
- * host drift lands on all ops alike, and the row is the median over
- * reps. The committed BENCH_ff_dispatch.json at the repo root is an
- * --out run.
+ * scalar ops under every curve operation -- BN254 Fq mul, squared,
+ * add, sub and inverse, G1 and G2 dbl and addMixed, and
+ * Glv::decompose -- as dependent chains, interleaved: each rep runs
+ * every op once, so host drift lands on all ops alike, and the row is
+ * the median over reps. Before timing, each scalar chain is replayed
+ * on the generic oracle (simd::montMulLimbs, modAdd and modSub on raw
+ * limbs, with makeMontParams' constants) and must match limb for
+ * limb; a divergence exits 1. The committed BENCH_ff_dispatch.json at
+ * the repo root is an --out run.
  */
 
 #include <benchmark/benchmark.h>
@@ -33,6 +36,7 @@
 #include <memory>
 #include <random>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.hh"
@@ -41,6 +45,7 @@
 #include "ff/field_tags.hh"
 #include "ff/fpu_backend.hh"
 #include "ff/simd/dispatch.hh"
+#include "ff/simd/mont_scalar.hh"
 #include "ntt/butterfly.hh"
 #include "ntt/domain.hh"
 
@@ -248,35 +253,219 @@ limbsEqual(const std::vector<TFr> &x, const std::vector<TFr> &y)
     return true;
 }
 
-/** One scalar op, timed as a chain of `iters` dependent applications. */
+// ------------------------------------------- scalar rows and their oracle
+
+/**
+ * A field with Fp's interface whose arithmetic is the generic oracle:
+ * simd::montMulLimbs, modAdd and modSub on raw limbs, with the run-time
+ * constants of makeMontParams. Curve formulas instantiated on it
+ * replay a chain without touching Fp's kernels.
+ */
+template <typename F>
+struct Oracle {
+    using Repr = typename F::Repr;
+    static constexpr std::size_t kLimbs = F::kLimbs;
+    Repr v;
+
+    static const MontParams<kLimbs> &pp() { return F::params(); }
+    static Oracle of(const F &x) { return {x.raw()}; }
+    static Oracle zero() { return {}; }
+    static Oracle one() { return {pp().r1}; }
+
+    bool isZero() const { return v.isZero(); }
+    bool operator==(const Oracle &o) const { return v == o.v; }
+    bool operator!=(const Oracle &o) const { return v != o.v; }
+    Oracle operator+(const Oracle &o) const
+    {
+        return {modAdd(v, o.v, pp().modulus)};
+    }
+    Oracle operator-(const Oracle &o) const
+    {
+        return {modSub(v, o.v, pp().modulus)};
+    }
+    Oracle operator-() const { return {modSub(Repr(), v, pp().modulus)}; }
+    Oracle
+    operator*(const Oracle &o) const
+    {
+        Oracle r;
+        simd::montMulLimbs<kLimbs>(r.v.limbs.data(), v.limbs.data(),
+                                   o.v.limbs.data(),
+                                   pp().modulus.limbs.data(), pp().inv);
+        return r;
+    }
+    Oracle &operator+=(const Oracle &o) { return *this = *this + o; }
+    Oracle squared() const { return *this * *this; }
+    Oracle dbl() const { return *this + *this; }
+    Oracle
+    inverse() const // Fermat, square-and-multiply
+    {
+        Oracle r = one();
+        const Repr &e = pp().pMinus2;
+        for (std::size_t i = e.numBits(); i-- > 0;) {
+            r = r.squared();
+            if (e.bit(i))
+                r = r * *this;
+        }
+        return r;
+    }
+};
+
+using OFq = Oracle<Bn254Fq>;
+
+struct OracleFp2Cfg {
+    using Fq = OFq;
+    static OFq mulByBeta(const OFq &a) { return -a; } // beta = -1
+};
+using OFp2 = Fp2T<OracleFp2Cfg>;
+
+/** Cfg's curve over the oracle field (Field = OFq or OFp2). */
+template <typename Cfg, typename OField>
+struct OracleCurve {
+    using Field = OField;
+    using Scalar = typename Cfg::Scalar;
+    static constexpr bool kAZero = Cfg::kAZero;
+    static_assert(kAZero, "the oracle curves never read a()");
+};
+
+OFq toOracle(const Bn254Fq &x) { return OFq::of(x); }
+OFp2 toOracle(const Bn254Fp2 &x) { return {OFq::of(x.c0), OFq::of(x.c1)}; }
+
+bool sameLimbs(const Bn254Fq &x, const OFq &o) { return x.raw() == o.v; }
+bool
+sameLimbs(const Bn254Fp2 &x, const OFp2 &o)
+{
+    return sameLimbs(x.c0, o.c0) && sameLimbs(x.c1, o.c1);
+}
+
+/** One scalar op, timed as a chain of `iters` dependent applications.
+ *  `check` replays a short chain on the oracle; false on divergence. */
 struct ScalarOp {
     const char *name;
     std::size_t iters;
     std::function<void(std::size_t)> run;
+    std::function<bool()> check;
 };
 
-/** The dbl and addMixed chains for `Cfg`. */
-template <typename Cfg>
+constexpr std::size_t kCheckIters = 64;
+
+/** A field-op row: `step` on Bn254Fq and `ostep` on the oracle. */
+template <typename Step, typename OStep>
+ScalarOp
+fieldOp(const char *name, std::size_t iters, Bn254Fq start, Step step,
+        OStep ostep)
+{
+    auto a = std::make_shared<Bn254Fq>(start);
+    return {name, iters,
+            [a, step](std::size_t n) {
+                for (std::size_t i = 0; i < n; ++i)
+                    *a = step(*a);
+                benchmark::DoNotOptimize(*a);
+            },
+            [start, step, ostep] {
+                Bn254Fq x = start;
+                OFq o = OFq::of(start);
+                for (std::size_t i = 0; i < kCheckIters; ++i) {
+                    x = step(x);
+                    o = ostep(o);
+                    if (!sameLimbs(x, o))
+                        return false;
+                }
+                return true;
+            }};
+}
+
+/** The dbl and addMixed chains for `Cfg`, over `OField` as oracle. */
+template <typename Cfg, typename OField>
 std::vector<ScalarOp>
 pointOps(const char *dbl_name, const char *madd_name, std::size_t iters)
 {
     using Pt = ec::ECPoint<Cfg>;
-    auto p = std::make_shared<Pt>(Pt::generator().mul(std::uint64_t(5)));
-    auto q = Pt::generator().mul(std::uint64_t(7)).toAffine();
+    using OCfg = OracleCurve<Cfg, OField>;
+    using OPt = ec::ECPoint<OCfg>;
+    const Pt start = Pt::generator().mul(std::uint64_t(5));
+    const auto q = Pt::generator().mul(std::uint64_t(7)).toAffine();
+    const ec::AffinePoint<OCfg> oq(toOracle(q.x), toOracle(q.y));
+    auto same = [](const Pt &x, const OPt &o) {
+        return sameLimbs(x.X, o.X) && sameLimbs(x.Y, o.Y) &&
+            sameLimbs(x.Z, o.Z);
+    };
+    // Replays `step` on both sides from `start`, comparing each link.
+    auto replay = [start, same](auto step) {
+        Pt x = start;
+        OPt o(toOracle(start.X), toOracle(start.Y), toOracle(start.Z));
+        for (std::size_t i = 0; i < kCheckIters; ++i) {
+            x = step(x);
+            o = step(o);
+            if (!same(x, o))
+                return false;
+        }
+        return true;
+    };
+    auto p = std::make_shared<Pt>(start);
     return {
         {dbl_name, iters,
          [p](std::size_t n) {
              for (std::size_t i = 0; i < n; ++i)
                  *p = p->dbl();
              benchmark::DoNotOptimize(*p);
-         }},
+         },
+         [replay] { return replay([](const auto &x) { return x.dbl(); }); }},
         {madd_name, iters,
          [p, q](std::size_t n) {
              for (std::size_t i = 0; i < n; ++i)
                  *p = p->addMixed(q);
              benchmark::DoNotOptimize(*p);
+         },
+         [replay, q, oq] {
+             return replay([&](const auto &x) {
+                 if constexpr (std::is_same_v<std::decay_t<decltype(x)>,
+                                              Pt>)
+                     return x.addMixed(q);
+                 else
+                     return x.addMixed(oq);
+             });
          }},
     };
+}
+
+/** Glv::decompose chain; the check replays the scalar updates on the
+ *  oracle and confirms k = +-k1 + lambda (+-k2) mod r on each link. */
+ScalarOp
+glvOp(std::size_t iters, const TFr &start)
+{
+    using Glv = ec::Glv<ec::Bn254G1Cfg>;
+    using OFr = Oracle<TFr>;
+    auto k = std::make_shared<TFr>(start);
+    auto toMont = [](const TFr::Repr &x) {
+        return OFr{x} * OFr{OFr::pp().r2};
+    };
+    return {"glv.decompose", iters,
+            [k](std::size_t n) {
+                for (std::size_t i = 0; i < n; ++i) {
+                    auto d = Glv::decompose(*k);
+                    *k += TFr::fromUint64(d.k1.limbs[0] | 1);
+                }
+                benchmark::DoNotOptimize(*k);
+            },
+            [start, toMont] {
+                const OFr lambda = toMont(Glv::params().lambdaRepr);
+                TFr x = start;
+                OFr o = OFr::of(start);
+                for (std::size_t i = 0; i < kCheckIters; ++i) {
+                    auto d = Glv::decompose(x);
+                    OFr k1 = toMont(d.k1), k2 = toMont(d.k2);
+                    OFr sum = (d.neg1 ? -k1 : k1) +
+                        lambda * (d.neg2 ? -k2 : k2);
+                    if (sum != o)
+                        return false;
+                    x += TFr::fromUint64(d.k1.limbs[0] | 1);
+                    o = o + toMont(TFr::Repr::fromUint64(
+                                d.k1.limbs[0] | 1));
+                    if (x.raw() != o.v)
+                        return false;
+                }
+                return true;
+            }};
 }
 
 void
@@ -293,48 +482,53 @@ emitScalar(const char *op, std::size_t reps, double median_s,
     g_records.push_back(buf);
 }
 
-void
+/** Check every scalar chain against the oracle, then time them
+ *  interleaved. Returns 1 on a divergence. */
+int
 scalarRows(std::size_t reps)
 {
     using Fq = Bn254Fq;
     std::mt19937_64 rng(9);
-    auto a = std::make_shared<Fq>(Fq::random(rng));
-    Fq b = Fq::random(rng);
+    const Fq a = Fq::random(rng);
+    const Fq b = Fq::random(rng);
+    const OFq ob = OFq::of(b);
     std::vector<ScalarOp> ops = {
-        {"fq.mul", 1 << 16,
-         [a, b](std::size_t n) {
-             for (std::size_t i = 0; i < n; ++i)
-                 *a = *a * b;
-             benchmark::DoNotOptimize(*a);
-         }},
-        {"fq.squared", 1 << 16,
-         [a](std::size_t n) {
-             for (std::size_t i = 0; i < n; ++i)
-                 *a = a->squared();
-             benchmark::DoNotOptimize(*a);
-         }},
-        {"fq.inverse", 1 << 8,
-         [a](std::size_t n) {
-             for (std::size_t i = 0; i < n; ++i)
-                 *a = (*a + Fq::one()).inverse();
-             benchmark::DoNotOptimize(*a);
-         }},
+        fieldOp(
+            "fq.mul", 1 << 16, a, [b](const Fq &x) { return x * b; },
+            [ob](const OFq &x) { return x * ob; }),
+        fieldOp(
+            "fq.squared", 1 << 16, a,
+            [](const Fq &x) { return x.squared(); },
+            [](const OFq &x) { return x.squared(); }),
+        fieldOp(
+            "fq.add", 1 << 16, a, [b](const Fq &x) { return x + b; },
+            [ob](const OFq &x) { return x + ob; }),
+        fieldOp(
+            "fq.sub", 1 << 16, a, [b](const Fq &x) { return x - b; },
+            [ob](const OFq &x) { return x - ob; }),
+        fieldOp(
+            "fq.inverse", 1 << 8, a,
+            [](const Fq &x) { return (x + Fq::one()).inverse(); },
+            [](const OFq &x) { return (x + OFq::one()).inverse(); }),
     };
-    for (auto &op : pointOps<ec::Bn254G1Cfg>("g1.dbl", "g1.addMixed",
-                                             1 << 12))
+    for (auto &op : pointOps<ec::Bn254G1Cfg, OFq>("g1.dbl", "g1.addMixed",
+                                                  1 << 12))
         ops.push_back(op);
-    for (auto &op : pointOps<ec::Bn254G2Cfg>("g2.dbl", "g2.addMixed",
-                                             1 << 10))
+    for (auto &op : pointOps<ec::Bn254G2Cfg, OFp2>(
+             "g2.dbl", "g2.addMixed", 1 << 10))
         ops.push_back(op);
     // Each scalar depends on the previous decomposition.
-    auto k = std::make_shared<TFr>(TFr::random(rng));
-    ops.push_back({"glv.decompose", 1 << 12, [k](std::size_t n) {
-                       for (std::size_t i = 0; i < n; ++i) {
-                           auto d = ec::Glv<ec::Bn254G1Cfg>::decompose(*k);
-                           *k += TFr::fromUint64(d.k1.limbs[0] | 1);
-                       }
-                       benchmark::DoNotOptimize(*k);
-                   }});
+    ops.push_back(glvOp(1 << 12, TFr::random(rng)));
+
+    for (auto &op : ops) {
+        if (!op.check()) {
+            std::fprintf(stderr,
+                         "FAIL: scalar %s diverges from the generic "
+                         "oracle\n",
+                         op.name);
+            return 1;
+        }
+    }
 
     std::size_t r = std::max<std::size_t>(reps, 1);
     std::vector<std::vector<double>> t(ops.size(),
@@ -354,6 +548,7 @@ scalarRows(std::size_t reps)
                            : 0.5 * (t[o][r / 2 - 1] + t[o][r / 2]);
         emitScalar(ops[o].name, r, med, ops[o].iters);
     }
+    return 0;
 }
 
 int
@@ -397,7 +592,8 @@ run(std::size_t reps, const std::string &out_path)
         }
     }
 
-    scalarRows(reps);
+    if (scalarRows(reps) != 0)
+        return 1;
 
     if (!out_path.empty()) {
         std::FILE *f = std::fopen(out_path.c_str(), "w");

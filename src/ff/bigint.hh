@@ -53,9 +53,10 @@ struct BigInt {
 
     /**
      * Parse a hex string (optionally "0x"-prefixed). Throws
-     * std::invalid_argument on malformed input or overflow.
+     * std::invalid_argument on malformed input or overflow. Usable in
+     * constant expressions (Fp's compile-time modulus).
      */
-    static BigInt
+    static constexpr BigInt
     fromHex(std::string_view s)
     {
         if (s.size() >= 2 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X'))
@@ -268,16 +269,19 @@ struct BigInt {
 
     /**
      * Extract a window of `width` bits starting at bit `lo`
-     * (width <= 64). Used by every windowed MSM algorithm.
+     * (width <= 64); bits past the top read as 0. Used by every
+     * windowed MSM algorithm.
      */
     constexpr std::uint64_t
     bits(std::size_t lo, std::size_t width) const
     {
-        std::uint64_t out = 0;
-        for (std::size_t i = 0; i < width; ++i)
-            if (bit(lo + i))
-                out |= std::uint64_t(1) << i;
-        return out;
+        if (width == 0 || lo >= kBits)
+            return 0;
+        const std::size_t limb = lo / 64, shift = lo % 64;
+        std::uint64_t v = limbs[limb] >> shift;
+        if (shift != 0 && limb + 1 < N)
+            v |= limbs[limb + 1] << (64 - shift);
+        return width >= 64 ? v : v & ((std::uint64_t(1) << width) - 1);
     }
 
     /** Uniform random value over the full 64*N-bit range. */

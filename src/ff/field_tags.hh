@@ -23,7 +23,7 @@ namespace gzkp::ff {
 /** Scalar field Fr of ALT-BN128 (aka BN254); 2-adicity 28. */
 struct Bn254FrTag {
     static constexpr std::size_t kLimbs = 4;
-    static const char *
+    static constexpr const char *
     modulusHex()
     {
         return "0x30644e72e131a029b85045b68181585d"
@@ -35,7 +35,7 @@ struct Bn254FrTag {
 /** Base field Fq of ALT-BN128. */
 struct Bn254FqTag {
     static constexpr std::size_t kLimbs = 4;
-    static const char *
+    static constexpr const char *
     modulusHex()
     {
         return "0x30644e72e131a029b85045b68181585d"
@@ -47,7 +47,7 @@ struct Bn254FqTag {
 /** Scalar field Fr of BLS12-381; 2-adicity 32. */
 struct Bls381FrTag {
     static constexpr std::size_t kLimbs = 4;
-    static const char *
+    static constexpr const char *
     modulusHex()
     {
         return "0x73eda753299d7d483339d80809a1d805"
@@ -59,7 +59,7 @@ struct Bls381FrTag {
 /** Base field Fq of BLS12-381 (381 bits, 6 limbs). */
 struct Bls381FqTag {
     static constexpr std::size_t kLimbs = 6;
-    static const char *
+    static constexpr const char *
     modulusHex()
     {
         return "0x1a0111ea397fe69a4b1ba7b6434bacd764774b84f38512bf"
@@ -74,7 +74,7 @@ struct Bls381FqTag {
  */
 struct Mnt4753FrTag {
     static constexpr std::size_t kLimbs = 12;
-    static const char *
+    static constexpr const char *
     modulusHex()
     {
         return "0x1944a43d66e9d1fc9c552451118ab442345282c28050fa5c93b58373"
@@ -91,7 +91,7 @@ struct Mnt4753FrTag {
  */
 struct Mnt4753FqTag {
     static constexpr std::size_t kLimbs = 12;
-    static const char *
+    static constexpr const char *
     modulusHex()
     {
         return "0x1799c46381c18aa304edb4f17b7481cbfe1206e8509195d254aed345"

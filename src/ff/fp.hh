@@ -10,16 +10,23 @@
  * cross-checked in tests.
  *
  * Fp<Tag> is parameterised by a tag type supplying the limb count and
- * the modulus as a hex string. All derived constants (Montgomery R,
- * R^2, -p^-1 mod 2^64, 2-adic root of unity, ...) are computed once
- * at first use.
+ * the modulus as a constexpr hex string. The modulus, -p^-1 mod 2^64,
+ * R mod p and R^2 mod p are compile-time constants (kModulus, kInv,
+ * kR1, kR2), parsed and derived by constexpr code, so the hot
+ * operators read no runtime state. The cold derived values (the
+ * exponents behind inverse, legendre and sqrt, the 2-adicity, the
+ * generator and the root of unity) are built once at first use by
+ * params().
  *
- * Single-element arithmetic is scalar CIOS (ff/simd/mont_scalar.hh)
- * regardless of the host ISA. The *batch* entry points below
- * (mulBatch, sqrBatch, mulcBatch, batchInverse, ...) route 4-limb
- * fields through the runtime-dispatched vector kernels in
- * ff/simd/dispatch.hh; every arm returns canonical fully-reduced
- * values, so batch results are bit-identical to the scalar path.
+ * Single-element arithmetic runs the branch-free kernels of
+ * ff/fp_kernels.hh (adc/sbb add/sub/neg, no-carry CIOS multiply)
+ * regardless of the host ISA; the generic CIOS loop
+ * simd::montMulLimbs, modAdd and modSub below are their oracle. The
+ * *batch* entry points below (mulBatch, sqrBatch, mulcBatch,
+ * batchInverse, ...) route 4-limb fields through the runtime-
+ * dispatched vector kernels in ff/simd/dispatch.hh; every path returns
+ * canonical fully-reduced values, so batch results are bit-identical
+ * to the scalar ones.
  */
 
 #ifndef GZKP_FF_FP_HH
@@ -34,6 +41,7 @@
 #include <vector>
 
 #include "ff/bigint.hh"
+#include "ff/fp_kernels.hh"
 #include "ff/simd/dispatch.hh"
 #include "ff/simd/mont_scalar.hh"
 
@@ -60,7 +68,7 @@ struct MontParams {
 
 /** Modular addition helper on raw BigInts: (a + b) mod p. */
 template <std::size_t N>
-inline BigInt<N>
+constexpr BigInt<N>
 modAdd(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &p)
 {
     BigInt<N> s;
@@ -75,7 +83,7 @@ modAdd(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &p)
 
 /** Modular subtraction helper on raw BigInts: (a - b) mod p. */
 template <std::size_t N>
-inline BigInt<N>
+constexpr BigInt<N>
 modSub(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &p)
 {
     BigInt<N> s;
@@ -91,8 +99,8 @@ modSub(const BigInt<N> &a, const BigInt<N> &b, const BigInt<N> &p)
 /**
  * CIOS Montgomery multiplication: returns a * b * R^-1 mod p.
  * Inputs must be fully reduced (< p); the output is fully reduced.
- * Thin wrapper over the shared scalar kernel in ff/simd so exactly
- * one scalar CIOS implementation exists in the tree.
+ * Thin wrapper over the generic scalar loop in ff/simd, which Fp's
+ * kernels are tested against.
  */
 template <std::size_t N>
 inline BigInt<N>
@@ -104,6 +112,30 @@ montMul(const BigInt<N> &a, const BigInt<N> &b, const MontParams<N> &pp)
                           pp.inv);
     return r;
 }
+
+namespace detail {
+
+/** -p^-1 mod 2^64 for odd p0, by Newton iteration (5 steps). */
+constexpr std::uint64_t
+negInverse64(std::uint64_t p0)
+{
+    std::uint64_t x = p0;
+    for (int i = 0; i < 5; ++i)
+        x *= 2 - p0 * x;
+    return ~x + 1; // negate mod 2^64
+}
+
+/** x * 2^(64N) mod p, by 64N modular doublings (x < p). */
+template <std::size_t N>
+constexpr BigInt<N>
+timesR(BigInt<N> x, const BigInt<N> &p)
+{
+    for (std::size_t i = 0; i < 64 * N; ++i)
+        x = modAdd(x, x, p);
+    return x;
+}
+
+} // namespace detail
 
 /**
  * Build all derived Montgomery parameters from a modulus hex string.
@@ -120,22 +152,9 @@ makeMontParams(const char *modulus_hex)
     if (!pp.modulus.isOdd())
         throw std::invalid_argument("makeMontParams: modulus must be odd");
     pp.bits = pp.modulus.numBits();
-
-    // inv = -p^-1 mod 2^64 by Newton iteration (5 steps suffice).
-    std::uint64_t p0 = pp.modulus.limbs[0];
-    std::uint64_t x = p0;
-    for (int i = 0; i < 5; ++i)
-        x *= 2 - p0 * x;
-    pp.inv = ~x + 1; // negate mod 2^64
-
-    // r1 = 2^(64N) mod p and r2 = 2^(128N) mod p by repeated doubling.
-    BigInt<N> acc = BigInt<N>::one();
-    for (std::size_t i = 0; i < 64 * N; ++i)
-        acc = modAdd(acc, acc, pp.modulus);
-    pp.r1 = acc;
-    for (std::size_t i = 0; i < 64 * N; ++i)
-        acc = modAdd(acc, acc, pp.modulus);
-    pp.r2 = acc;
+    pp.inv = detail::negInverse64(pp.modulus.limbs[0]);
+    pp.r1 = detail::timesR(BigInt<N>::one(), pp.modulus);
+    pp.r2 = detail::timesR(pp.r1, pp.modulus);
 
     BigInt<N>::sub(pp.modulus, BigInt<N>::fromUint64(2), pp.pMinus2);
     BigInt<N> pm1;
@@ -180,7 +199,7 @@ makeMontParams(const char *modulus_hex)
  *
  * @tparam Tag a config type providing
  *   - static constexpr std::size_t kLimbs
- *   - static const char *modulusHex()
+ *   - static constexpr const char *modulusHex()
  *   - static const char *name()
  */
 template <typename Tag>
@@ -190,7 +209,25 @@ class Fp
     static constexpr std::size_t kLimbs = Tag::kLimbs;
     using Repr = BigInt<kLimbs>;
 
-    /** Lazily built derived parameters (thread-safe magic static). */
+    /** The modulus p and its Montgomery constants, fixed at compile
+     *  time. makeMontParams derives the same values at run time. */
+    static constexpr Repr kModulus = Repr::fromHex(Tag::modulusHex());
+    static constexpr std::uint64_t kInv =
+        detail::negInverse64(kModulus.limbs[0]); //!< -p^-1 mod 2^64
+    static constexpr Repr kR1 =
+        detail::timesR(Repr::one(), kModulus); //!< R mod p
+    static constexpr Repr kR2 = detail::timesR(kR1, kModulus); //!< R^2
+
+    static_assert(kModulus.isOdd(), "Fp: the modulus must be odd");
+    static_assert(kModulus.limbs[kLimbs - 1] >> 63 == 0,
+                  "Fp: the modulus must leave its top bit free, so "
+                  "a + b never carries out of kLimbs limbs");
+    static_assert(kModulus.limbs[kLimbs - 1] <
+                      (std::uint64_t(1) << 63) - 1,
+                  "Fp: no-carry CIOS needs a top limb below 2^63 - 1");
+
+    /** Cold derived parameters, built at first use (thread-safe
+     *  magic static). The hot operators never read them. */
     static const MontParams<kLimbs> &
     params()
     {
@@ -199,21 +236,14 @@ class Fp
         return pp;
     }
 
-    static const Repr &modulus() { return params().modulus; }
-    static std::size_t bits() { return params().bits; }
+    static constexpr const Repr &modulus() { return kModulus; }
+    static constexpr std::size_t bits() { return kModulus.numBits(); }
     static std::size_t twoAdicity() { return params().twoAdicity; }
 
     constexpr Fp() = default;
 
-    static Fp zero() { return Fp(); }
-
-    static Fp
-    one()
-    {
-        Fp r;
-        r.v_ = params().r1;
-        return r;
-    }
+    static constexpr Fp zero() { return Fp(); }
+    static constexpr Fp one() { return fromRaw(kR1); }
 
     /**
      * Convert a standard-form integer into the field. Rejects
@@ -225,12 +255,10 @@ class Fp
     static Fp
     fromBigInt(const Repr &standard)
     {
-        if (!(standard < modulus()))
+        if (!(standard < kModulus))
             throw std::invalid_argument(
                 "Fp::fromBigInt: value >= modulus");
-        Fp r;
-        r.v_ = montMul(standard, params().r2, params());
-        return r;
+        return fromRaw(standard) * fromRaw(kR2);
     }
 
     static Fp
@@ -249,13 +277,13 @@ class Fp
     Repr
     toBigInt() const
     {
-        return montMul(v_, Repr::one(), params());
+        return (*this * fromRaw(Repr::one())).v_;
     }
 
     /** Raw Montgomery representation (for serialization / hashing). */
     const Repr &raw() const { return v_; }
 
-    static Fp
+    static constexpr Fp
     fromRaw(const Repr &mont)
     {
         Fp r;
@@ -271,7 +299,7 @@ class Fp
     operator+(const Fp &o) const
     {
         Fp r;
-        r.v_ = modAdd(v_, o.v_, modulus());
+        kernels::addMod<kLimbs>(r.limbs(), limbs(), o.limbs(), kP);
         return r;
     }
 
@@ -279,7 +307,7 @@ class Fp
     operator-(const Fp &o) const
     {
         Fp r;
-        r.v_ = modSub(v_, o.v_, modulus());
+        kernels::subMod<kLimbs>(r.limbs(), limbs(), o.limbs(), kP);
         return r;
     }
 
@@ -287,7 +315,7 @@ class Fp
     operator-() const
     {
         Fp r;
-        r.v_ = v_.isZero() ? v_ : modSub(Repr::zero(), v_, modulus());
+        kernels::negMod<kLimbs>(r.limbs(), limbs(), kP);
         return r;
     }
 
@@ -295,7 +323,7 @@ class Fp
     operator*(const Fp &o) const
     {
         Fp r;
-        r.v_ = montMul(v_, o.v_, params());
+        kernels::montMul<kLimbs>(r.limbs(), limbs(), o.limbs(), kP, kInv);
         return r;
     }
 
@@ -350,7 +378,7 @@ class Fp
     {
         if (isZero())
             return zero();
-        if (modulus().limbs[0] % 4 != 3)
+        if (kModulus.limbs[0] % 4 != 3)
             throw std::logic_error("Fp::sqrt: need p = 3 mod 4");
         Fp r = pow(params().pPlus1Quarter);
         if (r.squared() != *this)
@@ -380,12 +408,12 @@ class Fp
         for (;;) {
             Repr r = Repr::random(rng);
             // Mask down to the modulus bit length to speed acceptance.
-            std::size_t top_bits = params().bits % 64;
-            if (top_bits != 0) {
+            constexpr std::size_t top_bits = bits() % 64;
+            if constexpr (top_bits != 0) {
                 r.limbs[kLimbs - 1] &=
                     (std::uint64_t(-1) >> (64 - top_bits));
             }
-            if (r < modulus())
+            if (r < kModulus)
                 return fromRaw(r); // uniform over [0,p) in Mont. domain
         }
     }
@@ -393,6 +421,11 @@ class Fp
     std::string toHex() const { return toBigInt().toHex(); }
 
   private:
+    static constexpr const std::uint64_t *kP = kModulus.limbs.data();
+
+    std::uint64_t *limbs() { return v_.limbs.data(); }
+    const std::uint64_t *limbs() const { return v_.limbs.data(); }
+
     Repr v_; // Montgomery form, always < p
 };
 
@@ -440,14 +473,10 @@ mont4Params()
 {
     static_assert(detail::IsSimd4<FpT>::value,
                   "mont4Params needs a 4-limb field");
-    static const simd::Mont4 m = [] {
-        simd::Mont4 mm;
-        const auto &pp = FpT::params();
-        for (std::size_t i = 0; i < 4; ++i)
-            mm.p[i] = pp.modulus.limbs[i];
-        mm.inv = pp.inv;
-        return mm;
-    }();
+    static constexpr simd::Mont4 m{
+        {FpT::kModulus.limbs[0], FpT::kModulus.limbs[1],
+         FpT::kModulus.limbs[2], FpT::kModulus.limbs[3]},
+        FpT::kInv};
     return m;
 }
 

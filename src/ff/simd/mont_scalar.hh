@@ -2,11 +2,13 @@
  * @file
  * Scalar CIOS Montgomery multiplication on raw little-endian limbs.
  *
- * This is the single scalar reference implementation behind the whole
- * field stack: fp.hh's montMul() wraps it for every Fp<Tag>, and the
- * portable dispatch arm batches it (two independent limb chains
- * interleaved per loop iteration, the ZKProphet-style latency fix).
- * The vector arms (avx2.cc / avx512.cc) also call it for batch tails.
+ * This is the generic reference loop of the field stack: the oracle
+ * that Fp<Tag>'s branch-free kernels (ff/fp_kernels.hh) are tested
+ * against, the multiply behind fp.hh's montMul() and makeMontParams(),
+ * and the portable dispatch arm's batch kernel (two independent limb
+ * chains interleaved per loop iteration, the ZKProphet-style latency
+ * fix). The vector arms (avx2.cc / avx512.cc) also call it for batch
+ * tails.
  *
  * Bit-identity contract: for fully-reduced inputs (< p) the output is
  * the fully-reduced canonical value a * b * R^-1 mod p -- a function

@@ -26,16 +26,20 @@
  *    placeholder, so a later getOrBuild() starts a fresh build;
  *  - miss-under-pressure: an artifact larger than the whole budget is
  *    never admitted -- getOrBuild() returns kResourceExhausted and the
- *    caller decides (ProofService proves uncached);
+ *    caller decides (ProofService proves uncached). The budget is fixed
+ *    and the size follows from the key, so the cache remembers each
+ *    over-budget key with its byte count: every later getOrBuild() of
+ *    that key returns the same kResourceExhausted at once, counted as
+ *    a miss and an overBudget, without running the builder;
  *  - deterministic: driven from one thread, the hit/miss/eviction
  *    sequence is a pure function of the access sequence and budget,
  *    independent of GZKP_THREADS (the builders run the deterministic
  *    runtime internally);
  *  - one access per request: ProofService calls getOrBuild() once for
  *    every request it proves, in its fair-share dequeue order. A hit
- *    costs one map lookup; a failed or over-budget build is tried
- *    again by the next request for that circuit (ProofService defers
- *    the build while the GZKP breaker is open).
+ *    or a remembered over-budget key costs one map lookup; a failed
+ *    build is tried again by the next request for that circuit
+ *    (ProofService defers the build while the GZKP breaker is open).
  */
 
 #ifndef GZKP_SERVICE_ARTIFACT_CACHE_HH
@@ -251,12 +255,20 @@ class ArtifactCache
      * building them with `build` on a miss (single-flight). `hit`
      * reports whether this call was served from cache. Build errors
      * and over-budget artifacts return the typed Status; nothing is
-     * cached in either case.
+     * cached in either case, and an over-budget key is refused from
+     * then on without a build.
      */
     StatusOr<ArtifactPtr>
     getOrBuild(std::uint64_t key, const Builder &build, bool *hit = nullptr)
     {
         std::unique_lock<std::mutex> lk(mu_);
+        if (auto ob = overBudget_.find(key); ob != overBudget_.end()) {
+            ++stats_.misses;
+            ++stats_.overBudget;
+            if (hit)
+                *hit = false;
+            return overBudgetError(ob->second);
+        }
         for (;;) {
             auto it = entries_.find(key);
             if (it == entries_.end())
@@ -306,12 +318,10 @@ class ArtifactCache
         std::uint64_t bytes = (*built)->bytes();
         if (bytes > budget_) {
             ++stats_.overBudget;
+            overBudget_.emplace(key, bytes);
             entries_.erase(key);
             flight->done = true;
-            flight->status = resourceExhaustedError(
-                "service.cache: artifact of " + std::to_string(bytes) +
-                " bytes exceeds cache budget of " +
-                std::to_string(budget_) + " bytes");
+            flight->status = overBudgetError(bytes);
             cv_.notify_all();
             return flight->status;
         }
@@ -353,6 +363,15 @@ class ArtifactCache
         std::shared_ptr<BuildState> flight; //!< while !ready
     };
 
+    Status
+    overBudgetError(std::uint64_t bytes) const
+    {
+        return resourceExhaustedError(
+            "service.cache: artifact of " + std::to_string(bytes) +
+            " bytes exceeds cache budget of " + std::to_string(budget_) +
+            " bytes");
+    }
+
     /** Caller holds mu_. Evict LRU Ready entries until it fits. */
     void
     evictUntilFits(std::uint64_t incoming)
@@ -378,6 +397,8 @@ class ArtifactCache
     mutable std::mutex mu_;
     std::condition_variable cv_;
     std::map<std::uint64_t, Entry> entries_;
+    /** Keys whose artifacts exceed the whole budget, with their bytes. */
+    std::map<std::uint64_t, std::uint64_t> overBudget_;
     std::uint64_t bytesInUse_ = 0;
     std::uint64_t clock_ = 0;
     Stats stats_;

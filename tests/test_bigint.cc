@@ -108,6 +108,41 @@ TEST(BigInt, BitWindowAcrossLimbBoundary)
     EXPECT_EQ(v.bits(62, 4), 6u);
 }
 
+template <typename B>
+class BigIntTest : public ::testing::Test
+{
+};
+
+using BigIntWidths =
+    ::testing::Types<BigInt<1>, BigInt<4>, BigInt<6>, BigInt<12>>;
+TYPED_TEST_SUITE(BigIntTest, BigIntWidths);
+
+// bits() is a two-limb shift and mask; the reference reads one bit at
+// a time. Every start bit is covered, so windows straddle each limb
+// boundary and run past the top (those bits read as 0).
+TYPED_TEST(BigIntTest, BitsMatchesBitLoop)
+{
+    using B = TypeParam;
+    auto bit_loop = [](const B &v, std::size_t lo, std::size_t width) {
+        std::uint64_t out = 0;
+        for (std::size_t i = 0; i < width; ++i)
+            if (v.bit(lo + i))
+                out |= std::uint64_t(1) << i;
+        return out;
+    };
+    std::mt19937_64 rng(2024);
+    B ones;
+    for (auto &l : ones.limbs)
+        l = ~std::uint64_t(0);
+    for (const B &v : {B::random(rng), B::random(rng), ones, B::one()}) {
+        for (std::size_t width : {1, 10, 13, 52, 64}) {
+            for (std::size_t lo = 0; lo < B::kBits; ++lo)
+                ASSERT_EQ(v.bits(lo, width), bit_loop(v, lo, width))
+                    << "lo=" << lo << " width=" << width;
+        }
+    }
+}
+
 TEST(BigInt, TrailingZerosAndNumBits)
 {
     EXPECT_EQ(B4::zero().countTrailingZeros(), 256u);

@@ -23,6 +23,7 @@
 #include "ff/field_tags.hh"
 #include "ff/fp.hh"
 #include "ff/simd/dispatch.hh"
+#include "field_pool.hh"
 #include "msm/batch_affine.hh"
 #include "testkit/generators.hh"
 #include "workload/workloads.hh"
@@ -47,60 +48,6 @@ struct IsaGuard {
     ~IsaGuard() { ff::simd::clearActiveIsa(); }
 };
 
-/**
- * Biased element pool: algebraic boundaries (0, 1, -1, small, p -
- * small), raw Montgomery boundaries (representation 1, p-1 -- legal
- * raw values that no fromBigInt round trip would pick first), 32-bit
- * digit boundaries that stress the vector kernels' digit splits, and
- * random fill.
- */
-template <typename FpT>
-std::vector<FpT>
-biasedPool(std::size_t n, std::uint64_t seed)
-{
-    using Repr = typename FpT::Repr;
-    const Repr &p = FpT::modulus();
-
-    std::vector<FpT> pool;
-    pool.push_back(FpT::zero());
-    pool.push_back(FpT::one());
-    pool.push_back(-FpT::one()); // p - 1 as a field value
-    for (std::uint64_t s : {1ull, 2ull, 3ull, 0xffffffffull,
-                            0x100000000ull, ~0ull}) {
-        pool.push_back(FpT::fromUint64(s));
-        pool.push_back(-FpT::fromUint64(s)); // p - small
-    }
-    // Raw Montgomery boundary values: any raw < p is a valid element.
-    auto pushRaw = [&](Repr r) {
-        if (r < p)
-            pool.push_back(FpT::fromRaw(r));
-    };
-    pushRaw(Repr::one());
-    Repr pm1;
-    Repr::sub(p, Repr::one(), pm1);
-    pushRaw(pm1);
-    // Digit-boundary patterns: alternating 32-bit halves, all-ones
-    // low limb, single bits at limb boundaries.
-    Repr alt;
-    for (std::size_t i = 0; i < FpT::kLimbs; ++i)
-        alt.limbs[i] = 0x00000000ffffffffull;
-    pushRaw(alt);
-    for (std::size_t i = 0; i < FpT::kLimbs; ++i)
-        alt.limbs[i] = 0xffffffff00000000ull;
-    pushRaw(alt);
-    for (std::size_t b = 0; b < FpT::kLimbs * 64; b += 52) {
-        Repr bit;
-        bit.limbs[b / 64] = std::uint64_t(1) << (b % 64);
-        pushRaw(bit);
-    }
-
-    testkit::Rng rng(seed);
-    while (pool.size() < n)
-        pool.push_back(FpT::random(rng));
-    pool.resize(n);
-    return pool;
-}
-
 template <typename FpT>
 ::testing::AssertionResult
 limbsEqual(const FpT &a, const FpT &b)
@@ -122,8 +69,8 @@ expectArmMatchesPortable(Isa isa, std::uint64_t seed)
     // Sizes straddle the kernels' internal strides (4- and 8-wide
     // blocks plus scalar tails) and batchInverse's blocked threshold.
     for (std::size_t n : {1, 3, 7, 8, 15, 64, 257}) {
-        auto a = biasedPool<FpT>(n, seed);
-        auto b = biasedPool<FpT>(n, seed + 1);
+        auto a = testpool::biasedPool<FpT>(n, seed);
+        auto b = testpool::biasedPool<FpT>(n, seed + 1);
         const FpT c = a[n / 2];
         const auto e = ff::BigInt<2>::fromHex("1f3a9c0d5b");
 
@@ -275,7 +222,7 @@ TEST(FfDispatchDifferential, BlockedBatchInverseMatchesSerial)
     // Straddle the blocked threshold (64) and the lane width (16),
     // with zeros at lane boundaries.
     for (std::size_t n : {63, 64, 65, 80, 96, 255, 1024}) {
-        auto xs = biasedPool<Fr>(n, n * 31);
+        auto xs = testpool::biasedPool<Fr>(n, n * 31);
         for (std::size_t i = 0; i < n; i += 17)
             xs[i] = Fr::zero();
         std::vector<Fr> serial = xs, blocked = xs;

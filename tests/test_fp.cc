@@ -1,14 +1,19 @@
 /**
  * @file
  * Prime-field tests, typed over every field GZKP-CPP supports
- * (BN254, BLS12-381, MNT4753-sim; scalar and base fields each).
+ * (BN254, BLS12-381, MNT4753-sim; scalar and base fields each),
+ * including the differential check of Fp's branch-free kernels
+ * against the generic oracle.
  */
 
 #include <gtest/gtest.h>
 
 #include <random>
+#include <vector>
 
 #include "ff/field_tags.hh"
+#include "ff/simd/mont_scalar.hh"
+#include "field_pool.hh"
 
 using namespace gzkp::ff;
 
@@ -249,4 +254,125 @@ TYPED_TEST(FpTest, FromBigIntRejectsNonCanonical)
     Repr pm1;
     Repr::sub(F::modulus(), Repr::one(), pm1);
     EXPECT_EQ(F::fromBigInt(pm1).toBigInt(), pm1);
+}
+
+// --- Fp's kernels against the generic oracle ---
+//
+// Fp's operators run the branch-free kernels of ff/fp_kernels.hh on
+// compile-time constants. The oracle is the generic CIOS loop
+// (simd::montMulLimbs) and modAdd / modSub on raw limbs, driven by the
+// run-time constants of makeMontParams. Each result is a canonical
+// residue, so the two must agree limb for limb.
+
+template <typename F>
+class FpKernels : public ::testing::Test
+{
+};
+TYPED_TEST_SUITE(FpKernels, AllFields);
+
+TYPED_TEST(FpKernels, ConstantsMatchMakeMontParams)
+{
+    using F = TypeParam;
+    const auto &pp = F::params();
+    EXPECT_EQ(F::kModulus, pp.modulus);
+    EXPECT_EQ(F::kInv, pp.inv);
+    EXPECT_EQ(F::kR1, pp.r1);
+    EXPECT_EQ(F::kR2, pp.r2);
+    EXPECT_EQ(F::bits(), pp.bits);
+    EXPECT_EQ(F::one().raw(), pp.r1);
+    // Independently of how both were derived: inv * p = -1 mod 2^64,
+    // and the oracle's Montgomery reduction maps R^2 to R and R to 1.
+    EXPECT_EQ(F::kInv * F::kModulus.limbs[0], ~std::uint64_t(0));
+    auto redc = [&](const typename F::Repr &x) {
+        typename F::Repr r, one = F::Repr::one();
+        gzkp::ff::simd::montMulLimbs<F::kLimbs>(
+            r.limbs.data(), x.limbs.data(), one.limbs.data(),
+            F::kModulus.limbs.data(), F::kInv);
+        return r;
+    };
+    EXPECT_EQ(redc(F::kR2), F::kR1);
+    EXPECT_EQ(redc(F::kR1), F::Repr::one());
+}
+
+namespace {
+
+/** Compare every kernel on (a, b) with the oracle; false on the
+ *  first mismatch, naming the op. */
+template <typename F>
+::testing::AssertionResult
+kernelsMatchOracle(const F &a, const F &b)
+{
+    using Repr = typename F::Repr;
+    const auto &pp = F::params();
+    const Repr &p = pp.modulus;
+    auto mont = [&](const Repr &x, const Repr &y) {
+        Repr r;
+        gzkp::ff::simd::montMulLimbs<F::kLimbs>(
+            r.limbs.data(), x.limbs.data(), y.limbs.data(),
+            p.limbs.data(), pp.inv);
+        return r;
+    };
+    const Repr &x = a.raw(), &y = b.raw();
+    struct Row {
+        const char *op;
+        Repr got, want;
+    };
+    const Row rows[] = {
+        {"*", (a * b).raw(), mont(x, y)},
+        {"squared", a.squared().raw(), mont(x, x)},
+        {"+", (a + b).raw(), modAdd(x, y, p)},
+        {"-", (a - b).raw(), modSub(x, y, p)},
+        {"unary -", (-a).raw(), modSub(Repr::zero(), x, p)},
+        {"dbl", a.dbl().raw(), modAdd(x, x, p)},
+    };
+    for (const Row &r : rows)
+        if (r.got != r.want)
+            return ::testing::AssertionFailure()
+                   << r.op << " on " << x.toHex() << ", " << y.toHex()
+                   << ": kernel " << r.got.toHex() << ", oracle "
+                   << r.want.toHex();
+    return ::testing::AssertionSuccess();
+}
+
+} // namespace
+
+TYPED_TEST(FpKernels, BoundaryPairsMatchOracle)
+{
+    using F = TypeParam;
+    auto pool = gzkp::testpool::boundaryPool<F>();
+    for (const F &a : pool)
+        for (const F &b : pool)
+            ASSERT_TRUE(kernelsMatchOracle(a, b));
+}
+
+TYPED_TEST(FpKernels, RandomPairsMatchOracle)
+{
+    using F = TypeParam;
+    std::mt19937_64 rng(99);
+    for (int i = 0; i < 1000; ++i)
+        ASSERT_TRUE(kernelsMatchOracle(F::random(rng), F::random(rng)));
+}
+
+// a + b == p exactly: the sum is 0 after the final subtraction, and a
+// sum one short of p is kept as is.
+TYPED_TEST(FpKernels, SumsLandingOnModulusMatchOracle)
+{
+    using F = TypeParam;
+    using Repr = typename F::Repr;
+    std::mt19937_64 rng(7);
+    auto pool = gzkp::testpool::boundaryPool<F>();
+    for (int i = 0; i < 100; ++i)
+        pool.push_back(F::random(rng));
+    for (const F &a : pool) {
+        if (a.isZero())
+            continue; // p itself is not a field element
+        Repr rest;
+        Repr::sub(F::modulus(), a.raw(), rest); // p - a, in [1, p)
+        F b = F::fromRaw(rest);
+        ASSERT_TRUE((a + b).isZero());
+        ASSERT_TRUE(kernelsMatchOracle(a, b));
+        Repr short_by_one;
+        Repr::sub(rest, Repr::one(), short_by_one); // a + b == p - 1
+        ASSERT_TRUE(kernelsMatchOracle(a, F::fromRaw(short_by_one)));
+    }
 }

@@ -302,6 +302,39 @@ TEST(ServiceCache, OverBudgetArtifactIsMissUnderPressure)
     EXPECT_EQ(st.bytesInUse, 0u);
 }
 
+/**
+ * The budget is fixed and the artifact size follows from the key, so
+ * an over-budget key is refused from then on without running the
+ * builder again: the second call is a miss and an overBudget, not a
+ * build, and returns the same typed error.
+ */
+TEST(ServiceCache, OverBudgetKeyIsRefusedWithoutBuilding)
+{
+    std::uint64_t h1 = service::pkContentHash<Bn254Family>(fx().k1.pk);
+    Cache cache(1); // nothing fits
+    int builder_runs = 0;
+    auto build = [&] {
+        ++builder_runs;
+        return service::buildCircuitArtifacts<Bn254Family>(
+            fx().k1.pk, h1, 2);
+    };
+    auto first = cache.getOrBuild(h1, build);
+    bool hit = true;
+    auto second = cache.getOrBuild(h1, build, &hit);
+    EXPECT_EQ(builder_runs, 1);
+    ASSERT_FALSE(first.isOk());
+    ASSERT_FALSE(second.isOk());
+    EXPECT_EQ(first.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(second.status().code(), StatusCode::kResourceExhausted);
+    EXPECT_EQ(second.status().toString(), first.status().toString());
+    EXPECT_FALSE(hit);
+    Cache::Stats st = cache.stats();
+    EXPECT_EQ(st.builds, 1u);
+    EXPECT_EQ(st.misses, 2u);
+    EXPECT_EQ(st.overBudget, 2u);
+    EXPECT_EQ(st.entries, 0u);
+}
+
 // ------------------------------------------------- service front end
 
 /**

@@ -536,9 +536,12 @@ TEST(ServiceOverload, BreakerLearnsAcrossRequests)
 
 /**
  * Only the GZKP tier reads the cached artifacts, so while its breaker
- * is open a cache miss builds nothing. The kernel fault leaves the
- * build itself healthy, and a one-byte budget keeps every build out of
- * the cache, so `builds` counts exactly the builds the service ran.
+ * is open a cache miss builds nothing. A persistent kernel fault fails
+ * every GZKP attempt, and a persistent alloc fault at
+ * "service.cache.build" fails every build at its first step, so a
+ * request fires a probe only when it attempts a build or a GZKP
+ * prove. The budget fits the artifacts, so the cache's memory of
+ * over-budget keys plays no part.
  */
 TEST(ServiceOverload, OpenGzkpBreakerDefersArtifactBuilds)
 {
@@ -546,14 +549,16 @@ TEST(ServiceOverload, OpenGzkpBreakerDefersArtifactBuilds)
     plan.seed = 0xB0;
     plan.arms.push_back({faultsim::FaultKind::Launch, "msm.gzkp.kernel",
                          1, 0}); // persistent, prove-time only
+    plan.arms.push_back({faultsim::FaultKind::Alloc, "service.cache.build",
+                         1, 0}); // persistent: every build fails
     faultsim::ScopedFaultPlan guard(plan);
 
-    auto opt = baseOptions();
-    opt.cacheBytes = 1;
-    auto svc = service::makeBn254ProofService(opt);
+    auto svc = service::makeBn254ProofService(baseOptions());
     auto id = svc->registerCircuit(fx().keys.pk, fx().keys.vk,
                                    fx().builder.cs());
+    std::vector<std::uint64_t> fired;
     for (std::uint64_t i = 0; i < 6; ++i) {
+        std::uint64_t before = faultsim::firedCount();
         auto admitted = svc->submit(makeRequest(id, 500 + i));
         ASSERT_TRUE(admitted.isOk());
         svc->drain();
@@ -562,17 +567,24 @@ TEST(ServiceOverload, OpenGzkpBreakerDefersArtifactBuilds)
         EXPECT_TRUE(res.cacheBypass);
         EXPECT_TRUE(
             zkp::verifyBn254(fx().keys.vk, *res.proof, fx().pub));
+        fired.push_back(faultsim::firedCount() - before);
     }
     Service::Stats st = svc->stats();
     EXPECT_EQ(st.health[zkp::ProverBackend::Gzkp].state,
               BreakerState::Open);
     EXPECT_EQ(st.cache.misses, 6u);
-    // Requests 1 and 2 build (and fail both gzkp attempts each, which
-    // opens the breaker at its fourth windowed failure); requests 3-6
-    // find it open and defer.
-    EXPECT_EQ(st.cache.builds, 2u);
-    EXPECT_EQ(st.cache.overBudget, 2u);
+    EXPECT_EQ(st.cache.builds, 0u);
+    EXPECT_EQ(st.cache.buildFailures, 6u); // 2 failed, 4 deferred
     EXPECT_EQ(st.cacheBypasses, 6u);
+    // Requests 1 and 2 find the breaker closed: each attempts the
+    // build (one alloc fire) and fails both gzkp attempts (launch
+    // fires), which opens the breaker at its fourth windowed failure.
+    // Requests 3-6 find it open: they neither build nor try gzkp, so
+    // no probe fires.
+    EXPECT_GE(fired[0], 2u);
+    EXPECT_GE(fired[1], 2u);
+    for (std::size_t i = 2; i < fired.size(); ++i)
+        EXPECT_EQ(fired[i], 0u) << "request " << i + 1;
 }
 
 // ------------------------------------------------------------ shutdown
