@@ -6,9 +6,9 @@
  *     bench_service_soak [--seconds=6] [--constraints=10] [--smoke]
  *                        [--out=BENCH_service_soak.json]
  *
- * Four scenarios, each an independent service fed seeded-exponential
- * open-loop arrivals (the arrival clock does not wait for
- * completions, so queue pressure is real):
+ * Four scenarios, each an independent service. The first three are
+ * fed seeded-exponential open-loop arrivals (the arrival clock does
+ * not wait for completions, so queue pressure is real):
  *
  *   baseline          healthy backends, deadlines ~8x the calibrated
  *                     prove cost.
@@ -21,10 +21,13 @@
  *                     demoting to serial. The p99 gap between these
  *                     two scenarios is the graceful-degradation
  *                     acceptance number.
- *   fairness          2x-capacity saturation from two tenants with
- *                     10:1 weights and no deadlines; the completed-
- *                     proof ratio must land within 2x of the weight
- *                     ratio (in [5, 20]).
+ *   fairness          two tenants with 10:1 weights and no
+ *                     deadlines, each kept saturated: every
+ *                     millisecond both queues are topped up until
+ *                     their per-tenant bound rejects, so neither
+ *                     runs dry whatever the calibrated cost. The
+ *                     completed-proof ratio must land within 2x of
+ *                     the weight ratio (in [5, 20]).
  *
  * Per scenario: p50/p99/p999 end-to-end latency, goodput, shed rate,
  * per-tenant goodput, breaker opens, skipped backends -- one JSON file
@@ -107,6 +110,13 @@ struct ScenarioSpec {
         full drain would serve every queued request and wash the
         tenant weights back out of the totals. */
     bool windowStats = false;
+    /** Replace the open-loop arrivals with saturation: every
+        kSaturatePoll, submit to each tenant until its per-tenant
+        bound rejects. At 50/50 open-loop arrivals a tenant weighted
+        10:1 is offered about its own service share, so when the
+        calibration overstates the prove cost its queue runs empty
+        and the other tenant takes the slack. */
+    bool saturate = false;
 };
 
 struct Workload {
@@ -122,8 +132,13 @@ struct Workload {
     }
 };
 
+/** Poll interval of a saturating scenario: well under one prove, so a
+    tenant's queue of several requests never drains between polls. */
+constexpr std::chrono::milliseconds kSaturatePoll{1};
+
 /** Seeded open-loop run: exponential inter-arrivals, round-robin-ish
-    random tenant choice, hard deadline per request when configured. */
+    random tenant choice, hard deadline per request when configured;
+    or, with spec.saturate, every tenant kept at its queue bound. */
 ScenarioResult
 runScenario(const Workload &w, const ScenarioSpec &spec,
             std::uint64_t seed)
@@ -162,19 +177,13 @@ runScenario(const Workload &w, const ScenarioSpec &spec,
     double t0 = now();
     double nextArrival = t0;
     std::uint64_t reqSeed = 0;
-    while (true) {
-        nextArrival += -std::log(uniform()) / spec.ratePerSec;
-        if (nextArrival - t0 > spec.seconds)
-            break;
-        double sleep = nextArrival - now();
-        if (sleep > 0)
-            std::this_thread::sleep_for(
-                std::chrono::duration<double>(sleep));
+    // Submits one request; false when admission rejects it.
+    auto arrive = [&](std::uint64_t tenant) {
         Service::Request req;
         req.circuit = id;
         req.witness = w.builder.assignment();
         req.seed = testkit::deriveSeed(seed, ++reqSeed);
-        req.tenant = rng() % spec.tenants;
+        req.tenant = tenant;
         if (spec.deadlineSeconds > 0)
             req.timeout = std::chrono::milliseconds(
                 std::int64_t(spec.deadlineSeconds * 1e3));
@@ -182,9 +191,29 @@ runScenario(const Workload &w, const ScenarioSpec &spec,
         auto admitted = svc->submit(std::move(req));
         if (!admitted.isOk()) {
             ++out.shedSubmit;
-            continue;
+            return false;
         }
         inflight.push_back(std::move(*admitted));
+        return true;
+    };
+    if (spec.saturate) {
+        while (now() - t0 <= spec.seconds) {
+            for (std::uint64_t t = 0; t < spec.tenants; ++t)
+                while (arrive(t)) {
+                }
+            std::this_thread::sleep_for(kSaturatePoll);
+        }
+    } else {
+        while (true) {
+            nextArrival += -std::log(uniform()) / spec.ratePerSec;
+            if (nextArrival - t0 > spec.seconds)
+                break;
+            double sleep = nextArrival - now();
+            if (sleep > 0)
+                std::this_thread::sleep_for(
+                    std::chrono::duration<double>(sleep));
+            arrive(rng() % spec.tenants);
+        }
     }
     Service::Stats atWindowEnd = svc->stats();
     if (spec.windowStats)
@@ -380,11 +409,11 @@ main(int argc, char **argv)
         s.trainSeconds = mu;
         results.push_back(runScenario(w, s, 0xB1));
     }
-    { // 10:1 fair share at 2x capacity, no deadlines
+    { // 10:1 fair share, both tenants saturated, no deadlines
         ScenarioSpec s;
         s.name = "fairness";
         s.seconds = seconds;
-        s.ratePerSec = 2.0 * capacity;
+        s.saturate = true;
         s.deadlineSeconds = 0;
         s.opt = common();
         s.opt.maxQueueDepth = 64;

@@ -23,6 +23,8 @@ struct Bn254G1Cfg {
     using Field = ff::Bn254Fq;
     using Scalar = ff::Bn254Fr;
     static constexpr bool kAZero = true;
+    /** #E(Fq) == r: every on-curve point is in the order-r group. */
+    static constexpr bool kCofactorOne = true;
     static Field a() { return Field::zero(); }
     static Field b() { return Field::fromUint64(3); }
     static Field genX() { return Field::one(); }
@@ -40,6 +42,7 @@ struct Bn254G2Cfg {
     using Field = ff::Bn254Fp2;
     using Scalar = ff::Bn254Fr;
     static constexpr bool kAZero = true;
+    static constexpr bool kCofactorOne = false;
     static Field a() { return Field::zero(); }
     static Field
     b()
@@ -79,6 +82,7 @@ struct Bls381G1Cfg {
     using Field = ff::Bls381Fq;
     using Scalar = ff::Bls381Fr;
     static constexpr bool kAZero = true;
+    static constexpr bool kCofactorOne = false;
     static Field a() { return Field::zero(); }
     static Field b() { return Field::fromUint64(4); }
     static Field
@@ -111,6 +115,8 @@ struct Mnt4753G1Cfg {
     using Field = ff::Mnt4753Fq;
     using Scalar = ff::Mnt4753Fr;
     static constexpr bool kAZero = false;
+    /** The synthetic curve's group order is not established. */
+    static constexpr bool kCofactorOne = false;
     static Field a() { return Field::fromUint64(2); }
     static Field b() { return Field::fromUint64(5); }
     static Field genX() { return Field::fromUint64(4); }

@@ -14,6 +14,7 @@
  *       using Field  = ...;  // coordinate field
  *       using Scalar = ...;  // scalar field Fr
  *       static constexpr bool kAZero = ...; // a() == 0
+ *       static constexpr bool kCofactorOne = ...; // #E == r
  *       static Field a();    // short Weierstrass a4
  *       static Field b();    // short Weierstrass a6
  *       static Field genX(); // affine generator
@@ -288,11 +289,12 @@ operator*(const gzkp::ff::BigInt<M> &k, const ECPoint<Cfg> &p)
 /**
  * True when p lies on the curve AND in the order-r subgroup (r =
  * Cfg::Scalar's modulus), checked as r * P == identity. For curves
- * with cofactor 1 (BN254 G1) the subgroup check is implied by
- * on-curve, but G2 groups have large cofactors and an on-curve
- * point outside the r-subgroup enables small-subgroup confinement
- * attacks on the pairing argument -- every externally supplied point
- * must pass this before it is used in verification.
+ * with cofactor 1 (Cfg::kCofactorOne, BN254 G1) the subgroup check
+ * is implied by on-curve and the r * P product is skipped, but G2
+ * groups have large cofactors and an on-curve point outside the
+ * r-subgroup enables small-subgroup confinement attacks on the
+ * pairing argument -- every externally supplied point must pass this
+ * before it is used in verification.
  */
 template <typename Cfg>
 bool
@@ -300,6 +302,8 @@ inPrimeSubgroup(const AffinePoint<Cfg> &p)
 {
     if (!p.onCurve())
         return false;
+    if constexpr (Cfg::kCofactorOne)
+        return true;
     return ECPoint<Cfg>::fromAffine(p)
         .mul(Cfg::Scalar::modulus())
         .isZero();

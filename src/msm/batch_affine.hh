@@ -20,10 +20,11 @@
  *    (x1 == x2, y1 == y2), falls back to a per-slot *Jacobian side
  *    accumulator* -- graceful degradation, never a stall;
  *  - a cancellation (x1 == x2, y1 == -y2) just clears the slot;
- *  - when kBatch adds are staged, one ff::batchInverse over the
- *    staged denominators resolves the whole round with cheap affine
- *    chord additions, and the chord formulas themselves run as
- *    batched field ops through the dispatched vector kernels;
+ *  - when kBatch adds (or the caller's round size) are staged, one
+ *    ff::batchInverse over the staged denominators resolves the
+ *    whole round with cheap affine chord additions, and the chord
+ *    formulas themselves run as batched field ops through the
+ *    dispatched vector kernels;
  *  - a *small* final round (fewer than kMinAffineRound staged adds,
  *    the tail a window drain leaves behind) is cheaper as plain
  *    Jacobian mixed adds than as a shared inversion whose fixed cost
@@ -100,7 +101,14 @@ class BatchAffineAccumulator
     static constexpr std::size_t kMinAffineRound =
         std::size_t(kInversionMuls / (kMixedAddMuls - kChordMuls));
 
-    explicit BatchAffineAccumulator(std::size_t slots = 0)
+    /**
+     * `batch` is the staged-add count that triggers an in-feed flush.
+     * A caller that flushes at its own round boundaries passes its
+     * round size, so the in-feed flush never splits a round.
+     */
+    explicit BatchAffineAccumulator(std::size_t slots = 0,
+                                    std::size_t batch = kBatch)
+        : batch_(batch)
     {
         reset(slots);
     }
@@ -117,8 +125,8 @@ class BatchAffineAccumulator
         epoch_ = 1;
         staged_.clear();
         denoms_.clear();
-        staged_.reserve(kBatch);
-        denoms_.reserve(kBatch);
+        staged_.reserve(batch_);
+        denoms_.reserve(batch_);
     }
 
     /** Queue `slot += p`; may trigger a round flush. */
@@ -154,7 +162,7 @@ class BatchAffineAccumulator
         staged_.push_back({slot, p});
         denoms_.push_back(p.x - acc.x);
         ++affineAdds_;
-        if (staged_.size() >= kBatch)
+        if (staged_.size() >= batch_)
             flush();
     }
 
@@ -284,6 +292,7 @@ class BatchAffineAccumulator
         Affine p;
     };
 
+    std::size_t batch_;
     std::vector<Affine> cur_;
     std::vector<Point> side_;
     std::vector<std::uint32_t> claimed_;

@@ -49,6 +49,37 @@ windowDigit(const ff::BigInt<M> &s, std::size_t t, std::size_t k)
     return s.bits(t * k, k);
 }
 
+/** A window digit of the signed recoding: magnitude and sign. */
+struct SignedDigit {
+    std::uint64_t mag;
+    bool neg;
+};
+
+/**
+ * One step of the signed-digit recoding, windows taken low to high:
+ * the unsigned digit `raw` plus the incoming `carry` maps to a digit
+ * in (-2^(k-1), 2^(k-1)], and `carry` becomes the carry into the next
+ * window. The digits reconstruct the scalar exactly when the last
+ * window carries nothing out, which holds whenever the scalar is
+ * below 2^(windows*k - 1): signedWindowCount() leaves that spare bit.
+ */
+inline SignedDigit
+signedDigit(std::uint64_t raw, std::uint64_t &carry, std::size_t k)
+{
+    std::uint64_t v = raw + carry;
+    carry = v > (std::uint64_t(1) << (k - 1)) ? 1 : 0;
+    if (carry)
+        return {(std::uint64_t(1) << k) - v, true};
+    return {v, false};
+}
+
+/** Windows for the signed recoding of an l-bit scalar (one spare bit). */
+inline std::size_t
+signedWindowCount(std::size_t scalar_bits, std::size_t k)
+{
+    return windowCount(scalar_bits + 1, k);
+}
+
 /** Convert scalars to standard (non-Montgomery) form once. */
 template <typename Scalar>
 std::vector<typename Scalar::Repr>

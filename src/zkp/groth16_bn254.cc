@@ -18,7 +18,7 @@ verifyBn254(const Groth16<Bn254Family>::VerifyingKey &vk,
     // point off the curve breaks the curve arithmetic's assumptions,
     // and an on-curve G2 point outside the order-r subgroup admits
     // small-subgroup confinement of e(A, B). G1 has cofactor 1, so
-    // its subgroup check reduces to on-curve plus r*P == 0 hygiene.
+    // its subgroup check is the on-curve check alone (kCofactorOne).
     if (!ec::inPrimeSubgroup(proof.a) || !ec::inPrimeSubgroup(proof.b) ||
         !ec::inPrimeSubgroup(proof.c))
         return false;

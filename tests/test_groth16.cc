@@ -379,6 +379,33 @@ TEST_F(Groth16Bn254, SelfCheckRejectsBadPointsThroughVerifier)
     }
 }
 
+TEST_F(Groth16Bn254, RandomOnCurveG1PointsPassTheProductCheck)
+{
+    // inPrimeSubgroup skips r * P on BN254 G1 (kCofactorOne). Back
+    // that up: points found by solving the curve equation at random
+    // x, with no reference to the generator, all satisfy r * P == 0.
+    using Cfg = Bn254Family::G1Cfg;
+    using Fq = Cfg::Field;
+    static_assert(Cfg::kCofactorOne);
+    static_assert(!Bn254Family::G2Cfg::kCofactorOne);
+    static_assert(!ec::Bls381G1Cfg::kCofactorOne);
+    static_assert(!ec::Mnt4753G1Cfg::kCofactorOne);
+    std::size_t found = 0;
+    while (found < 64) {
+        Fq x = Fq::random(rng);
+        Fq rhs = x.squared() * x + Cfg::b();
+        if (rhs.legendre() != 1)
+            continue;
+        ec::AffinePoint<Cfg> p(x, rhs.sqrt());
+        ASSERT_TRUE(p.onCurve());
+        EXPECT_TRUE(G16::G1::fromAffine(p)
+                        .mul(Cfg::Scalar::modulus())
+                        .isZero());
+        EXPECT_TRUE(ec::inPrimeSubgroup(p));
+        ++found;
+    }
+}
+
 TEST_F(Groth16Bn254, G1SubgroupCheckMatchesOnCurve)
 {
     // BN254 G1 has cofactor 1: every on-curve point is in the

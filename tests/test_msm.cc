@@ -2,16 +2,19 @@
  * @file
  * MSM tests: every variant (serial Pippenger, Straus, bellperson-
  * like, GZKP in both checkpoint modes) against the naive PMUL-sum
- * oracle, over dense, sparse, and adversarial scalar vectors; plus
- * the workload-management and memory-model behaviours of Section 4.
+ * oracle, over dense, sparse, and adversarial scalar vectors; the
+ * workload-management and memory-model behaviours of Section 4; and
+ * the GZKP engine's signed-digit recoding at its corners.
  */
 
 #include <gtest/gtest.h>
 
 #include <numeric>
 #include <random>
+#include <string>
 
 #include "ec/curves.hh"
+#include "ec/glv.hh"
 #include "msm/msm_bellperson.hh"
 #include "msm/msm_gzkp.hh"
 #include "msm/msm_serial.hh"
@@ -359,4 +362,219 @@ TEST(Msm, GzkpBeatsBellpersonInModel)
                                      gpusim::Backend::FpuLib);
     EXPECT_GT(tb / tg, 3.0);
     EXPECT_LT(tb / tg, 20.0);
+}
+
+// ------------------------------------------------ signed-digit buckets
+
+namespace {
+
+/**
+ * The signed digits of `s` over `windows` windows of k bits, checked
+ * to reconstruct s exactly: sum_t d_t * 2^(t*k) == s, every digit in
+ * (-2^(k-1), 2^(k-1)], and no carry out of the top window.
+ */
+template <std::size_t N>
+void
+expectSignedDigitsReconstruct(const ff::BigInt<N> &s, std::size_t windows,
+                              std::size_t k, const std::string &what)
+{
+    using Wide = ff::BigInt<N + 1>;
+    Wide pos, neg;
+    std::uint64_t carry = 0;
+    const std::uint64_t half = std::uint64_t(1) << (k - 1);
+    for (std::size_t t = 0; t < windows; ++t) {
+        SignedDigit d = signedDigit(windowDigit(s, t, k), carry, k);
+        ASSERT_TRUE(d.neg ? d.mag < half : d.mag <= half)
+            << what << " window " << t;
+        Wide term = Wide::fromUint64(d.mag).shl(t * k);
+        if (d.neg)
+            Wide::add(neg, term, neg);
+        else
+            Wide::add(pos, term, pos);
+    }
+    EXPECT_EQ(carry, 0u) << what;
+    Wide diff;
+    Wide::sub(pos, neg, diff);
+    EXPECT_EQ(diff, s.template resize<N + 1>()) << what;
+}
+
+/**
+ * Scalars that stress the recoding in every window: 0, 1 and r - 1;
+ * each window's digit exactly 2^(k-1) (the positive edge, no carry),
+ * 2^(k-1) + 1 (the first negative digit, carrying), and 2^k - 1 (a
+ * run of all-ones windows, carrying through every window); the same
+ * patterns offset by 2^(k-1) - 1 so the carry meets an edge digit;
+ * then random fill.
+ */
+template <typename S>
+std::vector<S>
+signedDigitCorners(std::size_t k, std::size_t random, std::uint64_t seed)
+{
+    std::vector<S> out = {S::zero(), S::one(), -S::one()};
+    std::uint64_t half = std::uint64_t(1) << (k - 1);
+    S base = S::fromUint64(std::uint64_t(1) << k);
+    // Whole windows that stay below the modulus.
+    std::size_t reps = (S::bits() - 1) / k;
+    for (std::uint64_t digit :
+         {half, half + 1, (std::uint64_t(1) << k) - 1}) {
+        S x = S::zero();
+        for (std::size_t t = 0; t < reps; ++t)
+            x = x * base + S::fromUint64(digit);
+        out.push_back(x);
+        out.push_back(x + S::fromUint64(half - 1));
+        out.push_back(S::fromUint64(digit));
+    }
+    std::mt19937_64 rng(seed);
+    for (std::size_t i = 0; i < random; ++i)
+        out.push_back(S::random(rng));
+    return out;
+}
+
+} // namespace
+
+TEST(SignedDigits, WindowCountGainsOneOnlyWhenWidthIsMultipleOfK)
+{
+    for (std::size_t k = 2; k <= 18; ++k) {
+        for (std::size_t bits :
+             {ff::Bn254Fr::bits(), ff::Bls381Fr::bits(),
+              ff::Mnt4753Fr::bits(),
+              ec::Glv<Bn254G1Cfg>::kScalarBits}) {
+            EXPECT_EQ(signedWindowCount(bits, k),
+                      windowCount(bits, k) + (bits % k == 0 ? 1 : 0))
+                << "bits=" << bits << " k=" << k;
+        }
+    }
+    // The cases that gain a window at k in [2, 18].
+    EXPECT_EQ(ff::Bn254Fr::bits() % 2, 0u);
+    EXPECT_EQ(ff::Bls381Fr::bits() % 15, 0u);
+    EXPECT_EQ(ff::Bls381Fr::bits() % 17, 0u);
+    EXPECT_EQ(ff::Mnt4753Fr::bits() % 3, 0u);
+}
+
+TEST(SignedDigits, RecodingReconstructsScalar)
+{
+    using G = ec::Glv<Bn254G1Cfg>;
+    for (std::size_t k = 2; k <= 18; ++k) {
+        std::string kk = "k=" + std::to_string(k);
+        // Full-width scalars over the signed window count.
+        for (const Fr &s : signedDigitCorners<Fr>(k, 16, 300 + k))
+            expectSignedDigitsReconstruct(
+                s.toBigInt(), signedWindowCount(Fr::bits(), k), k,
+                "bn254 " + kk);
+        for (const auto &s :
+             signedDigitCorners<ff::Bls381Fr>(k, 8, 400 + k))
+            expectSignedDigitsReconstruct(
+                s.toBigInt(),
+                signedWindowCount(ff::Bls381Fr::bits(), k), k,
+                "bls12_381 " + kk);
+        for (const auto &s :
+             signedDigitCorners<ff::Mnt4753Fr>(k, 4, 500 + k))
+            expectSignedDigitsReconstruct(
+                s.toBigInt(),
+                signedWindowCount(ff::Mnt4753Fr::bits(), k), k,
+                "mnt4753 " + kk);
+        // GLV halves over the table's ceil(132 / k) windows, and the
+        // largest magnitudes the 2^130 bound allows.
+        std::size_t glvWindows = windowCount(G::kScalarBits, k);
+        for (const Fr &s : signedDigitCorners<Fr>(k, 16, 600 + k)) {
+            auto d = G::decompose(s);
+            expectSignedDigitsReconstruct(d.k1, glvWindows, k,
+                                          "glv k1 " + kk);
+            expectSignedDigitsReconstruct(d.k2, glvWindows, k,
+                                          "glv k2 " + kk);
+        }
+        Fr::Repr top;
+        top.setBit(130);
+        Fr::Repr::sub(top, Fr::Repr::one(), top); // 2^130 - 1
+        expectSignedDigitsReconstruct(top, glvWindows, k,
+                                      "glv 2^130-1 " + kk);
+    }
+}
+
+namespace {
+
+/**
+ * GzkpMsm on the signed-digit corner scalars against serial Pippenger,
+ * across both checkpoint modes, both accumulators (the affine drain
+ * forced on at these small sizes), M in {1, 2, windows} and threads
+ * {1, 4}.
+ */
+template <typename C>
+void
+expectGzkpCornersMatchSerial(std::size_t k, GlvMode glv,
+                             std::size_t random)
+{
+    using S = typename C::Scalar;
+    auto scalars = signedDigitCorners<S>(k, random, 700 + k);
+    auto points = testkit::msmInstance<C>(scalars.size(),
+                                          testkit::ScalarMix::Dense,
+                                          800 + k)
+                      .points;
+    auto expect =
+        PippengerSerial<C>(0, 1, Accumulator::Jacobian, GlvMode::Off)
+            .run(points, scalars);
+    bool useGlv = ec::Glv<C>::kEnabled && glv == GlvMode::On;
+    std::size_t windows = useGlv
+        ? windowCount(ec::Glv<C>::kScalarBits, k)
+        : signedWindowCount(S::bits(), k);
+    struct Path {
+        CheckpointMode mode;
+        Accumulator acc;
+    };
+    for (std::size_t m : {std::size_t(1), std::size_t(2), windows}) {
+        typename GzkpMsm<C>::Options o;
+        o.k = k;
+        o.checkpointM = m;
+        o.glv = glv;
+        o.minDrainOccupancy = 0;
+        auto pp = GzkpMsm<C>(o).preprocess(points);
+        EXPECT_EQ(pp.windows, windows);
+        for (Path path :
+             {Path{CheckpointMode::Horner, Accumulator::Jacobian},
+              Path{CheckpointMode::Horner, Accumulator::BatchAffine},
+              Path{CheckpointMode::PerPoint, Accumulator::Jacobian}}) {
+            o.mode = path.mode;
+            o.accumulator = path.acc;
+            for (std::size_t threads : {1, 4}) {
+                o.threads = threads;
+                EXPECT_EQ(GzkpMsm<C>(o).run(pp, scalars), expect)
+                    << C::name() << " k=" << k << " glv=" << useGlv
+                    << " mode=" << int(path.mode)
+                    << " acc=" << int(path.acc) << " M=" << m
+                    << " threads=" << threads;
+            }
+        }
+    }
+}
+
+} // namespace
+
+// Every width that is a multiple of k gains the recoding's spare
+// window: BN254 Fr at k = 2, BLS12-381 Fr at 3, 5, 15 and 17,
+// MNT4753-sim Fr at 3.
+TEST(SignedDigits, GzkpCornersMatchSerialOnGainedWindowBn254)
+{
+    expectGzkpCornersMatchSerial<Bn254G1Cfg>(2, GlvMode::Off, 2);
+}
+
+TEST(SignedDigits, GzkpCornersMatchSerialOnGainedWindowBls381)
+{
+    for (std::size_t k : {3, 5, 15, 17})
+        expectGzkpCornersMatchSerial<Bls381G1Cfg>(k, GlvMode::Off, 2);
+}
+
+TEST(SignedDigits, GzkpCornersMatchSerialOnGainedWindowMnt4753)
+{
+    expectGzkpCornersMatchSerial<Mnt4753G1Cfg>(3, GlvMode::Off, 0);
+}
+
+TEST(SignedDigits, GzkpCornersMatchSerialAtServiceWindows)
+{
+    // The service's windows (k = 10 and 13) with GLV on, the same
+    // windows without GLV, and the smallest window under GLV.
+    for (std::size_t k : {2, 10, 13})
+        expectGzkpCornersMatchSerial<Bn254G1Cfg>(k, GlvMode::On, 4);
+    for (std::size_t k : {10, 13})
+        expectGzkpCornersMatchSerial<Bn254G1Cfg>(k, GlvMode::Off, 4);
+    expectGzkpCornersMatchSerial<Bn254G2Cfg>(10, GlvMode::On, 2);
 }
