@@ -447,18 +447,30 @@ class Groth16
      * MSM policy over cached tables: run() with the exact engine
      * configuration GzkpMsmPolicy builds (Options defaults + thread
      * share), so warm and cold paths compute bit-identical points.
+     * Without preprocessing, the bucket phase is most of a run, so
+     * its task groups bound the threads an MSM can use (taskGroups();
+     * the other policies scale with their share).
      */
     struct CachedMsm {
+        template <typename Pre>
+        using CfgOf = std::conditional_t<
+            std::is_same_v<Pre, typename MsmArtifacts::G1Pre>,
+            typename Family::G1Cfg, typename Family::G2Cfg>;
+
         template <typename Pre>
         static auto
         msm(const Pre &pp, const std::vector<Fr> &scalars, std::size_t t)
         {
-            using Cfg = std::conditional_t<
-                std::is_same_v<Pre, typename MsmArtifacts::G1Pre>,
-                typename Family::G1Cfg, typename Family::G2Cfg>;
-            typename msm::GzkpMsm<Cfg>::Options o;
+            typename msm::GzkpMsm<CfgOf<Pre>>::Options o;
             o.threads = t;
-            return msm::GzkpMsm<Cfg>(o).run(pp, scalars);
+            return msm::GzkpMsm<CfgOf<Pre>>(o).run(pp, scalars);
+        }
+
+        template <typename Pre>
+        static std::size_t
+        taskGroups(const Pre &pp)
+        {
+            return msm::GzkpMsm<CfgOf<Pre>>().taskGroups(pp);
         }
     };
 
@@ -493,8 +505,9 @@ class Groth16
 
     /**
      * The one planned path under every entry point: plan the five MSMs
-     * (and POLY, when `poly` is set) on the resolved budget, then run
-     * the plan's waves through parallelInvoke with its shares. `h` is
+     * (and POLY, when `poly` is set) on the resolved budget and the
+     * engine's task groups, when it reports them, then run the plan's
+     * waves through parallelInvoke with its shares. `h` is
      * read only by the h task, after POLY when POLY is in the plan.
      */
     template <typename Engine, typename Sources>
@@ -509,10 +522,15 @@ class Groth16
         if (poly)
             polyCost = kPolyCostPerDomainPoint *
                 double(std::size_t(1) << pk.domainLog);
+        MsmGroups groups{};
+        if constexpr (requires { Engine::taskGroups(src.a); })
+            groups = {Engine::taskGroups(src.a), Engine::taskGroups(src.b2),
+                      Engine::taskGroups(src.b1), Engine::taskGroups(src.l),
+                      Engine::taskGroups(src.h)};
         ProvePlan plan = planProve({pk.aQuery.size(), pk.b2Query.size(),
                                     pk.b1Query.size(), pk.lQuery.size(),
                                     pk.hQuery.size()},
-                                   polyCost, budget);
+                                   polyCost, budget, groups);
 
         std::vector<Fr> aux_scalars(z.begin() + pk.numPublic + 1,
                                     z.end());
