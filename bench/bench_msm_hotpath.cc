@@ -9,20 +9,23 @@
  * (size, threads). Preprocess rows time GzkpMsm::preprocess(), the
  * Algorithm-1 table build, at 2^13 on 1 and 4 threads with the
  * engine's default window and checkpoint interval (the tables the
- * prover caches).
+ * prover caches). Cached-run rows time run() alone over such a table
+ * at the provebench shapes, dense and with every third base the
+ * identity.
  *
  *     bench_msm_hotpath [--smoke|--full] [--reps=N]
  *                       [--out=BENCH_msm_hotpath.json]
  *
- * --smoke runs one small size and the BN254 G2 preprocess rows for
- * CI; --full covers 2^14..2^16 at threads {1, 8} plus the BN254 G1
- * and G2 preprocess rows. --out additionally writes the emitted
+ * --smoke runs one small size, the BN254 G2 preprocess rows and the
+ * 2^9 cached-run rows for CI; --full covers 2^14..2^16 at threads
+ * {1, 8} plus the BN254 G1 and G2 preprocess rows and the 2^9 and
+ * 2^13 cached-run rows. --out additionally writes the emitted
  * records as a JSON array (the committed BENCH_msm_hotpath.json at
  * the repo root is a --full run). Every timed configuration is also
- * checked for result equality against the baseline, and every
- * preprocessed GLV table for the layout
- * pre[c*nb + n + j] == phi(pre[c*nb + j]) in each block c, so a
- * speedup can never come from a wrong answer.
+ * checked for result equality against the baseline (the cached-run
+ * rows against serial Pippenger), and every preprocessed GLV table
+ * for the layout pre[c*nb + n + j] == phi(pre[c*nb + j]) in each
+ * block c, so a speedup can never come from a wrong answer.
  */
 
 #include <cstdio>
@@ -185,30 +188,39 @@ emitPreprocess(const char *curve, std::size_t log_n, std::size_t threads,
 }
 
 /**
- * Preprocess rows for one curve. The table's cost depends only on the
- * point count, so the bases are the cheap multiples G, 2G, ..., nG.
+ * The cheap bases G, 2G, ..., nG: a table's cost and a run's depend
+ * only on the point count, not on which points they are.
  */
+template <typename C>
+std::vector<ec::AffinePoint<C>>
+cheapPoints(std::size_t n)
+{
+    std::vector<ec::ECPoint<C>> jac(n);
+    jac[0] = ec::ECPoint<C>::generator();
+    for (std::size_t i = 1; i < n; ++i)
+        jac[i] = jac[i - 1] + jac[0];
+    return ec::batchToAffine<C>(jac);
+}
+
+/** Preprocess rows for one curve. */
 template <typename C>
 void
 benchPreprocess(std::size_t log_n, std::size_t reps)
 {
     std::size_t n = std::size_t(1) << log_n;
-    std::vector<ec::ECPoint<C>> jac(n);
-    jac[0] = ec::ECPoint<C>::generator();
-    for (std::size_t i = 1; i < n; ++i)
-        jac[i] = jac[i - 1] + jac[0];
-    auto points = ec::batchToAffine<C>(jac);
+    auto points = cheapPoints<C>(n);
 
     for (std::size_t threads : {1, 4}) {
         typename msm::GzkpMsm<C>::Options opt;
         opt.threads = threads;
         msm::GzkpMsm<C> engine(opt);
         auto pp = engine.preprocess(points);
-        bool ok = pp.glv && pp.pre.size() == pp.checkpoints * pp.nb();
+        bool ok = pp.glv && pp.live == n &&
+            pp.pre.size() == pp.checkpoints * pp.nb();
         for (std::size_t c = 0; ok && c < pp.checkpoints; ++c)
             for (std::size_t j = 0; ok && j < n; ++j)
-                ok = pp.pre[c * pp.nb() + n + j] ==
-                    ec::Glv<C>::endo(pp.pre[c * pp.nb() + j]);
+                ok = pp.pre[c * pp.nb() + n + j].affine() ==
+                    ec::Glv<C>::endo(pp.pre[c * pp.nb() + j].affine());
         if (!ok) {
             std::fprintf(stderr, "%s preprocess table layout broken\n",
                          C::name());
@@ -218,6 +230,73 @@ benchPreprocess(std::size_t log_n, std::size_t reps)
             [&] { engine.preprocess(points); }, reps, 0);
         emitPreprocess(C::name(), log_n, threads, pp.pre.size(),
                        s * 1e9);
+    }
+}
+
+void
+emitCached(const char *curve, std::size_t log_n, std::size_t k,
+           std::size_t stride, std::size_t live, std::uint64_t bytes,
+           double ns, double serial_ns)
+{
+    char buf[448];
+    std::snprintf(
+        buf, sizeof(buf),
+        "{\"bench\":\"msm-hotpath\",\"engine\":\"gzkp\","
+        "\"op\":\"cached-run\",\"curve\":\"%s\",\"glv\":\"on\","
+        "\"isa\":\"%s\",\"log_n\":%zu,\"k\":%zu,\"m\":1,"
+        "\"threads\":1,\"identity_every\":%zu,\"live\":%zu,"
+        "\"table_bytes\":%llu,\"ns\":%.0f,\"serial_ns\":%.0f,"
+        "\"speedup_vs_serial\":%.3f}",
+        curve, ff::simd::name(ff::simd::activeIsa()), log_n, k, stride,
+        live, (unsigned long long)bytes, ns, serial_ns, serial_ns / ns);
+    std::printf("%s\n", buf);
+    std::fflush(stdout);
+    g_records.push_back(buf);
+}
+
+/**
+ * Cached-table rows: run() alone over a table built once, at the
+ * provebench shapes (GLV on, M = 1, one thread), on a dense query and
+ * on one whose every third base is the identity (the share of the
+ * Groth16 b1 and b2 queries; `identity_every` 0 is dense). Each
+ * result is checked against serial Pippenger (Jacobian, no GLV), and
+ * `serial_ns` times serial Pippenger at its defaults on the same
+ * query, the engine a cached table has to beat.
+ */
+template <typename C>
+void
+benchCached(std::size_t log_n, std::size_t k, std::size_t reps)
+{
+    std::size_t n = std::size_t(1) << log_n;
+    auto dense = cheapPoints<C>(n);
+    auto scalars =
+        bench::scalarVector<typename C::Scalar>(n, 342 + log_n);
+    for (std::size_t stride : {0, 3}) {
+        auto points = dense;
+        for (std::size_t i = 0; stride != 0 && i < n; i += stride)
+            points[i] = ec::AffinePoint<C>::identity();
+        typename msm::GzkpMsm<C>::Options opt;
+        opt.k = k;
+        opt.checkpointM = 1;
+        opt.threads = 1;
+        msm::GzkpMsm<C> engine(opt);
+        auto pp = engine.preprocess(points);
+        auto expect = msm::PippengerSerial<C>(0, 1,
+                                              msm::Accumulator::Jacobian,
+                                              msm::GlvMode::Off)
+                          .run(points, scalars);
+        msm::PippengerSerial<C> serial(0, 1);
+        if (engine.run(pp, scalars) != expect ||
+            serial.run(points, scalars) != expect) {
+            std::fprintf(stderr, "%s cached run diverged\n", C::name());
+            std::exit(1);
+        }
+        double s = bench::medianSeconds(
+            [&] { engine.run(pp, scalars); }, reps);
+        double serial_s = bench::medianSeconds(
+            [&] { serial.run(points, scalars); }, reps);
+        emitCached(C::name(), log_n, k, stride, pp.live, pp.bytes(),
+                   s * 1e9, serial_s * 1e9);
     }
 }
 
@@ -264,6 +343,14 @@ main(int argc, char **argv)
     if (full)
         benchPreprocess<ec::Bn254G1Cfg>(13, reps);
     benchPreprocess<ec::Bn254G2Cfg>(13, reps);
+    // The provebench shapes: brownout's 2^9 tables at k = 10,
+    // sapling's 2^13 at k = 13.
+    benchCached<ec::Bn254G1Cfg>(9, 10, reps);
+    benchCached<ec::Bn254G2Cfg>(9, 10, reps);
+    if (full) {
+        benchCached<ec::Bn254G1Cfg>(13, 13, reps);
+        benchCached<ec::Bn254G2Cfg>(13, 13, reps);
+    }
 
     if (!out.empty()) {
         std::FILE *f = std::fopen(out.c_str(), "w");

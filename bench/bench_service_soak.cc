@@ -15,7 +15,10 @@
  *   brownout_health   the gzkp backend persistently fails (faultsim
  *                     launch@msm.gzkp); health tracking ON -- the
  *                     breaker opens and later requests skip the dead
- *                     tier and prove on serial directly.
+ *                     tier and prove on serial directly. Both
+ *                     brown-out scenarios are offered 0.7x the
+ *                     capacity calibrated under that fault plan, the
+ *                     path they prove on.
  *   brownout_nohealth same brown-out, health tracking OFF -- every
  *                     request re-pays the failed gzkp attempts before
  *                     demoting to serial. The p99 gap between these
@@ -131,6 +134,48 @@ struct Workload {
                                                      krng);
     }
 };
+
+/** The brown-out: every gzkp MSM launch fails. */
+faultsim::FaultPlan
+brownoutPlan()
+{
+    faultsim::FaultPlan plan;
+    plan.seed = 0xD1;
+    plan.arms.push_back({faultsim::FaultKind::Launch, "msm.gzkp", 1, 0});
+    return plan;
+}
+
+/**
+ * Warm per-prove seconds on a throwaway service with `threads`
+ * threads: five proves in sequence, the first (which pays the
+ * artifact build) not counted. The worker drains requests one at a
+ * time (threads parallelize inside one prove), so open-loop capacity
+ * is the inverse. Under a fault plan it times the path the plan
+ * leaves the requests proving on. Returns 0 if a request is refused.
+ */
+double
+warmProveSeconds(const Workload &w, std::size_t threads)
+{
+    Service::Options opt;
+    opt.threads = threads;
+    auto svc = service::makeBn254ProofService(opt);
+    auto id = svc->registerCircuit(w.keys.pk, w.keys.vk, w.builder.cs());
+    double first = 0;
+    for (std::uint64_t i = 0; i < 5; ++i) {
+        Service::Request req;
+        req.circuit = id;
+        req.witness = w.builder.assignment();
+        req.seed = 100 + i;
+        auto admitted = svc->submit(std::move(req));
+        if (!admitted.isOk())
+            return 0;
+        svc->drain();
+        admitted->get();
+        if (i == 0)
+            first = svc->stats().proveSecondsTotal;
+    }
+    return (svc->stats().proveSecondsTotal - first) / 4.0;
+}
 
 /** Poll interval of a saturating scenario: well under one prove, so a
     tenant's queue of several requests never drains between polls. */
@@ -321,42 +366,27 @@ main(int argc, char **argv)
     Workload w(constraints);
 
     const std::size_t kThreads = 2;
-    // Calibrate the per-prove cost on a throwaway service with the
-    // soak configuration. The worker drains requests sequentially
-    // (threads parallelize inside one prove), so open-loop capacity
-    // is 1/mu.
-    double mu;
+    // Calibrate the per-prove cost with the soak configuration, on the
+    // healthy path and under the brown-out, whose requests prove on
+    // serial. Each open-loop scenario is offered 0.7x the capacity of
+    // the path it proves on, so the brown-out's load relative to its
+    // backend does not move with the healthy path's speed.
+    const double mu = warmProveSeconds(w, kThreads);
+    double muBrownout;
     {
-        Service::Options opt;
-        opt.threads = kThreads;
-        auto svc = service::makeBn254ProofService(opt);
-        auto id = svc->registerCircuit(w.keys.pk, w.keys.vk,
-                                       w.builder.cs());
-        // First prove pays the artifact build; measure the warm rest.
-        for (std::uint64_t i = 0; i < 5; ++i) {
-            Service::Request req;
-            req.circuit = id;
-            req.witness = w.builder.assignment();
-            req.seed = 100 + i;
-            auto admitted = svc->submit(std::move(req));
-            if (!admitted.isOk())
-                return 1;
-            svc->drain();
-            admitted->get();
-            if (i == 0) {
-                Service::Stats st = svc->stats();
-                mu = -st.proveSecondsTotal;
-            }
-        }
-        Service::Stats st = svc->stats();
-        mu = (mu + st.proveSecondsTotal) / 4.0;
+        faultsim::ScopedFaultPlan guard(brownoutPlan());
+        muBrownout = warmProveSeconds(w, kThreads);
     }
+    if (mu <= 0 || muBrownout <= 0)
+        return 1;
     const double capacity = 1.0 / mu;
     const double deadline = std::max(1.0, 8 * mu);
     std::fprintf(stderr,
                  "calibrated mu=%.3fs capacity=%.1f proofs/s "
-                 "deadline=%.2fs window=%.1fs\n",
-                 mu, capacity, deadline, seconds);
+                 "deadline=%.2fs window=%.1fs; brown-out mu=%.3fs "
+                 "capacity=%.1f proofs/s\n",
+                 mu, capacity, deadline, seconds, muBrownout,
+                 1.0 / muBrownout);
 
     std::vector<ScenarioResult> results;
 
@@ -379,30 +409,22 @@ main(int argc, char **argv)
         results.push_back(runScenario(w, s, 0xB0));
     }
     { // brown-out with the learned breaker
-        faultsim::FaultPlan plan;
-        plan.seed = 0xD1;
-        plan.arms.push_back(
-            {faultsim::FaultKind::Launch, "msm.gzkp", 1, 0});
-        faultsim::ScopedFaultPlan guard(plan);
+        faultsim::ScopedFaultPlan guard(brownoutPlan());
         ScenarioSpec s;
         s.name = "brownout_health";
         s.seconds = seconds;
-        s.ratePerSec = 0.7 * capacity;
+        s.ratePerSec = 0.7 / muBrownout;
         s.deadlineSeconds = deadline;
         s.opt = common();
         s.trainSeconds = mu;
         results.push_back(runScenario(w, s, 0xB1));
     }
     { // same brown-out, no health tracking: the degradation baseline
-        faultsim::FaultPlan plan;
-        plan.seed = 0xD1;
-        plan.arms.push_back(
-            {faultsim::FaultKind::Launch, "msm.gzkp", 1, 0});
-        faultsim::ScopedFaultPlan guard(plan);
+        faultsim::ScopedFaultPlan guard(brownoutPlan());
         ScenarioSpec s;
         s.name = "brownout_nohealth";
         s.seconds = seconds;
-        s.ratePerSec = 0.7 * capacity;
+        s.ratePerSec = 0.7 / muBrownout;
         s.deadlineSeconds = deadline;
         s.opt = common();
         s.opt.healthTracking = false;
@@ -451,11 +473,12 @@ main(int argc, char **argv)
                  "{\n  \"bench\": \"service_soak\",\n"
                  "  \"constraints\": %zu,\n"
                  "  \"calibrated_prove_s\": %.4f,\n"
+                 "  \"calibrated_brownout_prove_s\": %.4f,\n"
                  "  \"threads\": %zu,\n"
                  "  \"window_s\": %.1f,\n"
                  "  \"smoke\": %s,\n"
                  "  \"scenarios\": [\n",
-                 constraints, mu, kThreads, seconds,
+                 constraints, mu, muBrownout, kThreads, seconds,
                  smoke ? "true" : "false");
     for (std::size_t i = 0; i < results.size(); ++i)
         printScenario(f, results[i], i + 1 == results.size());

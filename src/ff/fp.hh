@@ -38,6 +38,7 @@
 #include <stdexcept>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "ff/bigint.hh"
@@ -648,6 +649,53 @@ batchInverseBlocked(std::vector<FpT> &xs)
     }
 }
 
+/** A quadratic extension c0 + c1 u over `Fq` with its norm in Fq
+ *  (tower.hh's Fp2T). */
+template <typename T, typename = void>
+struct IsQuadraticExt : std::false_type {
+};
+
+template <typename T>
+struct IsQuadraticExt<
+    T, std::void_t<typename T::Fq, decltype(std::declval<T &>().c1)>>
+    : std::is_same<decltype(std::declval<const T &>().norm()),
+                   typename T::Fq> {
+};
+
+} // namespace detail
+
+template <typename FpT>
+void batchInverse(std::vector<FpT> &xs);
+
+namespace detail {
+
+/**
+ * Quadratic-extension batch inversion through the norm:
+ * 1/(c0 + c1 u) = (c0 - c1 u) / N with N = c0^2 - beta c1^2 in Fq, so
+ * the chain runs over the base field (the blocked 4-limb path for
+ * BN254 Fq2) instead of over serial extension multiplies. N is zero
+ * only for zero (beta is a non-residue), so a zero keeps its zero
+ * norm through the base-field call and maps back to zero.
+ */
+template <typename FpT>
+void
+batchInverseByNorm(std::vector<FpT> &xs)
+{
+    using Fq = typename FpT::Fq;
+    const std::size_t n = xs.size();
+    std::vector<Fq> norms(n), re(n), im(n);
+    for (std::size_t i = 0; i < n; ++i) {
+        norms[i] = xs[i].norm();
+        re[i] = xs[i].c0;
+        im[i] = xs[i].c1;
+    }
+    batchInverse(norms);
+    mulBatch(re.data(), re.data(), norms.data(), n);
+    mulBatch(im.data(), im.data(), norms.data(), n);
+    for (std::size_t i = 0; i < n; ++i)
+        xs[i] = FpT(re[i], -im[i]);
+}
+
 } // namespace detail
 
 /**
@@ -668,7 +716,8 @@ batchInverseBlocked(std::vector<FpT> &xs)
  * multiplications run through the dispatched vector kernels; results
  * are bit-identical either way. The threshold stays well above the
  * crossover so small batches (batch-affine flush tails, tiny
- * denominator sets) never pay the blocking overhead.
+ * denominator sets) never pay the blocking overhead. A quadratic
+ * extension (G2's Fq2) inverts its norms in the base field instead.
  *
  * This is the shared inversion primitive of the batch-affine MSM
  * scheduler (msm/batch_affine.hh) and of ec::batchToAffine.
@@ -677,7 +726,10 @@ template <typename FpT>
 void
 batchInverse(std::vector<FpT> &xs)
 {
-    if constexpr (detail::IsSimd4<FpT>::value) {
+    if constexpr (detail::IsQuadraticExt<FpT>::value) {
+        detail::batchInverseByNorm(xs);
+        return;
+    } else if constexpr (detail::IsSimd4<FpT>::value) {
         if (xs.size() >= 64) {
             detail::batchInverseBlocked(xs);
             return;

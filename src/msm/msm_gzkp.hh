@@ -14,7 +14,9 @@
  *     reduction finishes the job -- the window-reduction step is gone.
  *
  *  2. Space-efficient preprocessing: the bucket-info array p_index
- *     packs (window, element) as t*N + r, sorted by bucket.
+ *     packs (window, element) as t*N + r, sorted by bucket. Here an
+ *     entry holds the table record's index and its window's offset
+ *     within the checkpoint block directly, so no gather divides.
  *
  *  3. Workload management (Section 4.2): buckets are grouped into
  *     similar-load task groups, scheduled heaviest-first, with warps
@@ -28,8 +30,11 @@
  *
  * The functional CPU run() recodes digits into (-2^(k-1), 2^(k-1)]
  * and negates the table point for a negative digit, so it needs only
- * 2^(k-1) buckets. The modeled GPU kernels (statsForParams,
- * profileWindow, memoryForParams) keep the paper's unsigned 2^k.
+ * 2^(k-1) buckets. Its table holds only the non-identity bases, one
+ * cache-line-aligned record per weighted point, and the batch-affine
+ * drain prefetches each record a few buckets ahead of its add. The
+ * modeled GPU kernels (statsForParams, profileWindow,
+ * memoryForParams) keep the paper's unsigned 2^k.
  */
 
 #ifndef GZKP_MSM_MSM_GZKP_HH
@@ -110,16 +115,29 @@ class GzkpMsm
         std::size_t minDrainOccupancy = 4;
     };
 
+    /**
+     * One table entry: a finite weighted point's affine coordinates,
+     * aligned so a gather touches one cache line (BN254 G1: 64 bytes)
+     * or two (G2: 128). The table holds no identity, so an entry needs
+     * no flag.
+     */
+    struct alignas(64) Record {
+        typename Cfg::Field x, y;
+
+        Affine affine() const { return Affine(x, y); }
+        bool operator==(const Record &) const = default;
+    };
+
     /** The preprocessed (weighted, checkpointed) point set. */
     struct Preprocessed {
-        std::size_t n = 0;
+        std::size_t n = 0;           //!< query length (scalars per run)
         std::size_t k = 0;
         std::size_t m = 1;           //!< checkpoint interval M
         std::size_t windows = 0;
         std::size_t checkpoints = 0; //!< ceil(windows / M)
         /**
          * GLV table: the base vector is doubled to
-         * [P_0..P_{n-1}, phi(P_0)..phi(P_{n-1})] and windows cover
+         * [P_0..P_{L-1}, phi(P_0)..phi(P_{L-1})] and windows cover
          * the 132-bit decomposed halves instead of the full scalar
          * width -- scalar-independent (the per-scalar signs are
          * applied at bucket-insertion time), so the table is as
@@ -127,33 +145,36 @@ class GzkpMsm
          * phi half is the endomorphism of the base half.
          */
         bool glv = false;
+        /**
+         * Identity-free table: the bases are the query's `live`
+         * non-identity points, at query positions `index` (ascending;
+         * empty when every base is live). An identity base adds
+         * nothing, so it gets no record, entry, gather or drain slot.
+         */
+        std::size_t live = 0;
+        std::vector<std::size_t> index;
         /** Base count: entries per checkpoint block. */
-        std::size_t nb() const { return glv ? 2 * n : n; }
-        /** pre[c * nb() + j] = 2^(c*M*k) * B_j, affine. */
-        std::vector<Affine> pre;
-
-        std::uint64_t
-        memoryBytes() const
+        std::size_t nb() const { return glv ? 2 * live : live; }
+        /** Query position of live base i. */
+        std::size_t
+        base(std::size_t i) const
         {
-            std::uint64_t pt = 2 * Cfg::Field::kLimbs * 8;
-            std::uint64_t sc = Scalar::kLimbs * 8;
-            // Checkpoint tables + scalars + p_index entries.
-            return pre.size() * pt + std::uint64_t(n) * sc +
-                std::uint64_t(nb()) * windows * 8;
+            return index.empty() ? i : index[i];
         }
+        /** pre[c * nb() + j] = 2^(c*M*k) * B_j. */
+        std::vector<Record> pre;
 
         /**
          * Host-resident size of this table: the sum of its containers
          * plus the fixed header. This is what the serving layer's
-         * ArtifactCache charges against its byte budget (unlike
-         * memoryBytes(), which models the *device* footprint of a
-         * whole MSM run, scalars and p_index included).
+         * ArtifactCache charges against its byte budget.
          */
         std::uint64_t
         bytes() const
         {
             return std::uint64_t(sizeof(*this)) +
-                std::uint64_t(pre.size()) * sizeof(Affine);
+                std::uint64_t(pre.size()) * sizeof(Record) +
+                std::uint64_t(index.size()) * sizeof(std::size_t);
         }
     };
 
@@ -202,8 +223,8 @@ class GzkpMsm
      */
     struct PreprocessProgress {
         Preprocessed pp;
-        /** Doubling-chain state of the n base points; a GLV table's
-         * phi half is derived from each block, never doubled. */
+        /** Doubling-chain state of the live base points; a GLV
+         * table's phi half is derived from each block, never doubled. */
         std::vector<Point> cur;
         std::size_t done = 0;   //!< checkpoint blocks committed
         bool started = false;
@@ -240,46 +261,75 @@ class GzkpMsm
                 ? windowCount(ec::Glv<Cfg>::kScalarBits, pp.k)
                 : signedWindowCount(Scalar::bits(), pp.k);
             pp.checkpoints = (pp.windows + pp.m - 1) / pp.m;
+            // Assigned, not appended: a fault below restarts here.
+            std::vector<std::size_t> index;
+            for (std::size_t i = 0; i < n; ++i)
+                if (!points[i].infinity)
+                    index.push_back(i);
+            pp.live = index.size();
+            pp.index = pp.live == n ? std::vector<std::size_t>()
+                                    : std::move(index);
+            if (!entryFits(std::uint64_t(pp.checkpoints) * pp.nb(),
+                           std::min(pp.m, pp.windows)))
+                throw std::invalid_argument(
+                    "GzkpMsm::preprocess: table too large for a p_index "
+                    "entry");
 
             faultsim::checkAlloc("msm.gzkp.preprocess", 0);
-            progress.cur.resize(n);
-            runtime::parallelFor(opt_.threads, n, [&](std::size_t j) {
-                progress.cur[j] = Point::fromAffine(points[j]);
+            progress.cur.resize(pp.live);
+            runtime::parallelFor(opt_.threads, pp.live, [&](std::size_t j) {
+                progress.cur[j] = Point::fromAffine(points[pp.base(j)]);
             });
             pp.pre.reserve(pp.checkpoints * pp.nb());
             progress.started = true;
         }
         Preprocessed &pp = progress.pp;
+        std::size_t live = pp.live;
         for (std::size_t c = progress.done; c < pp.checkpoints; ++c) {
             faultsim::checkLaunch("msm.gzkp.preprocess", c);
             // Work on a copy of the chain state and commit it only
             // once the whole block lands, so a fault thrown anywhere
             // inside the block leaves `progress` at block c exactly.
             std::vector<Point> next = progress.cur;
-            std::vector<Affine> block(pp.nb());
+            std::vector<Affine> aff(live);
+            std::vector<Record> block(pp.nb());
+            std::atomic<bool> identity{false};
             std::size_t doublings = c == 0 ? 0 : pp.m * pp.k;
             // Chains are independent: each chunk advances its points
             // by M*k doublings and converts them to affine with one
             // shared inversion. Affine coordinates are canonical, so
             // the chunking cannot move a byte of the table.
             runtime::parallelForChunks(
-                opt_.threads, n,
+                opt_.threads, live,
                 [&](std::size_t lo, std::size_t hi, std::size_t) {
                     for (std::size_t i = lo; i < hi; ++i)
                         for (std::size_t d = 0; d < doublings; ++d)
                             next[i] = next[i].dbl();
                     ec::batchToAffine<Cfg>(next.data() + lo, hi - lo,
-                                           block.data() + lo);
+                                           aff.data() + lo);
+                    for (std::size_t i = lo; i < hi; ++i) {
+                        if (aff[i].infinity)
+                            identity.store(true,
+                                           std::memory_order_relaxed);
+                        block[i] = Record{aff[i].x, aff[i].y};
+                    }
                     // phi commutes with doubling, so the phi half of
                     // the block is phi of its base half. Guarded so
                     // it never instantiates for non-GLV curves.
                     if constexpr (ec::Glv<Cfg>::kEnabled) {
                         if (pp.glv)
-                            for (std::size_t i = lo; i < hi; ++i)
-                                block[n + i] =
-                                    ec::Glv<Cfg>::endo(block[i]);
+                            for (std::size_t i = lo; i < hi; ++i) {
+                                Affine e = ec::Glv<Cfg>::endo(aff[i]);
+                                block[live + i] = Record{e.x, e.y};
+                            }
                     }
                 });
+            // Only a base of 2-power order reaches the identity, and a
+            // record cannot hold it.
+            if (identity.load(std::memory_order_relaxed))
+                throw std::invalid_argument(
+                    "GzkpMsm::preprocess: a weighted base is the "
+                    "identity");
             pp.pre.insert(pp.pre.end(), block.begin(), block.end());
             progress.cur = std::move(next);
             progress.done = c + 1; // commit the block
@@ -295,41 +345,55 @@ class GzkpMsm
             throw std::invalid_argument("GzkpMsm::run: size mismatch");
         std::size_t threads = runtime::resolveThreads(opt_.threads);
 
-        // The table dictates the digitization: a GLV table carries
-        // the doubled base vector, so each scalar splits into its two
+        // The table dictates the digitization: live base i reads the
+        // scalar at its query position. A GLV table carries the
+        // doubled base vector, so each scalar splits into its two
         // signed 132-bit halves, k1 driving base j = i and k2 driving
-        // endo base j = n + i. The half's sign joins each digit's own
-        // sign in its p_index entry.
-        std::vector<typename Scalar::Repr> repr;
+        // endo base j = L + i (L live bases). The half's sign joins
+        // each digit's own sign in its p_index entry.
+        std::size_t live = pp.live;
+        std::vector<typename Scalar::Repr> repr(pp.nb());
         std::vector<std::uint8_t> neg;
         if (pp.glv) {
             if constexpr (ec::Glv<Cfg>::kEnabled) {
-                repr.resize(pp.nb());
                 neg.resize(pp.nb());
-                runtime::parallelFor(
-                    threads, pp.n, [&](std::size_t i) {
-                        auto d = ec::Glv<Cfg>::decompose(scalars[i]);
-                        repr[i] = d.k1;
-                        neg[i] = d.neg1;
-                        repr[pp.n + i] = d.k2;
-                        neg[pp.n + i] = d.neg2;
-                    });
+                runtime::parallelFor(threads, live, [&](std::size_t i) {
+                    auto d = ec::Glv<Cfg>::decompose(scalars[pp.base(i)]);
+                    repr[i] = d.k1;
+                    neg[i] = d.neg1;
+                    repr[live + i] = d.k2;
+                    neg[live + i] = d.neg2;
+                });
             } else {
                 throw std::invalid_argument(
                     "GzkpMsm::run: GLV table on a non-GLV curve");
             }
         } else {
-            repr = scalarsToRepr(scalars, threads);
+            runtime::parallelFor(threads, live, [&](std::size_t i) {
+                repr[i] = scalars[pp.base(i)].toBigInt();
+            });
         }
         // Signed digits: bucket |d| - 1 for |d| in [1, 2^(k-1)].
         std::size_t nbuckets = std::size_t(1) << (pp.k - 1);
 
         faultsim::checkAlloc("msm.gzkp.buckets", nbuckets);
         std::vector<Point> buckets(nbuckets);
-        if (pp.n != 0)
+        if (live != 0)
             accumulateBuckets(pp, repr, neg, threads, buckets);
 
         return reduceBuckets(buckets, threads);
+    }
+
+    /**
+     * Whether a table of `records` records, with `deltas` window
+     * offsets per checkpoint block, fits the p_index entry fields
+     * (kDeltaShift). preprocess() rejects a table that does not.
+     */
+    static constexpr bool
+    entryFits(std::uint64_t records, std::uint64_t deltas)
+    {
+        return records <= kIndexMask + 1 &&
+            deltas <= (kNegBit >> kDeltaShift);
     }
 
     /** Convenience: preprocess + run in one call. */
@@ -556,8 +620,24 @@ class GzkpMsm
         return runtime::chunkCount(n, std::min(runtime::kMaxChunks, cap));
     }
 
-    /** Sign flag of a p_index entry; the low bits hold t*NB + j. */
+    /**
+     * p_index entry layout: bit 63 is the sign, bits [48, 63) the
+     * window's delta t mod M within its checkpoint block, bits
+     * [0, 48) the record index (t / M) * NB + j. With M = 1 an entry
+     * is t * NB + j. preprocess() rejects a table whose fields would
+     * not fit.
+     */
     static constexpr std::uint64_t kNegBit = std::uint64_t(1) << 63;
+    static constexpr unsigned kDeltaShift = 48;
+    static constexpr std::uint64_t kIndexMask =
+        (std::uint64_t(1) << kDeltaShift) - 1;
+
+    /**
+     * Live buckets the batch-affine staging loop looks ahead when it
+     * prefetches a record: far enough to cover a miss to memory at a
+     * few adds' staging cost each (16 measured the same as 8).
+     */
+    static constexpr std::size_t kPrefetchAhead = 8;
 
     /**
      * Occupancy routing (see Options::minDrainOccupancy): `entries`
@@ -599,7 +679,8 @@ class GzkpMsm
 
     /**
      * The CPU rendering of Algorithm 1's bucket phase. Builds the
-     * bucket-info array p_index (entries t*N + i, grouped by bucket,
+     * bucket-info array p_index (one entry per nonzero digit of base
+     * i in window t, naming its record and delta, grouped by bucket,
      * each bucket's entries in (i, t) order -- the same order the
      * point-major serial loops visited them), then processes buckets
      * as tasks grouped by load: nonzero buckets are ordered
@@ -667,7 +748,9 @@ class GzkpMsm
         }
         start[nbuckets] = pos;
 
-        // Pass 2: scatter packed entries t*NB + j, bucket-sorted.
+        // Pass 2: scatter entries, bucket-sorted. Window t's record
+        // index (t / M) * NB + i and delta t mod M advance as a running
+        // (record, delta) counter, so no entry is divided out.
         faultsim::checkLaunch("msm.gzkp.kernel.scatter", 1);
         faultsim::checkAlloc("msm.gzkp.p_index", pos);
         std::vector<std::uint64_t> p_index(pos);
@@ -679,13 +762,18 @@ class GzkpMsm
                     std::uint64_t sign =
                         !neg.empty() && neg[i] ? kNegBit : 0;
                     std::uint64_t carry = 0;
+                    std::uint64_t record = i, delta = 0;
                     for (std::size_t t = 0; t < pp.windows; ++t) {
                         SignedDigit d = signedDigit(
                             windowDigit(repr[i], t, pp.k), carry, pp.k);
                         if (d.mag != 0)
-                            p_index[cur[d.mag - 1]++] =
-                                (std::uint64_t(t) * nb + i) |
+                            p_index[cur[d.mag - 1]++] = record |
+                                (delta << kDeltaShift) |
                                 (d.neg ? sign ^ kNegBit : sign);
+                        if (++delta == pp.m) {
+                            delta = 0;
+                            record += nb;
+                        }
                     }
                 }
             },
@@ -753,12 +841,19 @@ class GzkpMsm
     static Affine
     entryPoint(const Preprocessed &pp, std::uint64_t e, std::size_t &delta)
     {
-        std::uint64_t slot = e & ~kNegBit;
-        std::size_t t = std::size_t(slot / pp.nb());
-        std::size_t j = std::size_t(slot % pp.nb());
-        delta = t % pp.m;
-        const Affine &p = pp.pre[(t / pp.m) * pp.nb() + j];
-        return (e & kNegBit) ? p.negate() : p;
+        delta = std::size_t((e & ~kNegBit) >> kDeltaShift);
+        const Record &r = pp.pre[e & kIndexMask];
+        return Affine(r.x, (e & kNegBit) ? -r.y : r.y);
+    }
+
+    /** Pull the record of p_index entry e toward the cache. */
+    static void
+    prefetchEntry(const Preprocessed &pp, std::uint64_t e)
+    {
+        const char *r =
+            reinterpret_cast<const char *>(&pp.pre[e & kIndexMask]);
+        for (std::size_t line = 0; line < sizeof(Record); line += 64)
+            __builtin_prefetch(r + line);
     }
 
     /** Per-delta partial sums, then one shared doubling chain. */
@@ -818,10 +913,12 @@ class GzkpMsm
      * the group size, so no round is split into smaller inversions.
      * Rounds on the heavy tail (fewer live buckets than
      * kMinAffineRound) are side-routed by flush() itself, where the
-     * shared inversion would not amortize. Entry order within a
-     * bucket is unchanged (ascending e), and groups are a pure
-     * function of the load histogram, so buckets[] stays thread-count
-     * invariant.
+     * shared inversion would not amortize. Consecutive adds of a round
+     * gather records from all over the table, so the loop prefetches
+     * the record kPrefetchAhead buckets ahead in the same round. Entry
+     * order within a bucket is unchanged (ascending e), and groups are
+     * a pure function of the load histogram, so buckets[] stays
+     * thread-count invariant.
      */
     void
     bucketGroupBatchAffine(const Preprocessed &pp,
@@ -839,13 +936,19 @@ class GzkpMsm
 
         BatchAffineAccumulator<Cfg> acc(mine.size() * s, mine.size());
         std::uint64_t rounds = start[mine[0] + 1] - start[mine[0]];
+        // Buckets still holding an entry in round r: a prefix, since
+        // the group is heaviest-first.
+        std::size_t width = mine.size();
         for (std::uint64_t r = 0; r < rounds; ++r) {
-            for (std::size_t lb = 0; lb < mine.size(); ++lb) {
-                std::uint64_t e = start[mine[lb]] + r;
-                if (e >= start[mine[lb] + 1])
-                    break;
+            while (start[mine[width - 1] + 1] - start[mine[width - 1]] <= r)
+                --width;
+            for (std::size_t lb = 0; lb < width; ++lb) {
+                if (lb + kPrefetchAhead < width)
+                    prefetchEntry(
+                        pp, p_index[start[mine[lb + kPrefetchAhead]] + r]);
                 std::size_t delta;
-                Affine p = entryPoint(pp, p_index[e], delta);
+                Affine p = entryPoint(pp, p_index[start[mine[lb]] + r],
+                                      delta);
                 acc.add(lb * s + delta, p);
             }
             acc.flush();

@@ -15,6 +15,7 @@
 #ifndef GZKP_NTT_NTT_CPU_HH
 #define GZKP_NTT_NTT_CPU_HH
 
+#include <algorithm>
 #include <vector>
 
 #include "faultsim/faultsim.hh"
@@ -105,15 +106,30 @@ nttInPlace(const Domain<Fr> &dom, std::vector<Fr> &a, bool invert = false)
 /**
  * Multiply element i by g^i (move evaluations to the coset gH, or
  * back with g = cosetGenInv). Used by the POLY stage's coset NTTs.
+ * The powers of one block are built by doubling batched runs, then
+ * each block takes one batched multiply and steps the powers by
+ * g^block, so no element waits on a chain of scalar multiplies.
  */
 template <typename Fr>
 void
 cosetScale(std::vector<Fr> &a, const Fr &g)
 {
-    Fr gi = Fr::one();
-    for (auto &x : a) {
-        x *= gi;
-        gi *= g;
+    constexpr std::size_t kBlock = 256;
+    std::size_t n = a.size();
+    std::size_t width = std::min(n, kBlock);
+    if (width == 0)
+        return;
+    std::vector<Fr> pw(width);
+    pw[0] = Fr::one();
+    for (std::size_t len = 1; len < width; len *= 2)
+        ff::mulcBatch(pw.data() + len, pw.data(), pw[len - 1] * g,
+                      std::min(len, width - len));
+    Fr step = pw[width - 1] * g;
+    for (std::size_t lo = 0; lo < n; lo += width) {
+        std::size_t len = std::min(width, n - lo);
+        ff::mulBatch(a.data() + lo, a.data() + lo, pw.data(), len);
+        if (lo + width < n)
+            ff::mulcBatch(pw.data(), pw.data(), step, width);
     }
 }
 

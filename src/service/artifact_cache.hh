@@ -170,7 +170,7 @@ struct CircuitArtifacts {
 /**
  * Corruption probe for a cached table (site "service.cache.table"):
  * models a soft memory error hitting the resident Algorithm-1 table
- * *after* it was built and checked. One bit of one affine x
+ * *after* it was built and checked. One bit of one record's x
  * coordinate flips; every proof over the poisoned table then fails
  * the prover's self-check (kDataLoss) until the pipeline demotes to
  * a backend that ignores cached artifacts -- the chaos suite asserts
@@ -189,9 +189,8 @@ maybeCorruptCachedTable(CircuitArtifacts<Family> &art, std::uint64_t key)
     auto &pre = art.msm.a.pre;
     if (pre.empty())
         return;
-    auto &pt = pre[d.salt % pre.size()];
-    if (!pt.infinity)
-        faultsim::flipBit(pt.x, d.salt / (pre.size() + 1));
+    faultsim::flipBit(pre[d.salt % pre.size()].x,
+                      d.salt / (pre.size() + 1));
 }
 
 /**

@@ -22,6 +22,7 @@
 #ifndef GZKP_ZKP_QAP_HH
 #define GZKP_ZKP_QAP_HH
 
+#include <algorithm>
 #include <stdexcept>
 #include <vector>
 
@@ -128,11 +129,37 @@ polyInputs(const R1cs<Fr> &cs, const std::vector<Fr> &z,
     in.a.assign(n, Fr::zero());
     in.b.assign(n, Fr::zero());
     in.c.assign(n, Fr::zero());
+    // Per chunk of constraints, every term's coefficient and witness
+    // value are gathered into two rows and multiplied by one batched
+    // kernel call; each linear combination then sums its run of
+    // products in term order, as LinComb::evaluate does.
+    constexpr std::size_t kChunk = 256;
     const auto &cons = cs.constraints();
-    for (std::size_t j = 0; j < cons.size(); ++j) {
-        in.a[j] = cons[j].a.evaluate(z);
-        in.b[j] = cons[j].b.evaluate(z);
-        in.c[j] = cons[j].c.evaluate(z);
+    std::vector<Fr> prod, val;
+    std::vector<std::size_t> ends;
+    for (std::size_t lo = 0; lo < cons.size(); lo += kChunk) {
+        std::size_t hi = std::min(cons.size(), lo + kChunk);
+        prod.clear();
+        val.clear();
+        ends.clear();
+        for (std::size_t j = lo; j < hi; ++j)
+            for (const auto *lc : {&cons[j].a, &cons[j].b, &cons[j].c}) {
+                for (const auto &[v, coeff] : lc->terms) {
+                    prod.push_back(coeff);
+                    val.push_back(z[v]);
+                }
+                ends.push_back(prod.size());
+            }
+        ff::mulBatch(prod.data(), prod.data(), val.data(), prod.size());
+        std::size_t e = 0, lc = 0;
+        for (std::size_t j = lo; j < hi; ++j)
+            for (auto *out : {&in.a, &in.b, &in.c}) {
+                Fr acc = Fr::zero();
+                for (; e < ends[lc]; ++e)
+                    acc += prod[e];
+                (*out)[j] = acc;
+                ++lc;
+            }
     }
     return in;
 }

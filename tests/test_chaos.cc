@@ -281,6 +281,35 @@ TEST(Chaos, G2GlvPreprocessResumesFromCheckpoint)
     EXPECT_EQ(engine.run(pp, in.scalars), engine.run(clean, in.scalars));
 }
 
+/**
+ * A transient allocation fault before the first block, on a query
+ * whose every third base is the identity: the retry rebuilds the same
+ * live positions and table.
+ */
+TEST(Chaos, PreprocessRetryKeepsTheLiveBases)
+{
+    using Cfg = ec::Bn254G1Cfg;
+    auto in = testkit::msmInstance<Cfg>(30, testkit::ScalarMix::Dense,
+                                        2029);
+    for (std::size_t i = 0; i < in.points.size(); i += 3)
+        in.points[i] = ec::AffinePoint<Cfg>::identity();
+    msm::GzkpMsm<Cfg> engine;
+    auto clean = engine.preprocess(in.points);
+    ASSERT_EQ(clean.live, 20u);
+
+    faultsim::ScopedFaultPlan guard(
+        "seed=14;alloc@msm.gzkp.preprocess:1#1");
+    std::size_t attempts = 0;
+    auto pp = zkp::preprocessWithResume(engine, in.points, 3,
+                                        &attempts);
+    ASSERT_TRUE(pp.isOk()) << pp.status().toString();
+    EXPECT_EQ(attempts, 2u);
+    EXPECT_EQ(pp->index, clean.index);
+    EXPECT_TRUE(pp->pre == clean.pre);
+    EXPECT_EQ(engine.run(*pp, in.scalars),
+              msm::msmNaive<Cfg>(in.points, in.scalars));
+}
+
 /** Persistent preprocess faults exhaust the bounded retries. */
 TEST(Chaos, PreprocessRetriesAreBounded)
 {

@@ -221,7 +221,7 @@ TEST(Msm, PreprocessedPointsAreWeighted)
         auto expect = Pt::fromAffine(in.points[i]);
         for (std::size_t d = 0; d < o.checkpointM * o.k; ++d)
             expect = expect.dbl();
-        EXPECT_EQ(Pt::fromAffine(pre.pre[pre.nb() + i]), expect);
+        EXPECT_EQ(Pt::fromAffine(pre.pre[pre.nb() + i].affine()), expect);
     }
 }
 
@@ -577,4 +577,110 @@ TEST(SignedDigits, GzkpCornersMatchSerialAtServiceWindows)
     for (std::size_t k : {10, 13})
         expectGzkpCornersMatchSerial<Bn254G1Cfg>(k, GlvMode::Off, 4);
     expectGzkpCornersMatchSerial<Bn254G2Cfg>(10, GlvMode::On, 2);
+}
+
+// ------------------------------------------------ identity-free tables
+
+static_assert(sizeof(GzkpMsm<Bn254G1Cfg>::Record) == 64);
+static_assert(sizeof(GzkpMsm<Bn254G2Cfg>::Record) == 128);
+static_assert(alignof(GzkpMsm<Bn254G1Cfg>::Record) == 64);
+static_assert(alignof(GzkpMsm<Bn254G2Cfg>::Record) == 64);
+
+// An entry holds 2^48 records and 2^15 deltas; the service's largest
+// table (sapling's h, 180,202 records, one delta) is far inside.
+static_assert(GzkpMsm<Cfg>::entryFits(std::uint64_t(1) << 48, 1 << 15));
+static_assert(!GzkpMsm<Cfg>::entryFits((std::uint64_t(1) << 48) + 1, 1));
+static_assert(!GzkpMsm<Cfg>::entryFits(1, (1 << 15) + 1));
+
+namespace {
+
+/**
+ * GzkpMsm on a query whose every `stride`-th base is the identity
+ * (every base at stride 1) against serial Pippenger, across both
+ * checkpoint modes, both accumulators (the affine drain forced on),
+ * M in {1, 2, windows} and threads {1, 4}. The table is the one built
+ * from the query without its identity bases, and the affine drain
+ * stages the same adds on both.
+ */
+template <typename C>
+void
+expectIdentityFreeTableMatchesSerial(GlvMode glv, std::size_t stride)
+{
+    using S = typename C::Scalar;
+    const std::size_t k = 6;
+    auto in = testkit::msmInstance<C>(36, testkit::ScalarMix::Dense,
+                                      900 + stride);
+    std::vector<AffinePoint<C>> livePoints;
+    std::vector<S> liveScalars;
+    for (std::size_t i = 0; i < in.size(); ++i) {
+        if (i % stride == 0) {
+            in.points[i] = AffinePoint<C>::identity();
+        } else {
+            livePoints.push_back(in.points[i]);
+            liveScalars.push_back(in.scalars[i]);
+        }
+    }
+    auto expect =
+        PippengerSerial<C>(0, 1, Accumulator::Jacobian, GlvMode::Off)
+            .run(in.points, in.scalars);
+    bool useGlv = ec::Glv<C>::kEnabled && glv == GlvMode::On;
+    std::size_t windows = useGlv
+        ? windowCount(ec::Glv<C>::kScalarBits, k)
+        : signedWindowCount(S::bits(), k);
+    struct Path {
+        CheckpointMode mode;
+        Accumulator acc;
+    };
+    for (std::size_t m : {std::size_t(1), std::size_t(2), windows}) {
+        typename GzkpMsm<C>::Options o;
+        o.k = k;
+        o.checkpointM = m;
+        o.glv = glv;
+        o.minDrainOccupancy = 0;
+        auto pp = GzkpMsm<C>(o).preprocess(in.points);
+        auto packed = GzkpMsm<C>(o).preprocess(livePoints);
+        ASSERT_EQ(pp.n, in.size());
+        ASSERT_EQ(pp.live, livePoints.size());
+        EXPECT_TRUE(pp.pre == packed.pre);
+        for (Path path :
+             {Path{CheckpointMode::Horner, Accumulator::Jacobian},
+              Path{CheckpointMode::Horner, Accumulator::BatchAffine},
+              Path{CheckpointMode::PerPoint, Accumulator::Jacobian}}) {
+            o.mode = path.mode;
+            o.accumulator = path.acc;
+            for (std::size_t threads : {1, 4}) {
+                o.threads = threads;
+                GzkpMsm<C> engine(o), reference(o);
+                EXPECT_EQ(engine.run(pp, in.scalars), expect)
+                    << C::name() << " stride=" << stride
+                    << " glv=" << useGlv << " mode=" << int(path.mode)
+                    << " acc=" << int(path.acc) << " M=" << m
+                    << " threads=" << threads;
+                reference.run(packed, liveScalars);
+                EXPECT_EQ(engine.lastDrainStats().affineAdds,
+                          reference.lastDrainStats().affineAdds);
+                if (path.acc == Accumulator::BatchAffine && stride > 1) {
+                    EXPECT_GT(engine.lastDrainStats().affineAdds, 0u);
+                }
+            }
+        }
+    }
+}
+
+} // namespace
+
+TEST(IdentityFreeTable, EveryThirdBaseIdentityMatchesSerial)
+{
+    for (GlvMode glv : {GlvMode::On, GlvMode::Off}) {
+        expectIdentityFreeTableMatchesSerial<Bn254G1Cfg>(glv, 3);
+        expectIdentityFreeTableMatchesSerial<Bn254G2Cfg>(glv, 3);
+    }
+}
+
+TEST(IdentityFreeTable, AllIdentityQueryReturnsIdentity)
+{
+    for (GlvMode glv : {GlvMode::On, GlvMode::Off}) {
+        expectIdentityFreeTableMatchesSerial<Bn254G1Cfg>(glv, 1);
+        expectIdentityFreeTableMatchesSerial<Bn254G2Cfg>(glv, 1);
+    }
 }

@@ -149,6 +149,23 @@ TEST(NttReference, CosetScaleInverts)
     EXPECT_EQ(w, v);
 }
 
+TEST(NttReference, CosetScaleMatchesPowerChain)
+{
+    // Element i times g^i, at sizes around the power block (256).
+    std::mt19937_64 rng(6);
+    Fr g = Fr::random(rng);
+    for (std::size_t n : {0, 1, 2, 3, 255, 256, 257, 700, 8192}) {
+        auto v = randomVec(n, rng);
+        auto w = v;
+        cosetScale(w, g);
+        Fr gi = Fr::one();
+        for (std::size_t i = 0; i < n; ++i) {
+            ASSERT_EQ(w[i], v[i] * gi) << "n=" << n << " i=" << i;
+            gi *= g;
+        }
+    }
+}
+
 // --- Parameterized equivalence sweep over sizes and variants ---
 
 class NttVariantTest : public ::testing::TestWithParam<std::size_t>

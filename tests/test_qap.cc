@@ -12,6 +12,7 @@
 #include "ff/field_tags.hh"
 #include "ntt/ntt_gpu.hh"
 #include "workload/builder.hh"
+#include "workload/workloads.hh"
 #include "zkp/qap.hh"
 
 using namespace gzkp;
@@ -132,6 +133,29 @@ TEST(Qap, EvaluateQapMatchesConstraintInterpolation)
     for (std::size_t i = 0; i < dom.logSize(); ++i)
         zt = zt.squared();
     EXPECT_EQ(q.zTau, zt - Fr::one());
+}
+
+TEST(Qap, PolyInputsAreTheConstraintInnerProducts)
+{
+    // The batched gather equals LinComb::evaluate per constraint, on a
+    // circuit spanning several gather chunks (256 constraints each)
+    // with multi-term combinations (Poseidon's MDS rows), and the
+    // padding past the constraints stays zero.
+    std::mt19937_64 rng(123);
+    auto b = workload::makePoseidonChainCircuit<Fr>(3, rng);
+    const auto &cs = b.cs();
+    const auto &z = b.assignment();
+    ntt::Domain<Fr> dom(domainLogFor(cs.numConstraints()));
+    auto in = polyInputs(cs, z, dom);
+    ASSERT_EQ(in.a.size(), dom.size());
+    const auto &cons = cs.constraints();
+    ASSERT_GT(cons.size(), 512u);
+    for (std::size_t j = 0; j < dom.size(); ++j) {
+        bool real = j < cons.size();
+        EXPECT_EQ(in.a[j], real ? cons[j].a.evaluate(z) : Fr::zero());
+        EXPECT_EQ(in.b[j], real ? cons[j].b.evaluate(z) : Fr::zero());
+        EXPECT_EQ(in.c[j], real ? cons[j].c.evaluate(z) : Fr::zero());
+    }
 }
 
 TEST(Qap, ComputeHSatisfiesDivisionIdentity)

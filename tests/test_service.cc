@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdlib>
 #include <future>
@@ -115,10 +116,25 @@ TEST(ServiceBytes, PreprocessedBytesMatchesContainers)
     EXPECT_EQ(pp.bytes(),
               sizeof(pp) +
                   std::uint64_t(pp.pre.size()) *
-                      sizeof(ec::AffinePoint<G1Cfg>));
+                      sizeof(msm::GzkpMsm<G1Cfg>::Record) +
+                  std::uint64_t(pp.index.size()) * sizeof(std::size_t));
     // The table dominates: checkpoints * nb() entries (nb() == 2n
     // when the table carries the GLV endomorphism halves).
     EXPECT_EQ(pp.pre.size(), pp.checkpoints * pp.nb());
+    EXPECT_TRUE(pp.index.empty());
+
+    // Identity bases get no records; the live positions are charged.
+    for (std::size_t i = 0; i < in.points.size(); i += 3)
+        in.points[i] = ec::AffinePoint<G1Cfg>::identity();
+    auto sparse = engine.preprocess(in.points);
+    EXPECT_EQ(sparse.live, 21u);
+    EXPECT_EQ(sparse.index.size(), sparse.live);
+    EXPECT_EQ(sparse.pre.size(), sparse.checkpoints * sparse.nb());
+    EXPECT_EQ(sparse.bytes(),
+              sizeof(sparse) +
+                  std::uint64_t(sparse.pre.size()) *
+                      sizeof(msm::GzkpMsm<G1Cfg>::Record) +
+                  std::uint64_t(sparse.live) * sizeof(std::size_t));
 }
 
 TEST(ServiceBytes, DomainBytesMatchesTwiddleTables)
@@ -266,10 +282,15 @@ TEST(ServiceCache, LruEvictionUnderBudget)
  */
 TEST(ServiceCache, EvictionSequenceDeterministicAcrossThreadCounts)
 {
+    // A budget that fits either artifact but never both.
     auto a1 = service::buildCircuitArtifacts<Bn254Family>(
         fx().k1.pk, 1, 2);
+    auto a2 = service::buildCircuitArtifacts<Bn254Family>(
+        fx().k2.pk, 2, 2);
     ASSERT_TRUE(a1.isOk());
-    std::uint64_t budget = (*a1)->bytes() * 3 / 2;
+    ASSERT_TRUE(a2.isOk());
+    std::uint64_t b1 = (*a1)->bytes(), b2 = (*a2)->bytes();
+    std::uint64_t budget = std::max(b1, b2) + std::min(b1, b2) / 2;
 
     Cache::Stats s1 = runEvictionSequence(budget, 1);
     Cache::Stats s4 = runEvictionSequence(budget, 4);

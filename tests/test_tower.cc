@@ -224,3 +224,33 @@ TEST_F(TowerTest, Fp2SqrtZero)
     EXPECT_EQ(Bn254Fp2::zero().sqrt(), Bn254Fp2::zero());
     EXPECT_EQ(Bn254Fp2::one().sqrt().squared(), Bn254Fp2::one());
 }
+
+TEST_F(TowerTest, Fp2BatchInverseMatchesSerialChain)
+{
+    // ff::batchInverse on Fp2 inverts the norms in Fq (the blocked
+    // path from 64 elements up); every result must equal the serial
+    // Fp2 chain's, zeros staying zero.
+    using Fq = Bn254Fp2::Fq;
+    for (std::size_t n : {0, 1, 15, 16, 17, 63, 64, 65, 1000}) {
+        std::vector<Bn254Fp2> xs(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            switch (i % 7) {
+            case 3: xs[i] = Bn254Fp2(); break;
+            case 5: xs[i] = Bn254Fp2(Fq::zero(), Fq::random(rng)); break;
+            case 6: xs[i] = Bn254Fp2(Fq::random(rng), Fq::zero()); break;
+            default: xs[i] = Bn254Fp2::random(rng);
+            }
+        }
+        auto viaNorm = xs, serial = xs;
+        batchInverse(viaNorm);
+        detail::batchInverseSerial(serial);
+        ASSERT_EQ(viaNorm.size(), n);
+        for (std::size_t i = 0; i < n; ++i)
+            EXPECT_EQ(viaNorm[i], serial[i]) << "n=" << n << " i=" << i;
+    }
+    std::vector<Bn254Fp2> zeros(65);
+    auto inv = zeros;
+    batchInverse(inv);
+    for (const auto &z : inv)
+        EXPECT_TRUE(z.isZero());
+}
