@@ -13,7 +13,9 @@
  *     bench_field_ops --table [--reps=N] [--out=BENCH_ff_dispatch.json]
  * times every batch field entry point (mul/sqr/mulc/add/sub/pow/
  * inverse) under every SIMD ISA arm this host supports, reporting
- * medianSeconds and the speedup over the portable arm. Before an arm
+ * medianSeconds and the speedup over the portable arm (add and sub
+ * time every rep on fresh random operands, so a data-dependent branch
+ * cannot hide behind a learned row). Before an arm
  * is timed its output is compared limb-for-limb against portable, so
  * a speedup can never come from a wrong answer. It then times the
  * scalar ops under every curve operation -- BN254 Fq mul, squared,
@@ -37,6 +39,7 @@
 #include <random>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "bench_util.hh"
@@ -189,6 +192,10 @@ struct Op {
     const char *name;
     void (*run)(std::vector<TFr> &out, const std::vector<TFr> &a,
                 const std::vector<TFr> &b);
+    /** Time every rep on fresh random operands: a kernel that branches
+     *  on its data would otherwise have the predictor learn a row it
+     *  saw the rep before. */
+    bool freshRows = false;
 };
 
 const BigInt<2> kPowExp = BigInt<2>::fromHex("1f3a9");
@@ -213,12 +220,14 @@ const Op kOps[] = {
      [](std::vector<TFr> &out, const std::vector<TFr> &a,
         const std::vector<TFr> &b) {
          addBatch(out.data(), a.data(), b.data(), a.size());
-     }},
+     },
+     true},
     {"sub",
      [](std::vector<TFr> &out, const std::vector<TFr> &a,
         const std::vector<TFr> &b) {
          subBatch(out.data(), a.data(), b.data(), a.size());
-     }},
+     },
+     true},
     // One NTT layer over n lane pairs (u in `out`, v/scratch in
     // static buffers): the shape nttInPlace runs per iteration.
     {"butterfly",
@@ -565,6 +574,16 @@ run(std::size_t reps, const std::string &out_path)
     for (std::size_t n : sizes) {
         auto a = gzkp::bench::scalarVector<TFr>(n, 11 + n);
         auto b = gzkp::bench::scalarVector<TFr>(n, 17 + n);
+        // Operand pairs for the freshRows ops, taken in turn by the
+        // timed calls (the warm-up included): no rep repeats the rep
+        // before, and at most 8 pairs bound the memory at large reps.
+        std::vector<std::pair<std::vector<TFr>, std::vector<TFr>>> fresh;
+        for (std::size_t r = 0;
+             r < std::min<std::size_t>(std::max<std::size_t>(reps, 1) + 1, 8);
+             ++r)
+            fresh.emplace_back(
+                gzkp::bench::scalarVector<TFr>(n, 1000 * (r + 1) + n),
+                gzkp::bench::scalarVector<TFr>(n, 2000 * (r + 1) + n));
         for (const Op &op : kOps) {
             std::vector<TFr> ref(n), got(n);
             double portable_s = 0;
@@ -582,8 +601,15 @@ run(std::size_t reps, const std::string &out_path)
                     simd::clearActiveIsa();
                     return 1;
                 }
+                std::size_t call = 0;
                 double s = gzkp::bench::medianSeconds(
-                    [&] { op.run(got, a, b); }, reps);
+                    [&] {
+                        if (!op.freshRows)
+                            return op.run(got, a, b);
+                        const auto &[x, y] = fresh[call++ % fresh.size()];
+                        op.run(got, x, y);
+                    },
+                    reps);
                 if (isa == simd::Isa::Portable)
                     portable_s = s;
                 emit(simd::name(isa), impl, op.name, n, s, portable_s);

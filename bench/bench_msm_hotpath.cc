@@ -243,12 +243,13 @@ emitCached(const char *curve, std::size_t log_n, std::size_t k,
         buf, sizeof(buf),
         "{\"bench\":\"msm-hotpath\",\"engine\":\"gzkp\","
         "\"op\":\"cached-run\",\"curve\":\"%s\",\"glv\":\"on\","
-        "\"isa\":\"%s\",\"log_n\":%zu,\"k\":%zu,\"m\":1,"
-        "\"threads\":1,\"identity_every\":%zu,\"live\":%zu,"
+        "\"isa\":\"%s\",\"impl\":\"%s\",\"log_n\":%zu,\"k\":%zu,"
+        "\"m\":1,\"threads\":1,\"identity_every\":%zu,\"live\":%zu,"
         "\"table_bytes\":%llu,\"ns\":%.0f,\"serial_ns\":%.0f,"
         "\"speedup_vs_serial\":%.3f}",
-        curve, ff::simd::name(ff::simd::activeIsa()), log_n, k, stride,
-        live, (unsigned long long)bytes, ns, serial_ns, serial_ns / ns);
+        curve, ff::simd::name(ff::simd::activeIsa()),
+        ff::simd::kernels4().impl, log_n, k, stride, live,
+        (unsigned long long)bytes, ns, serial_ns, serial_ns / ns);
     std::printf("%s\n", buf);
     std::fflush(stdout);
     g_records.push_back(buf);

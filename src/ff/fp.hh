@@ -23,10 +23,11 @@
  * regardless of the host ISA; the generic CIOS loop
  * simd::montMulLimbs, modAdd and modSub below are their oracle. The
  * *batch* entry points below (mulBatch, sqrBatch, mulcBatch,
- * batchInverse, ...) route 4-limb fields through the runtime-
- * dispatched vector kernels in ff/simd/dispatch.hh; every path returns
- * canonical fully-reduced values, so batch results are bit-identical
- * to the scalar ones.
+ * batchInverse, ...) route 4-limb fields, and quadratic extensions
+ * over them as base-field rows, through the runtime-dispatched vector
+ * kernels in ff/simd/dispatch.hh; every path returns canonical
+ * fully-reduced values, so batch results are bit-identical to the
+ * scalar ones.
  */
 
 #ifndef GZKP_FF_FP_HH
@@ -35,6 +36,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstring>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -435,25 +437,52 @@ class Fp
 namespace detail {
 
 /**
- * True for field types the vector kernel layer can process: exactly
- * 4 x 64-bit limbs laid out as raw storage. SFINAE-friendly so tower
- * or wide fields (no kLimbs, or kLimbs != 4) fall through to the
- * scalar loops without a compile error.
+ * True for prime fields stored as raw limbs (Fp<Tag>: a compile-time
+ * kModulus and nothing but kLimbs 64-bit limbs), whose add/sub rows
+ * run the branch-free kernels on the limbs directly. SFINAE-friendly
+ * so tower types fall through without a compile error.
+ */
+template <typename T, typename = void>
+struct IsPrimeField : std::false_type {
+};
+
+template <typename T>
+struct IsPrimeField<T, std::void_t<decltype(T::kModulus)>>
+    : std::bool_constant<sizeof(T) == T::kLimbs * sizeof(std::uint64_t)> {
+};
+
+/**
+ * True for field types the vector kernel layer can process: prime
+ * fields of exactly 4 x 64-bit limbs. Wide fields (6 and 12 limbs)
+ * take the scalar multiply loops.
  */
 template <typename T, typename = void>
 struct IsSimd4 : std::false_type {
 };
 
 template <typename T>
-struct IsSimd4<T, std::enable_if_t<T::kLimbs == 4>>
-    : std::bool_constant<sizeof(T) == 4 * sizeof(std::uint64_t)> {
+struct IsSimd4<T, std::enable_if_t<IsPrimeField<T>::value &&
+                                   T::kLimbs == 4>> : std::true_type {
+};
+
+/** A quadratic extension c0 + c1 u over `Fq` with its norm in Fq
+ *  (tower.hh's Fp2T). */
+template <typename T, typename = void>
+struct IsQuadraticExt : std::false_type {
+};
+
+template <typename T>
+struct IsQuadraticExt<
+    T, std::void_t<typename T::Fq, decltype(std::declval<T &>().c1)>>
+    : std::is_same<decltype(std::declval<const T &>().norm()),
+                   typename T::Fq> {
 };
 
 template <typename FpT>
 inline std::uint64_t *
 limbPtr(FpT *p)
 {
-    static_assert(sizeof(FpT) == 4 * sizeof(std::uint64_t));
+    static_assert(IsPrimeField<FpT>::value);
     return reinterpret_cast<std::uint64_t *>(p);
 }
 
@@ -461,9 +490,33 @@ template <typename FpT>
 inline const std::uint64_t *
 limbPtr(const FpT *p)
 {
-    static_assert(sizeof(FpT) == 4 * sizeof(std::uint64_t));
+    static_assert(IsPrimeField<FpT>::value);
     return reinterpret_cast<const std::uint64_t *>(p);
 }
+
+/** n extension elements viewed as one base-field row of 2n, c0 and c1
+ *  interleaved (element-wise add and sub run on it directly). */
+template <typename FpT>
+inline typename FpT::Fq *
+baseRow(FpT *p)
+{
+    static_assert(sizeof(FpT) == 2 * sizeof(typename FpT::Fq));
+    return reinterpret_cast<typename FpT::Fq *>(p);
+}
+
+template <typename FpT>
+inline const typename FpT::Fq *
+baseRow(const FpT *p)
+{
+    static_assert(sizeof(FpT) == 2 * sizeof(typename FpT::Fq));
+    return reinterpret_cast<const typename FpT::Fq *>(p);
+}
+
+template <typename FpT>
+void mulBatchExt(FpT *out, const FpT *a, const FpT *b, std::size_t n);
+
+template <typename FpT>
+void sqrBatchExt(FpT *out, const FpT *a, std::size_t n);
 
 } // namespace detail
 
@@ -483,15 +536,18 @@ mont4Params()
 
 /**
  * out[i] = a[i] * b[i] for i < n. For 4-limb fields this routes
- * through the active ISA arm (simd::activeIsa()); other widths use
- * the scalar path. out may alias a or b wholesale. Bit-identical to
- * the element-wise scalar product on every arm.
+ * through the active ISA arm (simd::activeIsa()); a quadratic
+ * extension over one runs as base-field rows through the same arm;
+ * other widths use the scalar path. out may alias a or b wholesale.
+ * Bit-identical to the element-wise scalar product on every arm.
  */
 template <typename FpT>
 inline void
 mulBatch(FpT *out, const FpT *a, const FpT *b, std::size_t n)
 {
-    if constexpr (detail::IsSimd4<FpT>::value) {
+    if constexpr (detail::IsQuadraticExt<FpT>::value) {
+        detail::mulBatchExt(out, a, b, n);
+    } else if constexpr (detail::IsSimd4<FpT>::value) {
         simd::kernels4().mul(detail::limbPtr(out), detail::limbPtr(a),
                              detail::limbPtr(b), n,
                              mont4Params<FpT>());
@@ -506,7 +562,9 @@ template <typename FpT>
 inline void
 sqrBatch(FpT *out, const FpT *a, std::size_t n)
 {
-    if constexpr (detail::IsSimd4<FpT>::value) {
+    if constexpr (detail::IsQuadraticExt<FpT>::value) {
+        detail::sqrBatchExt(out, a, n);
+    } else if constexpr (detail::IsSimd4<FpT>::value) {
         simd::kernels4().sqr(detail::limbPtr(out), detail::limbPtr(a),
                              n, mont4Params<FpT>());
     } else {
@@ -530,22 +588,145 @@ mulcBatch(FpT *out, const FpT *a, const FpT &c, std::size_t n)
     }
 }
 
-/** out[i] = a[i] + b[i]; aliasing as in mulBatch. */
+/**
+ * out[i] = a[i] + b[i]; aliasing as in mulBatch. Prime fields run
+ * kernels::addModRow, whose mask select stays branch-free in the
+ * element loop (the operators' flag select may not); a quadratic
+ * extension is one base-field row of 2n.
+ */
 template <typename FpT>
 inline void
 addBatch(FpT *out, const FpT *a, const FpT *b, std::size_t n)
 {
-    for (std::size_t i = 0; i < n; ++i)
-        out[i] = a[i] + b[i];
+    if constexpr (detail::IsQuadraticExt<FpT>::value) {
+        addBatch(detail::baseRow(out), detail::baseRow(a),
+                 detail::baseRow(b), 2 * n);
+    } else if constexpr (detail::IsPrimeField<FpT>::value) {
+        kernels::addModRow<FpT::kLimbs>(
+            detail::limbPtr(out), detail::limbPtr(a), detail::limbPtr(b),
+            FpT::kModulus.limbs.data(), n);
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = a[i] + b[i];
+    }
 }
 
-/** out[i] = a[i] - b[i]; aliasing as in mulBatch. */
+/** out[i] = a[i] - b[i]; as addBatch, on kernels::subModRow. */
 template <typename FpT>
 inline void
 subBatch(FpT *out, const FpT *a, const FpT *b, std::size_t n)
 {
+    if constexpr (detail::IsQuadraticExt<FpT>::value) {
+        subBatch(detail::baseRow(out), detail::baseRow(a),
+                 detail::baseRow(b), 2 * n);
+    } else if constexpr (detail::IsPrimeField<FpT>::value) {
+        kernels::subModRow<FpT::kLimbs>(
+            detail::limbPtr(out), detail::limbPtr(a), detail::limbPtr(b),
+            FpT::kModulus.limbs.data(), n);
+    } else {
+        for (std::size_t i = 0; i < n; ++i)
+            out[i] = a[i] - b[i];
+    }
+}
+
+namespace detail {
+
+/**
+ * Karatsuba over base-field rows: for a = a0 + a1 u and b likewise,
+ * c0 = a0 b0 + beta a1 b1 and c1 = (a0 + a1)(b0 + b1) - a0 b0 - a1 b1,
+ * the scalar operator's formula as three row multiplies. The rows are
+ * per-thread scratch that only grows, so repeated drain rounds reuse
+ * it; inputs are copied in before out is written, so out may alias a
+ * or b.
+ */
+template <typename FpT>
+void
+mulBatchExt(FpT *out, const FpT *a, const FpT *b, std::size_t n)
+{
+    using Fq = typename FpT::Fq;
+    thread_local std::vector<Fq> rows;
+    if (rows.size() < 5 * n)
+        rows.resize(5 * n);
+    Fq *a0 = rows.data(), *a1 = a0 + n, *b0 = a1 + n, *b1 = b0 + n,
+       *t = b1 + n;
+    for (std::size_t i = 0; i < n; ++i) {
+        a0[i] = a[i].c0;
+        a1[i] = a[i].c1;
+        b0[i] = b[i].c0;
+        b1[i] = b[i].c1;
+    }
+    mulBatch(t, a1, b1, n);  // a1 b1
+    addBatch(a1, a0, a1, n); // a0 + a1
+    addBatch(b1, b0, b1, n); // b0 + b1
+    mulBatch(a0, a0, b0, n); // a0 b0
+    mulBatch(b1, a1, b1, n);
+    subBatch(b1, b1, a0, n);
+    subBatch(b1, b1, t, n); // c1
     for (std::size_t i = 0; i < n; ++i)
-        out[i] = a[i] - b[i];
+        t[i] = FpT::mulByBeta(t[i]);
+    addBatch(a0, a0, t, n); // c0
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = FpT(a0[i], b1[i]);
+}
+
+/**
+ * Complex squaring over base-field rows: with ab = a0 a1,
+ * c0 = (a0 + a1)(a0 + beta a1) - ab - beta ab and c1 = 2 ab, two row
+ * multiplies, on per-thread rows as in mulBatchExt.
+ */
+template <typename FpT>
+void
+sqrBatchExt(FpT *out, const FpT *a, std::size_t n)
+{
+    using Fq = typename FpT::Fq;
+    thread_local std::vector<Fq> rows;
+    if (rows.size() < 4 * n)
+        rows.resize(4 * n);
+    Fq *a0 = rows.data(), *a1 = a0 + n, *s = a1 + n, *t = s + n;
+    for (std::size_t i = 0; i < n; ++i) {
+        a0[i] = a[i].c0;
+        a1[i] = a[i].c1;
+        t[i] = FpT::mulByBeta(a[i].c1);
+    }
+    addBatch(t, a0, t, n);  // a0 + beta a1
+    addBatch(s, a0, a1, n); // a0 + a1
+    mulBatch(s, s, t, n);
+    mulBatch(a1, a0, a1, n); // ab
+    subBatch(s, s, a1, n);
+    for (std::size_t i = 0; i < n; ++i)
+        t[i] = FpT::mulByBeta(a1[i]);
+    subBatch(s, s, t, n);    // c0
+    addBatch(a1, a1, a1, n); // c1
+    for (std::size_t i = 0; i < n; ++i)
+        out[i] = FpT(s[i], a1[i]);
+}
+
+} // namespace detail
+
+/**
+ * neg ? -x : x, picked by an and/xor mask over x's raw words rather
+ * than a branch: for signs that are random data, such as the MSM
+ * drain's signed digits, where a branch mispredicts half the time.
+ * Any field stored as raw 64-bit words qualifies (Fp, and Fp2T over
+ * it).
+ */
+template <typename F>
+inline F
+negateIf(const F &x, bool neg)
+{
+    static_assert(std::is_trivially_copyable_v<F> &&
+                  sizeof(F) % sizeof(std::uint64_t) == 0);
+    constexpr std::size_t W = sizeof(F) / sizeof(std::uint64_t);
+    const F nx = -x;
+    std::uint64_t a[W], b[W];
+    std::memcpy(a, &x, sizeof(F));
+    std::memcpy(b, &nx, sizeof(F));
+    const std::uint64_t mask = kernels::maskOf(neg);
+    for (std::size_t i = 0; i < W; ++i)
+        a[i] ^= (a[i] ^ b[i]) & mask;
+    F r;
+    std::memcpy(&r, a, sizeof(F));
+    return r;
 }
 
 /**
@@ -649,19 +830,6 @@ batchInverseBlocked(std::vector<FpT> &xs)
     }
 }
 
-/** A quadratic extension c0 + c1 u over `Fq` with its norm in Fq
- *  (tower.hh's Fp2T). */
-template <typename T, typename = void>
-struct IsQuadraticExt : std::false_type {
-};
-
-template <typename T>
-struct IsQuadraticExt<
-    T, std::void_t<typename T::Fq, decltype(std::declval<T &>().c1)>>
-    : std::is_same<decltype(std::declval<const T &>().norm()),
-                   typename T::Fq> {
-};
-
 } // namespace detail
 
 template <typename FpT>
@@ -673,9 +841,10 @@ namespace detail {
  * Quadratic-extension batch inversion through the norm:
  * 1/(c0 + c1 u) = (c0 - c1 u) / N with N = c0^2 - beta c1^2 in Fq, so
  * the chain runs over the base field (the blocked 4-limb path for
- * BN254 Fq2) instead of over serial extension multiplies. N is zero
- * only for zero (beta is a non-residue), so a zero keeps its zero
- * norm through the base-field call and maps back to zero.
+ * BN254 Fq2) instead of over serial extension multiplies. The norms
+ * are one sqrBatch over the c0 and c1 rows and one subBatch. N is
+ * zero only for zero (beta is a non-residue), so a zero keeps its
+ * zero norm through the base-field call and maps back to zero.
  */
 template <typename FpT>
 void
@@ -683,15 +852,22 @@ batchInverseByNorm(std::vector<FpT> &xs)
 {
     using Fq = typename FpT::Fq;
     const std::size_t n = xs.size();
-    std::vector<Fq> norms(n), re(n), im(n);
+    // parts = [c0 row | c1 row]; norms starts as their squares.
+    std::vector<Fq> parts(2 * n), norms(2 * n);
+    Fq *re = parts.data(), *im = re + n;
     for (std::size_t i = 0; i < n; ++i) {
-        norms[i] = xs[i].norm();
         re[i] = xs[i].c0;
         im[i] = xs[i].c1;
     }
+    sqrBatch(norms.data(), parts.data(), 2 * n);
+    Fq *imSq = norms.data() + n;
+    for (std::size_t i = 0; i < n; ++i)
+        imSq[i] = FpT::mulByBeta(imSq[i]);
+    subBatch(norms.data(), norms.data(), imSq, n); // c0^2 - beta c1^2
+    norms.resize(n);
     batchInverse(norms);
-    mulBatch(re.data(), re.data(), norms.data(), n);
-    mulBatch(im.data(), im.data(), norms.data(), n);
+    mulBatch(re, re, norms.data(), n);
+    mulBatch(im, im, norms.data(), n);
     for (std::size_t i = 0; i < n; ++i)
         xs[i] = FpT(re[i], -im[i]);
 }

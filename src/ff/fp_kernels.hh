@@ -3,7 +3,10 @@
  * Branch-free scalar kernels behind Fp<Tag>'s operators.
  *
  * Modular add, sub and negate are adc/sbb carry chains followed by a
- * flag or mask select, never a data-dependent branch. Multiplication
+ * flag or mask select. A flag select compiles to cmov in one inlined
+ * op, but can become a data-dependent branch once inlined into a loop
+ * over elements, so the batch rows (addModRow, subModRow) select with
+ * and/xor masks instead. Multiplication
  * is the no-carry form of CIOS Montgomery multiplication (the one
  * gnark uses): one multiply-and-reduce pass per limb of b, without
  * CIOS's extra carry word, then one branch-free conditional
@@ -104,7 +107,9 @@ reduceOnce(u64 *out, const u64 *t, const u64 *p)
 #pragma GCC unroll 12
     for (std::size_t i = 0; i < N; ++i)
         borrow = subb(borrow, t[i], p[i], d[i]);
-    // A select on the borrow flag (cmov), not a branch.
+    // A select on the borrow flag. GCC emits cmov for one inlined op;
+    // inlined into a loop over elements it may emit a data-dependent
+    // branch instead, so the batch rows below use a mask select.
 #pragma GCC unroll 12
     for (std::size_t i = 0; i < N; ++i)
         out[i] = borrow ? t[i] : d[i];
@@ -142,6 +147,73 @@ subMod(u64 *out, const u64 *a, const u64 *b, const u64 *p)
 #pragma GCC unroll 12
     for (std::size_t i = 0; i < N; ++i)
         out[i] = borrow ? e[i] : d[i];
+}
+
+/**
+ * All-ones when `flag` is set, else zero. The empty asm hides the
+ * mask's origin from the optimizer, which could otherwise turn the
+ * and/xor select back into a branch on the flag.
+ */
+inline u64
+maskOf(unsigned char flag)
+{
+    u64 mask = u64(0) - flag;
+#if defined(__GNUC__)
+    __asm__("" : "+r"(mask));
+#endif
+    return mask;
+}
+
+/**
+ * out[k] = (a[k] + b[k]) mod p for n elements of N limbs each: the
+ * batch row behind ff::addBatch. The same adc/sbb chains as addMod,
+ * but the result is picked with an and/xor mask select, which stays
+ * branch-free inside the element loop. `out` may alias a or b
+ * wholesale.
+ */
+template <std::size_t N>
+inline void
+addModRow(u64 *out, const u64 *a, const u64 *b, const u64 *p,
+          std::size_t n)
+{
+    for (std::size_t k = 0; k < n; ++k, out += N, a += N, b += N) {
+        u64 s[N] = {}, d[N] = {};
+        unsigned char c = 0;
+#pragma GCC unroll 12
+        for (std::size_t i = 0; i < N; ++i)
+            c = addc(c, a[i], b[i], s[i]);
+        c = 0;
+#pragma GCC unroll 12
+        for (std::size_t i = 0; i < N; ++i)
+            c = subb(c, s[i], p[i], d[i]);
+        const u64 keep = maskOf(c); // s < p: keep the sum
+#pragma GCC unroll 12
+        for (std::size_t i = 0; i < N; ++i)
+            out[i] = d[i] ^ ((s[i] ^ d[i]) & keep);
+    }
+}
+
+/** out[k] = (a[k] - b[k]) mod p, the subMod chains with a mask select. */
+template <std::size_t N>
+inline void
+subModRow(u64 *out, const u64 *a, const u64 *b, const u64 *p,
+          std::size_t n)
+{
+    for (std::size_t k = 0; k < n; ++k, out += N, a += N, b += N) {
+        u64 d[N] = {}, e[N] = {};
+        unsigned char c = 0;
+#pragma GCC unroll 12
+        for (std::size_t i = 0; i < N; ++i)
+            c = subb(c, a[i], b[i], d[i]);
+        const u64 wrap = maskOf(c); // a < b: take a - b + p
+        c = 0;
+#pragma GCC unroll 12
+        for (std::size_t i = 0; i < N; ++i)
+            c = addc(c, d[i], p[i], e[i]);
+#pragma GCC unroll 12
+        for (std::size_t i = 0; i < N; ++i)
+            out[i] = d[i] ^ ((e[i] ^ d[i]) & wrap);
+    }
 }
 
 /** out = -a mod p (zero stays zero). */

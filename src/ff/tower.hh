@@ -98,6 +98,9 @@ class Fp2T
         return Fp2T(c0 * s, c1 * s);
     }
 
+    /** beta * a, by the config's routine (the batch rows use it). */
+    static Fq mulByBeta(const Fq &a) { return Cfg::mulByBeta(a); }
+
     /** Conjugate: the Frobenius map of a quadratic extension. */
     Fp2T conjugate() const { return Fp2T(c0, -c1); }
 

@@ -13,18 +13,18 @@
  * the scheduler drains per-slot addition queues in rounds:
  *
  *  - each slot owns a running affine accumulator; an incoming point
- *    pairs with it and is *staged* (denominator x2 - x1 recorded) --
- *    at most one staged add per slot per round, enforced by an epoch
- *    counter;
+ *    pairs with it and is *staged* (both points' coordinates appended
+ *    to the round's coordinate rows) -- at most one staged add per
+ *    slot per round, enforced by an epoch counter;
  *  - a second add to a claimed slot in the same round, or a doubling
  *    (x1 == x2, y1 == y2), falls back to a per-slot *Jacobian side
  *    accumulator* -- graceful degradation, never a stall;
  *  - a cancellation (x1 == x2, y1 == -y2) just clears the slot;
  *  - when kBatch adds (or the caller's round size) are staged, one
- *    ff::batchInverse over the staged denominators resolves the
- *    whole round with cheap affine chord additions, and the chord
- *    formulas themselves run as batched field ops through the
- *    dispatched vector kernels;
+ *    subBatch forms the denominators x2 - x1 and one ff::batchInverse
+ *    over them resolves the whole round with cheap affine chord
+ *    additions, and the chord formulas themselves run as batched
+ *    field ops through the dispatched vector kernels;
  *  - a *small* final round (fewer than kMinAffineRound staged adds,
  *    the tail a window drain leaves behind) is cheaper as plain
  *    Jacobian mixed adds than as a shared inversion whose fixed cost
@@ -123,10 +123,10 @@ class BatchAffineAccumulator
         side_.assign(slots, Point::identity());
         claimed_.assign(slots, 0);
         epoch_ = 1;
-        staged_.clear();
-        denoms_.clear();
+        clearStaged();
+        for (auto *row : {&ax_, &ay_, &px_, &py_})
+            row->reserve(batch_);
         staged_.reserve(batch_);
-        denoms_.reserve(batch_);
     }
 
     /** Queue `slot += p`; may trigger a round flush. */
@@ -158,9 +158,14 @@ class BatchAffineAccumulator
             acc = Affine::identity();
             return;
         }
+        // Stage straight into the coordinate rows flush() computes on;
+        // acc cannot change before then (the slot is claimed).
         claimed_[slot] = epoch_;
-        staged_.push_back({slot, p});
-        denoms_.push_back(p.x - acc.x);
+        staged_.push_back(slot);
+        ax_.push_back(acc.x);
+        ay_.push_back(acc.y);
+        px_.push_back(p.x);
+        py_.push_back(p.y);
         ++affineAdds_;
         if (staged_.size() >= batch_)
             flush();
@@ -177,16 +182,17 @@ class BatchAffineAccumulator
     void
     flush()
     {
-        if (staged_.empty()) {
+        const std::size_t n = staged_.size();
+        if (n == 0) {
             ++epoch_;
             return;
         }
-        if (staged_.size() < kMinAffineRound) {
-            for (const Staged &s : staged_)
-                side_[s.slot] = side_[s.slot].addMixed(s.p);
-            sideRouted_ += staged_.size();
-            staged_.clear();
-            denoms_.clear();
+        if (n < kMinAffineRound) {
+            for (std::size_t i = 0; i < n; ++i)
+                side_[staged_[i]] =
+                    side_[staged_[i]].addMixed(Affine(px_[i], py_[i]));
+            sideRouted_ += n;
+            clearStaged();
             ++epoch_;
             return;
         }
@@ -195,28 +201,18 @@ class BatchAffineAccumulator
         // makes a bug here loud (a zero survives and the curve
         // check in tests catches the off-curve result) rather
         // than corrupting neighbouring entries.
+        denoms_.resize(n);
+        ff::subBatch(denoms_.data(), px_.data(), ax_.data(), n);
         ff::batchInverse(denoms_);
         ++inversions_;
-        // Chord formulas over gathered coordinate rows:
+        // Chord formulas over the staged coordinate rows:
         //   lambda = (p.y - acc.y) / (p.x - acc.x)
         //   x3 = lambda^2 - acc.x - p.x
         //   y3 = lambda * (acc.x - x3) - acc.y
         // Same per-element operation sequence as the scalar form, so
         // results are bit-identical on every dispatch arm.
-        const std::size_t n = staged_.size();
-        ax_.resize(n);
-        ay_.resize(n);
-        px_.resize(n);
-        py_.resize(n);
         lambda_.resize(n);
         x3_.resize(n);
-        for (std::size_t i = 0; i < n; ++i) {
-            const Affine &acc = cur_[staged_[i].slot];
-            ax_[i] = acc.x;
-            ay_[i] = acc.y;
-            px_[i] = staged_[i].p.x;
-            py_[i] = staged_[i].p.y;
-        }
         ff::subBatch(lambda_.data(), py_.data(), ay_.data(), n);
         ff::mulBatch(lambda_.data(), lambda_.data(), denoms_.data(), n);
         ff::sqrBatch(x3_.data(), lambda_.data(), n);
@@ -226,9 +222,8 @@ class BatchAffineAccumulator
         ff::mulBatch(ax_.data(), lambda_.data(), ax_.data(), n);
         ff::subBatch(ay_.data(), ax_.data(), ay_.data(), n);
         for (std::size_t i = 0; i < n; ++i)
-            cur_[staged_[i].slot] = Affine(x3_[i], ay_[i]);
-        staged_.clear();
-        denoms_.clear();
+            cur_[staged_[i]] = Affine(x3_[i], ay_[i]);
+        clearStaged();
         ++epoch_;
     }
 
@@ -287,21 +282,26 @@ class BatchAffineAccumulator
     }
 
   private:
-    struct Staged {
-        std::size_t slot;
-        Affine p;
-    };
+    void
+    clearStaged()
+    {
+        staged_.clear();
+        for (auto *row : {&ax_, &ay_, &px_, &py_})
+            row->clear();
+    }
 
     std::size_t batch_;
     std::vector<Affine> cur_;
     std::vector<Point> side_;
     std::vector<std::uint32_t> claimed_;
     std::uint32_t epoch_ = 1;
-    std::vector<Staged> staged_;
-    std::vector<Field> denoms_;
-    // Coordinate rows gathered per flush (kept as members so repeated
-    // rounds reuse the allocations).
-    std::vector<Field> ax_, ay_, px_, py_, lambda_, x3_;
+    // The round's staged adds: slot i adds (px_[i], py_[i]) to its
+    // accumulator (ax_[i], ay_[i]). The rows double as flush()'s
+    // scratch, and every row is a member so repeated rounds reuse the
+    // allocations.
+    std::vector<std::size_t> staged_;
+    std::vector<Field> ax_, ay_, px_, py_;
+    std::vector<Field> denoms_, lambda_, x3_;
     std::uint64_t affineAdds_ = 0;
     std::uint64_t inversions_ = 0;
     std::uint64_t collisions_ = 0;

@@ -843,7 +843,7 @@ class GzkpMsm
     {
         delta = std::size_t((e & ~kNegBit) >> kDeltaShift);
         const Record &r = pp.pre[e & kIndexMask];
-        return Affine(r.x, (e & kNegBit) ? -r.y : r.y);
+        return Affine(r.x, ff::negateIf(r.y, (e & kNegBit) != 0));
     }
 
     /** Pull the record of p_index entry e toward the cache. */

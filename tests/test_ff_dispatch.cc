@@ -16,13 +16,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
 
+#include "ff/bn254_tower.hh"
 #include "ff/field_tags.hh"
 #include "ff/fp.hh"
 #include "ff/simd/dispatch.hh"
+#include "ff/simd/mont_scalar.hh"
 #include "field_pool.hh"
 #include "msm/batch_affine.hh"
 #include "testkit/generators.hh"
@@ -35,6 +38,7 @@
 
 using namespace gzkp;
 using ff::simd::Isa;
+namespace simd = ff::simd;
 
 using Fr = ff::Bn254Fr;
 using Fq = ff::Bn254Fq;
@@ -145,6 +149,99 @@ expectArmMatchesPortable(Isa isa, std::uint64_t seed)
     }
 }
 
+/**
+ * Raw elements that stress the IFMA core's 52-bit digits: p - 1, R mod
+ * p, every digit at its maximum 2^52 - 1 (the top digit one below
+ * p's), runs of maximal digits over zero digits and the reverse, and
+ * single set digits.
+ */
+template <typename FpT>
+std::vector<FpT>
+digitPool()
+{
+    using Repr = typename FpT::Repr;
+    constexpr std::uint64_t kMax = (std::uint64_t(1) << 52) - 1;
+    auto fromDigits = [](const std::uint64_t (&d)[5]) {
+        Repr r;
+        for (std::size_t j = 0; j < 5; ++j)
+            for (std::size_t b = 0; b < 52; ++b)
+                if (d[j] >> b & 1) {
+                    std::size_t bit = 52 * j + b;
+                    r.limbs[bit / 64] |= std::uint64_t(1) << (bit % 64);
+                }
+        return r;
+    };
+    const Repr &p = FpT::modulus();
+    const std::uint64_t pTop = p.limbs[3] >> 16; // p's top digit
+    std::vector<Repr> raws = {
+        fromDigits({kMax, kMax, kMax, kMax, pTop - 1}),
+        fromDigits({kMax, kMax, kMax, kMax, 0}),
+        fromDigits({kMax, 0, kMax, 0, pTop - 1}),
+        fromDigits({0, kMax, 0, kMax, 0}),
+        fromDigits({0, 0, 0, 0, pTop - 1}),
+        fromDigits({kMax, 0, 0, 0, 0}),
+        fromDigits({0, 0, 0, kMax, 0}),
+        fromDigits({1, 0, 0, 0, 0}),
+        fromDigits({0, 1, 0, 0, 0}),
+        fromDigits({0, 0, 0, 0, 1}),
+    };
+    std::vector<FpT> pool = {-FpT::one(), FpT::one(), FpT::zero()};
+    for (const Repr &r : raws) {
+        EXPECT_TRUE(r < p);
+        pool.push_back(FpT::fromRaw(r));
+    }
+    return pool;
+}
+
+/**
+ * mul, sqr and mulc of every arm against simd::montMulLimbs, on the
+ * digit pool's pairs (b runs the pool at an offset, so every boundary
+ * value meets several others) and random fill.
+ */
+template <typename FpT>
+void
+expectKernelsMatchOracle(std::uint64_t seed)
+{
+    const simd::Mont4 &m = ff::mont4Params<FpT>();
+    const auto pool = digitPool<FpT>();
+    auto oracle = [&m](const FpT &x, const FpT &y) {
+        FpT r;
+        simd::montMulLimbs<4>(ff::detail::limbPtr(&r),
+                              ff::detail::limbPtr(&x),
+                              ff::detail::limbPtr(&y), m.p, m.inv);
+        return r;
+    };
+    for (std::size_t n : {8, 9, 16, 17, 1000}) {
+        testkit::Rng rng(seed + n);
+        std::vector<FpT> a(n), b(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            bool boundary = i < 4 * pool.size();
+            a[i] = boundary ? pool[i % pool.size()] : FpT::random(rng);
+            b[i] = boundary ? pool[(i / pool.size() + 3 * i) % pool.size()]
+                            : FpT::random(rng);
+        }
+        for (Isa isa : ff::simd::supportedIsas()) {
+            IsaGuard g(isa);
+            std::vector<FpT> out(n);
+            ff::mulBatch(out.data(), a.data(), b.data(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_TRUE(limbsEqual(out[i], oracle(a[i], b[i])))
+                    << ff::simd::name(isa) << " mul n=" << n << " i=" << i;
+            ff::sqrBatch(out.data(), a.data(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_TRUE(limbsEqual(out[i], oracle(a[i], a[i])))
+                    << ff::simd::name(isa) << " sqr n=" << n << " i=" << i;
+            for (const FpT &c : pool) {
+                ff::mulcBatch(out.data(), a.data(), c, n);
+                for (std::size_t i = 0; i < n; ++i)
+                    EXPECT_TRUE(limbsEqual(out[i], oracle(a[i], c)))
+                        << ff::simd::name(isa) << " mulc n=" << n
+                        << " i=" << i;
+            }
+        }
+    }
+}
+
 } // namespace
 
 // ----------------------------------------------- dispatch mechanics
@@ -215,6 +312,128 @@ TEST(FfDispatchDifferential, WideFieldsBypassTheVectorArms)
     // the scalar results under every arm (the IsSimd4 routing).
     for (Isa isa : ff::simd::supportedIsas())
         expectArmMatchesPortable<WideFq>(isa, 0xcafe);
+}
+
+TEST(FfDispatchDifferential, KernelDigitBoundariesMatchOracle)
+{
+    // The IFMA core carries lazily (digits unnormalized until the
+    // end), so its edge cases are digit patterns, not just values.
+    expectKernelsMatchOracle<Fq>(0x1f3a);
+    expectKernelsMatchOracle<Fr>(0x2b4c);
+}
+
+TEST(FfDispatchDifferential, AddSubBatchMatchOperators)
+{
+    // addBatch/subBatch run their own mask-select rows, not the
+    // operators; hold them to the operators on the biased pool, in
+    // place too.
+    auto check = [](auto tag, std::uint64_t seed) {
+        using FpT = decltype(tag);
+        for (std::size_t n : {1, 3, 8, 64, 257}) {
+            auto a = testpool::biasedPool<FpT>(n, seed);
+            auto b = testpool::biasedPool<FpT>(n, seed + 1);
+            std::reverse(b.begin(), b.end()); // boundary meets boundary
+            std::vector<FpT> sum(n), diff(n), swapped(n);
+            ff::addBatch(sum.data(), a.data(), b.data(), n);
+            ff::subBatch(diff.data(), a.data(), b.data(), n);
+            ff::subBatch(swapped.data(), b.data(), a.data(), n);
+            for (std::size_t i = 0; i < n; ++i) {
+                EXPECT_TRUE(limbsEqual(sum[i], a[i] + b[i])) << i;
+                EXPECT_TRUE(limbsEqual(diff[i], a[i] - b[i])) << i;
+                EXPECT_TRUE(limbsEqual(swapped[i], b[i] - a[i])) << i;
+            }
+            std::vector<FpT> x = a;
+            ff::addBatch(x.data(), x.data(), x.data(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_TRUE(limbsEqual(x[i], a[i] + a[i])) << i;
+            x = a;
+            ff::subBatch(x.data(), x.data(), b.data(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_TRUE(limbsEqual(x[i], a[i] - b[i])) << i;
+        }
+    };
+    check(Fr(), 0xadd);
+    check(Fq(), 0x5ab);
+    check(WideFq(), 0x51de);
+}
+
+TEST(FfDispatchDifferential, Fp2BatchOpsMatchElementwise)
+{
+    // Fp2 batches run as Fq rows through the active arm; every op must
+    // equal the Fp2 operators, into a fresh row and in place (out == a),
+    // with zeros and pure real or imaginary elements in the mix.
+    using Fp2 = ff::Bn254Fp2;
+    struct Op {
+        const char *name;
+        void (*batch)(Fp2 *out, const Fp2 *a, const Fp2 *b, std::size_t n);
+        Fp2 (*one)(const Fp2 &a, const Fp2 &b);
+    };
+    const Op ops[] = {
+        {"mul",
+         [](Fp2 *o, const Fp2 *a, const Fp2 *b, std::size_t n) {
+             ff::mulBatch(o, a, b, n);
+         },
+         [](const Fp2 &a, const Fp2 &b) { return a * b; }},
+        {"sqr",
+         [](Fp2 *o, const Fp2 *a, const Fp2 *, std::size_t n) {
+             ff::sqrBatch(o, a, n);
+         },
+         [](const Fp2 &a, const Fp2 &) { return a.squared(); }},
+        {"add",
+         [](Fp2 *o, const Fp2 *a, const Fp2 *b, std::size_t n) {
+             ff::addBatch(o, a, b, n);
+         },
+         [](const Fp2 &a, const Fp2 &b) { return a + b; }},
+        {"sub",
+         [](Fp2 *o, const Fp2 *a, const Fp2 *b, std::size_t n) {
+             ff::subBatch(o, a, b, n);
+         },
+         [](const Fp2 &a, const Fp2 &b) { return a - b; }},
+        {"inverse",
+         [](Fp2 *o, const Fp2 *a, const Fp2 *, std::size_t n) {
+             std::vector<Fp2> x(a, a + n);
+             ff::batchInverse(x);
+             std::copy(x.begin(), x.end(), o);
+         },
+         [](const Fp2 &a, const Fp2 &) {
+             return a.isZero() ? Fp2::zero() : a.inverse();
+         }},
+    };
+    for (Isa isa : ff::simd::supportedIsas()) {
+        IsaGuard g(isa);
+        for (std::size_t n : {0, 1, 7, 8, 9, 1000}) {
+            testkit::Rng rng(0xf2 + n);
+            std::vector<Fp2> a(n), b(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                a[i] = Fp2::random(rng);
+                b[i] = Fp2::random(rng);
+            }
+            for (std::size_t i = 0; i < n; i += 5)
+                a[i] = Fp2::zero();
+            for (std::size_t i = 1; i < n; i += 7)
+                b[i] = Fp2(Fq::zero(), b[i].c1);
+            for (std::size_t i = 2; i < n; i += 7)
+                a[i] = Fp2(a[i].c0, Fq::zero());
+            for (const Op &op : ops) {
+                std::vector<Fp2> out(n), inPlace = a;
+                op.batch(out.data(), a.data(), b.data(), n);
+                op.batch(inPlace.data(), inPlace.data(), b.data(), n);
+                for (std::size_t i = 0; i < n; ++i) {
+                    Fp2 want = op.one(a[i], b[i]);
+                    EXPECT_EQ(out[i], want) << ff::simd::name(isa) << " "
+                                            << op.name << " n=" << n
+                                            << " i=" << i;
+                    EXPECT_EQ(inPlace[i], want)
+                        << ff::simd::name(isa) << " " << op.name
+                        << " in place n=" << n << " i=" << i;
+                }
+            }
+            std::vector<Fp2> x = a; // out == a == b
+            ff::mulBatch(x.data(), x.data(), x.data(), n);
+            for (std::size_t i = 0; i < n; ++i)
+                EXPECT_EQ(x[i], a[i] * a[i]) << "a*a n=" << n << " i=" << i;
+        }
+    }
 }
 
 TEST(FfDispatchDifferential, BlockedBatchInverseMatchesSerial)
